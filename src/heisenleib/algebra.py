@@ -1,7 +1,9 @@
 """Structure-constant Leibniz algebras and their basic invariants.
 
-A StructTensor stores the constants c[i][j][k] of a bilinear product
-[e_i, e_j] = sum_k c_{ij}^k e_k.  Entries are either Scalar (exact field
+A StructTensor holds the nonzero constants of a bilinear product
+[e_i, e_j] = sum_k c_{ij}^k e_k in a sparse store that no other module
+sees: they read constants through entry() and constants_dict(), and every
+product goes through contract().  Entries are either Scalar (exact field
 elements) or PolyQ (symbolic parameters); one entry kind per tensor.
 Whether the product satisfies the Leibniz identity is checked, never
 assumed: leibniz_residual exposes the defect of each basis triple.
@@ -14,10 +16,13 @@ return canonical objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import linalg
 from .linalg import ShapeError
 from .scalars import Scalar
+
+_NO_PRODUCT: dict = {}
 
 
 class EntryKindError(TypeError):
@@ -25,11 +30,17 @@ class EntryKindError(TypeError):
 
 
 class StructTensor:
-    """Structure constants of a finite-dimensional bilinear product."""
+    """Structure constants of a finite-dimensional bilinear product.
 
-    __slots__ = ("dim", "basis_labels", "c", "zero")
+    Storage is the map {(i, j): {k: c_ij^k}} of the nonzero constants only,
+    in (i, j, k) order; a product [e_i, e_j] that vanishes has no key.
+    """
 
-    def __init__(self, dim: int, c, basis_labels=None, zero=None):
+    __slots__ = ("dim", "basis_labels", "zero", "_c")
+
+    def __init__(self, dim: int, constants: dict, basis_labels=None, zero=None):
+        """Build from a sparse {(i, j, k): entry} map; zero entries are
+        dropped and indices outside 0..dim-1 raise ShapeError."""
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         if basis_labels is None:
@@ -37,45 +48,53 @@ class StructTensor:
         basis_labels = tuple(basis_labels)
         if len(basis_labels) != dim:
             raise ValueError("basis label count != dim")
-        rows = tuple(
-            tuple(tuple(entry for entry in vec) for vec in plane) for plane in c
-        )
-        if len(rows) != dim or any(
-            len(plane) != dim or any(len(vec) != dim for vec in plane)
-            for plane in rows
-        ):
-            raise ShapeError("structure constants must be dim x dim x dim")
         if zero is None:
             zero = Scalar.zero()
+        c: dict = {}
+        for (i, j, k), value in constants.items():
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise ShapeError(
+                    f"constant index ({i}, {j}, {k}) outside 0..{dim - 1}"
+                )
+            if not value.is_zero():
+                c.setdefault((i, j), {})[k] = value
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_labels", basis_labels)
-        object.__setattr__(self, "c", rows)
         object.__setattr__(self, "zero", zero)
+        object.__setattr__(
+            self, "_c", {ij: dict(sorted(row.items())) for ij, row in sorted(c.items())}
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("StructTensor is immutable")
 
-    @classmethod
-    def from_constants(cls, dim, constants: dict, basis_labels=None, zero=None):
-        """Build from a sparse {(i, j, k): entry} map of nonzero constants."""
-        if zero is None:
-            zero = Scalar.zero()
-        c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), value in constants.items():
-            c[i][j] = list(c[i][j])
-            c[i][j][k] = value
-        return cls(dim, c, basis_labels=basis_labels, zero=zero)
+    def _check_indices(self, *indices) -> None:
+        for idx in indices:
+            if not 0 <= idx < self.dim:
+                raise IndexError(f"basis index {idx} out of range")
+
+    def entry(self, i: int, j: int, k: int):
+        """The constant c_ij^k (the tensor's zero when it is not stored)."""
+        self._check_indices(i, j, k)
+        return self._c.get((i, j), _NO_PRODUCT).get(k, self.zero)
 
     def constants_dict(self) -> dict:
         """Sparse view {(i, j, k): entry} of the nonzero constants."""
-        out = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    entry = self.c[i][j][k]
-                    if not entry.is_zero():
-                        out[(i, j, k)] = entry
-        return out
+        return {
+            (i, j, k): value
+            for (i, j), row in self._c.items()
+            for k, value in row.items()
+        }
+
+    def map_entries(self, fn) -> StructTensor:
+        """The tensor with fn applied to every nonzero constant (results of
+        the same entry kind; those that vanish are dropped)."""
+        return StructTensor(
+            self.dim,
+            {key: fn(value) for key, value in self.constants_dict().items()},
+            basis_labels=self.basis_labels,
+            zero=self.zero,
+        )
 
     def is_scalar(self) -> bool:
         return isinstance(self.zero, Scalar)
@@ -86,60 +105,42 @@ class StructTensor:
 
     # -- products ------------------------------------------------------------
 
+    def contract(self, terms) -> list:
+        """Sum of coeff * [e_i, e_j] over (coeff, i, j) terms, as a coordinate
+        vector.  This is the one loop that multiplies stored constants."""
+        acc: dict = {}
+        for coeff, i, j in terms:
+            for k, ck in self._c.get((i, j), _NO_PRODUCT).items():
+                p = coeff * ck
+                acc[k] = acc[k] + p if k in acc else p
+        return [acc.get(k, self.zero) for k in range(self.dim)]
+
     def bracket(self, x, y) -> list:
         """[x, y] for coordinate vectors x, y; bilinear in both arguments."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError(
                 f"coordinate vectors must have length {self.dim}, got {len(x)}, {len(y)}"
             )
-        out = [self.zero] * self.dim
-        for i, xi in enumerate(x):
-            if hasattr(xi, "is_zero") and xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if hasattr(yj, "is_zero") and yj.is_zero():
-                    continue
-                coeff = xi * yj
-                vec = self.c[i][j]
-                for k in range(self.dim):
-                    if not vec[k].is_zero():
-                        out[k] = out[k] + coeff * vec[k]
-        return out
-
-    def _bracket_basis_left(self, i: int, w) -> list:
-        """[e_i, w] for a coordinate vector w."""
-        out = [self.zero] * self.dim
-        for j, wj in enumerate(w):
-            if wj.is_zero():
-                continue
-            vec = self.c[i][j]
-            for k in range(self.dim):
-                if not vec[k].is_zero():
-                    out[k] = out[k] + wj * vec[k]
-        return out
-
-    def _bracket_basis_right(self, w, k: int) -> list:
-        """[w, e_k] for a coordinate vector w."""
-        out = [self.zero] * self.dim
-        for i, wi in enumerate(w):
-            if wi.is_zero():
-                continue
-            vec = self.c[i][k]
-            for m in range(self.dim):
-                if not vec[m].is_zero():
-                    out[m] = out[m] + wi * vec[m]
-        return out
+        return self.contract(
+            (xi * yj, i, j)
+            for i, xi in enumerate(x)
+            if not xi.is_zero()
+            for j, yj in enumerate(y)
+            if not yj.is_zero()
+        )
 
     def leibniz_residual(self, i: int, j: int, k: int) -> list:
         """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]; zero iff the
         triple satisfies the Leibniz identity."""
-        for idx in (i, j, k):
-            if not 0 <= idx < self.dim:
-                raise IndexError(f"basis index {idx} out of range")
-        t1 = self._bracket_basis_left(i, self.c[j][k])
-        t2 = self._bracket_basis_right(self.c[i][j], k)
-        t3 = self._bracket_basis_left(j, self.c[i][k])
-        return [a - b - c for a, b, c in zip(t1, t2, t3)]
+        self._check_indices(i, j, k)
+        row = self._c.get
+        return self.contract(
+            chain(
+                ((c, i, m) for m, c in row((j, k), _NO_PRODUCT).items()),
+                ((-c, m, k) for m, c in row((i, j), _NO_PRODUCT).items()),
+                ((-c, j, m) for m, c in row((i, k), _NO_PRODUCT).items()),
+            )
+        )
 
     def leibniz_defects(self) -> list[tuple[int, int, int]]:
         """Triples whose residual is nonzero (empty iff Leibniz)."""
@@ -158,40 +159,29 @@ class StructTensor:
         """Leibniz plus antisymmetry of the structure constants."""
         if not self.is_leibniz():
             return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if not (self.c[i][j][k] + self.c[j][i][k]).is_zero():
-                        return False
-        return True
+        return all(
+            (value + self.entry(j, i, k)).is_zero()
+            for (i, j), row in self._c.items()
+            for k, value in row.items()
+        )
 
     # -- multiplication operators ---------------------------------------------
 
     def left_mult_matrix(self, x) -> list:
         """Matrix of L_x acting on coordinates: (L_x)_{kj} = sum_i x_i c_{ij}^k."""
-        out = [[self.zero] * self.dim for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j in range(self.dim):
-                vec = self.c[i][j]
-                for k in range(self.dim):
-                    if not vec[k].is_zero():
-                        out[k][j] = out[k][j] + xi * vec[k]
-        return out
+        support = [(i, xi) for i, xi in enumerate(x) if not xi.is_zero()]
+        columns = [
+            self.contract((xi, i, j) for i, xi in support) for j in range(self.dim)
+        ]
+        return linalg.transpose(columns)
 
     def right_mult_matrix(self, x) -> list:
         """Matrix of R_x: (R_x)_{ki} = sum_j x_j c_{ij}^k."""
-        out = [[self.zero] * self.dim for _ in range(self.dim)]
-        for j, xj in enumerate(x):
-            if xj.is_zero():
-                continue
-            for i in range(self.dim):
-                vec = self.c[i][j]
-                for k in range(self.dim):
-                    if not vec[k].is_zero():
-                        out[k][i] = out[k][i] + xj * vec[k]
-        return out
+        support = [(j, xj) for j, xj in enumerate(x) if not xj.is_zero()]
+        columns = [
+            self.contract((xj, i, j) for j, xj in support) for i in range(self.dim)
+        ]
+        return linalg.transpose(columns)
 
     def unit_vector(self, i: int) -> list:
         v = [self.zero] * self.dim
@@ -207,7 +197,7 @@ class StructTensor:
         return (
             self.dim == other.dim
             and self.basis_labels == other.basis_labels
-            and self.c == other.c
+            and self._c == other._c
         )
 
     def __hash__(self):
@@ -347,7 +337,7 @@ def left_annihilator(t: StructTensor) -> Subspace:
     rows = []
     for j in range(t.dim):
         for k in range(t.dim):
-            rows.append([t.c[i][j][k] for i in range(t.dim)])
+            rows.append([t.entry(i, j, k) for i in range(t.dim)])
     return Subspace.span(linalg.nullspace(rows), t.dim)
 
 
@@ -357,8 +347,8 @@ def center(t: StructTensor) -> Subspace:
     rows = []
     for j in range(t.dim):
         for k in range(t.dim):
-            rows.append([t.c[i][j][k] for i in range(t.dim)])
-            rows.append([t.c[j][i][k] for i in range(t.dim)])
+            rows.append([t.entry(i, j, k) for i in range(t.dim)])
+            rows.append([t.entry(j, i, k) for i in range(t.dim)])
     return Subspace.span(linalg.nullspace(rows), t.dim)
 
 
@@ -389,15 +379,14 @@ def _change_basis_with_inverse(t: StructTensor, p, q, basis_labels=None) -> Stru
     if linalg.shape(p) != (n, n) or linalg.shape(q) != (n, n):
         raise ShapeError("change of basis matrix has wrong shape")
     cols = [[q[i][m] for i in range(n)] for m in range(n)]
-    c = []
+    constants = {}
     for m in range(n):
-        plane = []
         for l in range(n):
-            w = t.bracket(cols[m], cols[l])
-            plane.append(linalg.mat_vec(p, w))
-        c.append(plane)
+            w = linalg.mat_vec(p, t.bracket(cols[m], cols[l]))
+            for k, value in enumerate(w):
+                constants[(m, l, k)] = value
     return StructTensor(
-        n, c, basis_labels=basis_labels or t.basis_labels, zero=t.zero
+        n, constants, basis_labels=basis_labels or t.basis_labels, zero=t.zero
     )
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import linalg
 from .algebra import (
@@ -72,6 +73,9 @@ class CatalogEntry:
     f: int
     param_slots: tuple
     label: str
+    build_spec: Callable  # checked params -> ExtensionSpec
+    build_displays: Callable  # checked params -> displayed left-action matrices
+    r_value: int = 0  # the [S,S] product's value, for the Lie-flag contract
 
     def default_params(self) -> dict:
         return {slot.name: Fraction(1) for slot in self.param_slots}
@@ -94,11 +98,11 @@ class CatalogEntry:
 
     def spec(self, params: dict | None = None) -> ExtensionSpec:
         clean = self.check_params(params or self.default_params())
-        return _BUILDERS[self.id](clean)
+        return self.build_spec(clean)
 
     def displays(self, params: dict | None = None) -> list:
         clean = self.check_params(params or self.default_params())
-        return _DISPLAYS[self.id](clean)
+        return self.build_displays(clean)
 
 
 def _diag_spec(a1, x_diag, r_value):
@@ -114,110 +118,93 @@ def _diag_spec(a1, x_diag, r_value):
 _ROT = [[0, 1], [-1, 0]]
 
 
-_BUILDERS = {
-    "H1a1C-diag": lambda p: ExtensionSpec.make(
-        1, 1, [1], [[[p["A"], 0], [0, -p["A"]]]]
-    ),
-    "H1a1C-jordan": lambda p: ExtensionSpec.make(1, 1, [1], [[[0, 1], [0, 0]]]),
-    "H1a1R": lambda p: ExtensionSpec.make(
-        1, 1, [1], [[[0, p["C"]], [-p["C"], 0]]]
-    ),
-    "H1a0C-r0": _diag_spec(0, (1, -1), 0),
-    "H1a0C-r1": _diag_spec(0, (1, -1), 1),
-    "H1a0C-rm1": _diag_spec(0, (1, -1), -1),
-    "H1a0R-r0": lambda p: ExtensionSpec.make(1, 1, [0], [_ROT], r=[[0]]),
-    "H1a0R-r1": lambda p: ExtensionSpec.make(1, 1, [0], [_ROT], r=[[1]]),
-    "H1a0R-rm1": lambda p: ExtensionSpec.make(1, 1, [0], [_ROT], r=[[-1]]),
-    "H2a1C": lambda p: ExtensionSpec.make(
-        1, 2, [1, 0], [[[0, 0], [0, 0]], [[1, 0], [0, -1]]]
-    ),
-    "H2a1R": lambda p: ExtensionSpec.make(
-        1, 2, [1, 0], [[[0, 0], [0, 0]], _ROT]
-    ),
-}
+def _fixed_display(rows):
+    return lambda p: [linalg.smat(rows)]
 
-_DISPLAYS = {
-    "H1a1C-diag": lambda p: [
-        linalg.smat([[2, 0, 0], [0, 1 + p["A"], 0], [0, 0, 1 - p["A"]]])
-    ],
-    "H1a1C-jordan": lambda p: [linalg.smat([[2, 0, 0], [0, 1, 1], [0, 0, 1]])],
-    "H1a1R": lambda p: [
-        linalg.smat([[2, 0, 0], [0, 1, p["C"]], [0, -p["C"], 1]])
-    ],
-    "H1a0C-r0": lambda p: [linalg.smat([[0, 0, 0], [0, 1, 0], [0, 0, -1]])],
-    "H1a0C-r1": lambda p: [linalg.smat([[0, 0, 0], [0, 1, 0], [0, 0, -1]])],
-    "H1a0C-rm1": lambda p: [linalg.smat([[0, 0, 0], [0, 1, 0], [0, 0, -1]])],
-    "H1a0R-r0": lambda p: [linalg.smat([[0, 0, 0], [0, 0, 1], [0, -1, 0]])],
-    "H1a0R-r1": lambda p: [linalg.smat([[0, 0, 0], [0, 0, 1], [0, -1, 0]])],
-    "H1a0R-rm1": lambda p: [linalg.smat([[0, 0, 0], [0, 0, 1], [0, -1, 0]])],
-    "H2a1C": lambda p: [
-        linalg.smat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
-        linalg.smat([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
-    ],
-    "H2a1R": lambda p: [
-        linalg.smat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
-        linalg.smat([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
-    ],
-}
+
+_A0_DIAG = _fixed_display([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
+_A0_ROT = _fixed_display([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
 
 _ENTRIES = (
     CatalogEntry(
         "H1a1C-diag", frozenset({"C", "R"}), 1, 1,
         (ParamSlot("A", "A >= 0"),),
         "a=1 family with diagonal sp(2) action",
+        lambda p: ExtensionSpec.make(1, 1, [1], [[[p["A"], 0], [0, -p["A"]]]]),
+        lambda p: [
+            linalg.smat([[2, 0, 0], [0, 1 + p["A"], 0], [0, 0, 1 - p["A"]]])
+        ],
     ),
     CatalogEntry(
         "H1a1C-jordan", frozenset({"C", "R"}), 1, 1, (),
         "a=1 family with unipotent Jordan-block action",
+        lambda p: ExtensionSpec.make(1, 1, [1], [[[0, 1], [0, 0]]]),
+        _fixed_display([[2, 0, 0], [0, 1, 1], [0, 0, 1]]),
     ),
     CatalogEntry(
         "H1a1R", frozenset({"R"}), 1, 1,
         (ParamSlot("C", "C > 0"),),
         "a=1 real family with rotation action",
+        lambda p: ExtensionSpec.make(1, 1, [1], [[[0, p["C"]], [-p["C"], 0]]]),
+        lambda p: [
+            linalg.smat([[2, 0, 0], [0, 1, p["C"]], [0, -p["C"], 1]])
+        ],
     ),
     CatalogEntry(
         "H1a0C-r0", frozenset({"C", "R"}), 1, 1, (),
         "a=0 diagonal action, r=0 (Lie)",
+        _diag_spec(0, (1, -1), 0), _A0_DIAG,
     ),
     CatalogEntry(
         "H1a0C-r1", frozenset({"C", "R"}), 1, 1, (),
         "a=0 diagonal action, r=1 (non-Lie Leibniz)",
+        _diag_spec(0, (1, -1), 1), _A0_DIAG, r_value=1,
     ),
     CatalogEntry(
         "H1a0C-rm1", frozenset({"R"}), 1, 1, (),
         "a=0 diagonal action, r=-1 (non-Lie Leibniz, real class)",
+        _diag_spec(0, (1, -1), -1), _A0_DIAG, r_value=-1,
     ),
     CatalogEntry(
         "H1a0R-r0", frozenset({"R"}), 1, 1, (),
         "a=0 rotation action, r=0 (Lie, real class)",
+        lambda p: ExtensionSpec.make(1, 1, [0], [_ROT], r=[[0]]), _A0_ROT,
     ),
     CatalogEntry(
         "H1a0R-r1", frozenset({"R"}), 1, 1, (),
         "a=0 rotation action, r=1 (non-Lie Leibniz, real class)",
+        lambda p: ExtensionSpec.make(1, 1, [0], [_ROT], r=[[1]]), _A0_ROT,
+        r_value=1,
     ),
     CatalogEntry(
         "H1a0R-rm1", frozenset({"R"}), 1, 1, (),
         "a=0 rotation action, r=-1 (non-Lie Leibniz, real class)",
+        lambda p: ExtensionSpec.make(1, 1, [0], [_ROT], r=[[-1]]), _A0_ROT,
+        r_value=-1,
     ),
     CatalogEntry(
         "H2a1C", frozenset({"C", "R"}), 1, 2, (),
         "two-dimensional extension, diagonal X2 (Lie)",
+        lambda p: ExtensionSpec.make(
+            1, 2, [1, 0], [[[0, 0], [0, 0]], [[1, 0], [0, -1]]]
+        ),
+        lambda p: [
+            linalg.smat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            linalg.smat([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
+        ],
     ),
     CatalogEntry(
         "H2a1R", frozenset({"R"}), 1, 2, (),
         "two-dimensional extension, rotation X2 (Lie, real class)",
+        lambda p: ExtensionSpec.make(1, 2, [1, 0], [[[0, 0], [0, 0]], _ROT]),
+        lambda p: [
+            linalg.smat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            linalg.smat([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+        ],
     ),
 )
 
 _BY_ID = {entry.id: entry for entry in _ENTRIES}
-
-# r value per entry id (0 when no [S,S] product), for the Lie-flag contract
-_R_VALUE = {
-    "H1a1C-diag": 0, "H1a1C-jordan": 0, "H1a1R": 0,
-    "H1a0C-r0": 0, "H1a0C-r1": 1, "H1a0C-rm1": -1,
-    "H1a0R-r0": 0, "H1a0R-r1": 1, "H1a0R-rm1": -1,
-    "H2a1C": 0, "H2a1R": 0,
-}
 
 # documented sampling policy for parameterized families
 PARAMETER_SAMPLES = {
@@ -310,7 +297,7 @@ def verify_entry(
     certificate = certify_nilradical(
         tensor, nilradical, field=field, algebra_id=entry_id
     )
-    expected_lie = _R_VALUE[entry_id] == 0
+    expected_lie = entry.r_value == 0
     return VerificationReport(
         entry_id=entry_id,
         params=tuple(sorted((k, str(v)) for k, v in clean.items())),

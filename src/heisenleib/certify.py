@@ -204,11 +204,9 @@ def mubar_bound_check(t: StructTensor, n: Subspace) -> bool:
 
 
 def _detect_field(t: StructTensor) -> str:
-    for plane in t.c:
-        for vec in plane:
-            for entry in vec:
-                if isinstance(entry, Scalar) and entry.d == -1:
-                    return "C"
+    for entry in t.constants_dict().values():
+        if isinstance(entry, Scalar) and entry.d == -1:
+            return "C"
     return "R"
 
 
@@ -341,15 +339,3 @@ def _decide_maximality(
         + "); complete decision needs sp(2n) machinery beyond this scale",
     )
 
-
-def nilpotency_power_oracle(m) -> bool:
-    """Brute-force oracle: check M, M^2, ..., M^dim for the zero matrix."""
-    r, c = linalg.shape(m)
-    if r != c:
-        raise ShapeError("nilpotency needs a square matrix")
-    power = [row[:] for row in m]
-    for _ in range(r):
-        if linalg.is_zero_matrix(power):
-            return True
-        power = linalg.mat_mul(power, m)
-    return linalg.is_zero_matrix(power)

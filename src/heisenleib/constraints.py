@@ -105,18 +105,7 @@ class ParamAlgebra:
     def final_bindings(self) -> dict:
         """Accumulated bindings with later bindings substituted into earlier
         right-hand sides (the reduced, order-independent form)."""
-        raw = dict(self.bindings_in_order())
-        changed = True
-        while changed:
-            changed = False
-            for name, rhs in raw.items():
-                reduced = rhs.substitute(
-                    {k: v for k, v in raw.items() if k != name}
-                )
-                if reduced != rhs:
-                    raw[name] = reduced
-                    changed = True
-        return raw
+        return _reduce_binding_map(dict(self.bindings_in_order()))
 
     def free_params(self) -> tuple:
         bound = {name for name, _ in self.bindings_in_order()}
@@ -206,18 +195,14 @@ def parametric_extension(n: int, f: int) -> ParamAlgebra:
                 constants[(al - 1, be - 1, p_(i))] = var(f"mu_{al}_{be}_{i}")
                 constants[(al - 1, be - 1, b_(i))] = var(f"nu_{al}_{be}_{i}")
 
-    tensor = StructTensor.from_constants(
+    tensor = StructTensor(
         dim, constants, basis_labels=extension_basis_labels(n, f), zero=zero
     )
     return ParamAlgebra(n=n, f=f, params=names, tensor=tensor)
 
 
 def substitute_tensor(t: StructTensor, bindings: dict) -> StructTensor:
-    c = [
-        [[entry.substitute(bindings) for entry in vec] for vec in plane]
-        for plane in t.c
-    ]
-    return StructTensor(t.dim, c, basis_labels=t.basis_labels, zero=t.zero)
+    return t.map_entries(lambda entry: entry.substitute(bindings))
 
 
 def _reduce_binding_map(raw: dict) -> dict:
@@ -281,11 +266,9 @@ def triple_label(pa: ParamAlgebra, i: int, j: int, k: int) -> str:
 
 
 def jacobi_vector(t: StructTensor, i: int, j: int, k: int) -> list:
-    """[[e_i,e_j],e_k] + [e_j,[e_i,e_k]] - [e_i,[e_j,e_k]] componentwise."""
-    t1 = t._bracket_basis_right(t.c[i][j], k)
-    t2 = t._bracket_basis_left(j, t.c[i][k])
-    t3 = t._bracket_basis_left(i, t.c[j][k])
-    return [x + y - z for x, y, z in zip(t1, t2, t3)]
+    """[[e_i,e_j],e_k] + [e_j,[e_i,e_k]] - [e_i,[e_j,e_k]] componentwise: the
+    Leibniz residual with the derivation's sign."""
+    return [p if p.is_zero() else -p for p in t.leibniz_residual(i, j, k)]
 
 
 def _report_from_vector(pa: ParamAlgebra, source: str, vec) -> ConstraintReport:
@@ -462,8 +445,8 @@ def gamma_eliminate(pa: ParamAlgebra) -> ParamAlgebra:
     current = {}
     for al in range(1, f + 1):
         for i in range(1, n + 1):
-            current[("gamma1", al, i)] = t.c[al - 1][f + 1 + (i - 1)][f]
-            current[("gamma2", al, i)] = t.c[al - 1][f + 1 + n + (i - 1)][f]
+            current[("gamma1", al, i)] = t.entry(al - 1, f + 1 + (i - 1), f)
+            current[("gamma2", al, i)] = t.entry(al - 1, f + 1 + n + (i - 1), f)
     if all(p.is_zero() for p in current.values()):
         return apply_bindings(pa, "gamma_eliminate", ())
     for (base, al, i), p in current.items():
@@ -490,7 +473,7 @@ def gamma_eliminate(pa: ParamAlgebra) -> ParamAlgebra:
     changed = _change_basis_with_inverse(t, p_coord, p_inv)
     for al in range(f):
         for u in range(2 * n):
-            if not changed.c[al][f + 1 + u][f].is_zero():
+            if not changed.entry(al, f + 1 + u, f).is_zero():
                 raise CascadeError(
                     "gamma elimination left an H-component in [S, nilradical]"
                 )
@@ -521,11 +504,12 @@ def annihilator_residual_system(pa: ParamAlgebra) -> list:
     for al in range(f):
         s = al
         for y in range(t.dim):
-            u = [p + q for p, q in zip(t.c[s][y], t.c[y][s])]
-            if all(p.is_zero() for p in u):
+            u = [t.entry(s, y, m) + t.entry(y, s, m) for m in range(t.dim)]
+            support = [(m, um) for m, um in enumerate(u) if not um.is_zero()]
+            if not support:
                 continue
             for z in range(t.dim):
-                vec = t._bracket_basis_right(u, z)
+                vec = t.contract((um, m, z) for m, um in support)
                 if any(not p.is_zero() for p in vec):
                     source = (
                         f"[[{_label(pa, s)},{_label(pa, y)}]+"
@@ -555,7 +539,7 @@ def annihilator_residual_system(pa: ParamAlgebra) -> list:
 
 
 def _current_a(pa: ParamAlgebra, al: int) -> PolyQ:
-    return pa.tensor.c[al][pa.f][pa.f] * HALF
+    return pa.tensor.entry(al, pa.f, pa.f) * HALF
 
 
 def _current_x(pa: ParamAlgebra, al: int) -> list:
@@ -567,7 +551,7 @@ def _current_x(pa: ParamAlgebra, al: int) -> list:
     for u in range(2 * n):
         row = []
         for v in range(2 * n):
-            entry = t.c[al][f + 1 + u][f + 1 + v]
+            entry = t.entry(al, f + 1 + u, f + 1 + v)
             if u == v:
                 entry = entry - a
             row.append(entry)
@@ -577,11 +561,11 @@ def _current_x(pa: ParamAlgebra, al: int) -> list:
 
 def _current_rho(pa: ParamAlgebra, al: int) -> list:
     t = pa.tensor
-    return [t.c[pa.f + 1 + u][al][pa.f] for u in range(2 * pa.n)]
+    return [t.entry(pa.f + 1 + u, al, pa.f) for u in range(2 * pa.n)]
 
 
 def _current_r(pa: ParamAlgebra, al: int, be: int) -> PolyQ:
-    return pa.tensor.c[al][be][pa.f]
+    return pa.tensor.entry(al, be, pa.f)
 
 
 def _poly_unit(pa: ParamAlgebra, i: int) -> list:
@@ -754,7 +738,7 @@ def _h_shear(pa: ParamAlgebra) -> list:
     m_inv = rows_with(-1)
     changed = _change_basis_with_inverse(t, linalg.transpose(m_inv), linalg.transpose(m))
     for be, _ in todo:
-        if not changed.c[0][be][pa.f].is_zero() or not changed.c[be][0][pa.f].is_zero():
+        if not changed.entry(0, be, pa.f).is_zero() or not changed.entry(be, 0, pa.f).is_zero():
             raise CascadeError("H-shear failed to clear [S1, S_b]")
     for be, _ in todo:
         name = f"r_1_{be + 1}"
@@ -958,26 +942,22 @@ def run_cascade(n: int, f: int, branch: int | None = 1) -> CascadeResult:
 def instantiate(pa: ParamAlgebra, values: dict) -> "StructTensor":
     """Evaluate the parametric tensor at exact scalar values for its free
     parameters; bound parameters take their derived values automatically."""
-    from .algebra import StructTensor
     from .linalg import to_scalar
 
     point = {name: to_scalar(v) for name, v in values.items()}
+    constants = pa.tensor.constants_dict()
     missing = {
         name
-        for plane in pa.tensor.c
-        for vec in plane
-        for entry in vec
+        for entry in constants.values()
         for name in entry.used_names()
         if name not in point
     }
     if missing:
         raise CascadeError(f"unbound free parameters: {sorted(missing)}")
-    scalar_c = [
-        [[entry.evaluate(point) for entry in vec] for vec in plane]
-        for plane in pa.tensor.c
-    ]
     return StructTensor(
-        pa.tensor.dim, scalar_c, basis_labels=pa.tensor.basis_labels
+        pa.tensor.dim,
+        {key: entry.evaluate(point) for key, entry in constants.items()},
+        basis_labels=pa.tensor.basis_labels,
     )
 
 

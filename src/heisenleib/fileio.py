@@ -44,6 +44,17 @@ def _parse_scalar(text, context: str) -> Scalar:
         raise FileFormatError(str(exc), context) from None
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_list(value, length: int, message: str, context: str) -> list:
+    if not isinstance(value, list) or len(value) != length:
+        raise FileFormatError(message, context)
+    return value
+
+
 def _field_tag(entries) -> object:
     for s in entries:
         if s.d is not None:
@@ -61,7 +72,7 @@ def _check_field(value, entries, context: str) -> None:
         return
     if isinstance(value, dict) and set(value) == {"sqrt"}:
         d = value["sqrt"]
-        if not isinstance(d, int):
+        if not _is_int(d):
             raise FileFormatError("sqrt tag must be an integer", context)
         if d in (0, 1) or not is_squarefree(d):
             raise FileFormatError(
@@ -97,7 +108,7 @@ def algebra_from_doc(doc, max_dim: int | None = None) -> StructTensor:
         if key not in doc:
             raise FileFormatError("missing key", key)
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise FileFormatError(f"dim must be a positive integer, got {dim!r}", "dim")
     if max_dim is not None and dim > max_dim:
         raise DimensionCapError(
@@ -118,7 +129,7 @@ def algebra_from_doc(doc, max_dim: int | None = None) -> StructTensor:
             raise FileFormatError("entry needs keys i, j, k, c", context)
         i, j, k = item["i"], item["j"], item["k"]
         for name, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not _is_int(idx) or not 0 <= idx < dim:
                 raise FileFormatError(
                     f"index {name}={idx!r} outside 0..{dim - 1}", context
                 )
@@ -128,7 +139,7 @@ def algebra_from_doc(doc, max_dim: int | None = None) -> StructTensor:
         constants[(i, j, k)] = value
         scalars.append(value)
     _check_field(doc["field"], scalars, "field")
-    return StructTensor.from_constants(dim, constants, basis_labels=basis)
+    return StructTensor(dim, constants, basis_labels=basis)
 
 
 def extension_spec_to_doc(spec: ExtensionSpec) -> dict:
@@ -149,19 +160,22 @@ def extension_spec_from_doc(doc) -> ExtensionSpec:
         if key not in doc:
             raise FileFormatError("missing key", key)
     n, f = doc["n"], doc["f"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FileFormatError(f"n must be a positive integer, got {n!r}", "n")
-    if not isinstance(f, int) or f < 1:
+    if not _is_int(f) or f < 1:
         raise FileFormatError(f"f must be a positive integer, got {f!r}", "f")
-    if len(doc["a"]) != f:
-        raise FileFormatError(f"a must list f = {f} scalars", "a")
-    a = [_parse_scalar(v, f"a[{i}]") for i, v in enumerate(doc["a"])]
+    a = _require_list(doc["a"], f, f"a must list f = {f} scalars", "a")
+    a = [_parse_scalar(v, f"a[{i}]") for i, v in enumerate(a)]
     xs = []
-    if len(doc["X"]) != f:
-        raise FileFormatError(f"X must list f = {f} matrices", "X")
-    for al, flat in enumerate(doc["X"]):
+    for al, flat in enumerate(
+        _require_list(doc["X"], f, f"X must list f = {f} matrices", "X")
+    ):
         context = f"X[{al}]"
-        if isinstance(flat, list) and flat and isinstance(flat[0], list):
+        if not isinstance(flat, list):
+            raise FileFormatError("expected a list of entries", context)
+        if flat and isinstance(flat[0], list):
+            if not all(isinstance(row, list) for row in flat):
+                raise FileFormatError("nested rows must all be lists", context)
             flat = [v for row in flat for v in row]  # accept nested rows too
         if len(flat) != 4 * n * n:
             raise FileFormatError(
@@ -171,20 +185,17 @@ def extension_spec_from_doc(doc) -> ExtensionSpec:
         xs.append(
             [values[row * 2 * n : (row + 1) * 2 * n] for row in range(2 * n)]
         )
-    if len(doc["rho"]) != f:
-        raise FileFormatError(f"rho must list f = {f} vectors", "rho")
     rho = []
-    for al, vec in enumerate(doc["rho"]):
+    for al, vec in enumerate(
+        _require_list(doc["rho"], f, f"rho must list f = {f} vectors", "rho")
+    ):
         context = f"rho[{al}]"
-        if len(vec) != 2 * n:
-            raise FileFormatError(f"expected {2 * n} entries", context)
+        vec = _require_list(vec, 2 * n, f"expected {2 * n} entries", context)
         rho.append([_parse_scalar(v, context) for v in vec])
-    if len(doc["r"]) != f or any(len(row) != f for row in doc["r"]):
-        raise FileFormatError("r must be an f x f array", "r")
-    r = [
-        [_parse_scalar(v, f"r[{i}][{j}]") for j, v in enumerate(row)]
-        for i, row in enumerate(doc["r"])
-    ]
+    r = []
+    for i, row in enumerate(_require_list(doc["r"], f, "r must be an f x f array", "r")):
+        row = _require_list(row, f, "r must be an f x f array", "r")
+        r.append([_parse_scalar(v, f"r[{i}][{j}]") for j, v in enumerate(row)])
     return ExtensionSpec.make(n, f, a, xs, rho, r)
 
 

@@ -73,7 +73,7 @@ def heisenberg(n: int) -> StructTensor:
         constants[(p, b, 0)] = one
         constants[(b, p, 0)] = -one
     labels = ["H"] + [f"P{i + 1}" for i in range(n)] + [f"B{i + 1}" for i in range(n)]
-    return StructTensor.from_constants(dim, constants, basis_labels=labels)
+    return StructTensor(dim, constants, basis_labels=labels)
 
 
 def standard_symplectic_form(n: int):
@@ -280,9 +280,7 @@ def assemble_extension(spec: ExtensionSpec) -> StructTensor:
         for be in range(f):
             if not spec.r[al][be].is_zero():
                 constants[(al, be, idx_h)] = spec.r[al][be]
-    return StructTensor.from_constants(
-        dim, constants, basis_labels=extension_basis_labels(n, f)
-    )
+    return StructTensor(dim, constants, basis_labels=extension_basis_labels(n, f))
 
 
 def build_extension(spec: ExtensionSpec) -> StructTensor:

@@ -25,7 +25,6 @@ from heisenleib.catalog import (
 from heisenleib.certify import (
     commuting_sp2_proportionality,
     matrix_nilpotent,
-    nilpotency_power_oracle,
     sp2_nilpotency_locus,
 )
 from heisenleib.constraints import run_cascade
@@ -33,6 +32,8 @@ from heisenleib.heisenberg import heisenberg
 from heisenleib.algebra import lower_central_series
 from heisenleib.poly import PolyQ
 from heisenleib.scalars import Scalar
+
+from reference_kernel import nilpotency_power_oracle
 
 
 @contextmanager

@@ -26,7 +26,7 @@ ZERO, ONE = Scalar.zero(), Scalar.one()
 
 
 def abelian(dim):
-    return StructTensor.from_constants(dim, {})
+    return StructTensor(dim, {})
 
 
 @pytest.fixture
@@ -58,6 +58,12 @@ class TestBracket:
         with pytest.raises(linalg.ShapeError):
             h1.bracket([ONE], [ONE])
 
+    @pytest.mark.parametrize("key", [(-1, 0, 0), (0, 2, 0), (0, 0, -2)])
+    def test_constant_index_out_of_range(self, key):
+        # a negative index must not wrap around to a valid basis element
+        with pytest.raises(linalg.ShapeError):
+            StructTensor(2, {key: ONE})
+
 
 class TestLeibnizResidual:
     def test_h1_triple_zero(self, h1):
@@ -68,11 +74,11 @@ class TestLeibnizResidual:
         assert linalg.is_zero_vector(h1a0c_r1.leibniz_residual(0, 2, 3))
 
     def test_single_product_tensor(self):
-        t = StructTensor.from_constants(2, {(0, 1, 1): ONE})
+        t = StructTensor(2, {(0, 1, 1): ONE})
         assert t.is_leibniz()
         assert linalg.is_zero_vector(t.leibniz_residual(0, 0, 1))
         assert linalg.is_zero_vector(t.leibniz_residual(1, 0, 1))
-        perturbed = StructTensor.from_constants(2, {(0, 1, 1): ONE, (1, 1, 0): ONE})
+        perturbed = StructTensor(2, {(0, 1, 1): ONE, (1, 1, 0): ONE})
         assert not linalg.is_zero_vector(perturbed.leibniz_residual(0, 1, 1))
         assert not perturbed.is_leibniz()
 

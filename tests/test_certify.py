@@ -9,7 +9,6 @@ from heisenleib.certify import (
     certify_nilradical,
     commuting_sp2_proportionality,
     matrix_nilpotent,
-    nilpotency_power_oracle,
     sp2_nilpotency_locus,
     subspace_nilpotent,
 )
@@ -21,6 +20,8 @@ from heisenleib.heisenberg import (
 )
 from heisenleib.linalg import smat, svec
 from heisenleib.scalars import Scalar
+
+from reference_kernel import nilpotency_power_oracle
 
 DIAG = smat([[1, 0], [0, -1]])
 ROT = smat([[0, 1], [-1, 0]])

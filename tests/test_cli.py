@@ -135,6 +135,32 @@ def test_nilradical_invalid_spec(capsys, tmp_path):
     assert "nilpotent" in out
 
 
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("verify", {"dim": True, "basis": ["x"], "field": "Q", "constants": []}),
+        ("verify", {"dim": 2, "basis": ["x", "y"], "field": "Q",
+                    "constants": [{"i": False, "j": 1, "k": 1, "c": "1/1"}]}),
+        ("nilradical", {"n": True, "f": True, "a": ["0/1"], "X": [["1/1", "0/1", "0/1", "-1/1"]],
+                        "rho": [["0/1", "0/1"]], "r": [["1/1"]]}),
+        ("nilradical", {"n": 1, "f": 1, "a": 5, "X": [["1/1", "0/1", "0/1", "-1/1"]],
+                        "rho": [["0/1", "0/1"]], "r": [["0/1"]]}),
+        ("nilradical", {"n": 1, "f": 1, "a": ["0/1"], "X": [5],
+                        "rho": [["0/1", "0/1"]], "r": [["0/1"]]}),
+        ("nilradical", {"n": 1, "f": 1, "a": ["0/1"], "X": [["1/1", "0/1", "0/1", "-1/1"]],
+                        "rho": [5], "r": [["0/1"]]}),
+        ("nilradical", {"n": 1, "f": 1, "a": ["0/1"], "X": [["1/1", "0/1", "0/1", "-1/1"]],
+                        "rho": [["0/1", "0/1"]], "r": [5]}),
+    ],
+)
+def test_malformed_shapes_exit_2(capsys, tmp_path, command, doc):
+    path = tmp_path / "input.json"
+    save_json(str(path), doc)
+    status, out = run(capsys, command, str(path))
+    assert status == 2
+    assert "Traceback" not in out
+
+
 def test_nilradical_undecided(capsys, tmp_path):
     import warnings
 

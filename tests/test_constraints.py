@@ -53,7 +53,7 @@ class TestParametricExtension:
     def test_heisenberg_block_numeric(self):
         pa = parametric_extension(1, 1)
         # [P, B] = H with no symbolic contamination
-        entry = pa.tensor.c[2][3][1]
+        entry = pa.tensor.entry(2, 3, 1)
         assert entry == PolyQ.const(pa.params, 1)
 
 
@@ -61,8 +61,8 @@ class TestGammaEliminate:
     def test_h_components_vanish(self):
         pa = gamma_eliminate(parametric_extension(1, 1))
         # H-components of [S, P] and [S, B] are the zero polynomial
-        assert pa.tensor.c[0][2][1].is_zero()
-        assert pa.tensor.c[0][3][1].is_zero()
+        assert pa.tensor.entry(0, 2, 1).is_zero()
+        assert pa.tensor.entry(0, 3, 1).is_zero()
 
     def test_gamma_already_zero_is_identity(self):
         pa = gamma_eliminate(parametric_extension(1, 1))
@@ -71,7 +71,7 @@ class TestGammaEliminate:
 
     def test_rho_survives(self):
         pa = gamma_eliminate(parametric_extension(1, 1))
-        assert pa.tensor.c[2][0][1] == PolyQ.var(pa.params, "rho1_1_1")
+        assert pa.tensor.entry(2, 0, 1) == PolyQ.var(pa.params, "rho1_1_1")
 
 
 class TestJacobiSystem:

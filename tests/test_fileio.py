@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from heisenleib.catalog import build_entry
@@ -46,6 +48,8 @@ def test_heisenberg_doc_shape():
         (lambda d: d["constants"].append({"i": 0, "j": 0, "k": 0, "c": "oops"}), "c"),
         (lambda d: d.update(field={"sqrt": 4}), "field"),
         (lambda d: d.update(field="R"), "field"),
+        (lambda d: d.update(dim=True, basis=["x"], constants=[]), "dim=True"),
+        (lambda d: d["constants"][0].update(i=False), "i=False"),
     ],
 )
 def test_algebra_doc_errors(mutate, context):
@@ -88,6 +92,29 @@ def test_extension_spec_errors():
            "r": [["0/1"]]}
     with pytest.raises(FileFormatError, match="row-major"):
         extension_spec_from_doc(doc)
+
+
+SPEC_N1F1 = {"n": 1, "f": 1, "a": ["0/1"], "X": [["1/1", "0/1", "0/1", "-1/1"]],
+             "rho": [["0/1", "0/1"]], "r": [["1/1"]]}
+
+
+@pytest.mark.parametrize(
+    "changes,context",
+    [
+        ({"n": True, "f": True}, "n"),
+        ({"f": True}, "f"),
+        ({"a": 5}, "a"),
+        ({"X": [5]}, "X[0]"),
+        ({"X": [[["1/1", "0/1"], 5]]}, "X[0]"),
+        ({"rho": [5]}, "rho[0]"),
+        ({"r": 5}, "r"),
+        ({"r": [5]}, "r"),
+    ],
+)
+def test_extension_spec_shape_errors(changes, context):
+    assert extension_spec_from_doc(SPEC_N1F1).n == 1
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(context)}:"):
+        extension_spec_from_doc({**SPEC_N1F1, **changes})
 
 
 def test_load_json_reports_position(tmp_path):

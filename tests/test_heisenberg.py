@@ -294,6 +294,6 @@ class TestMubarakzjanovBound:
         from heisenleib.certify import mubar_bound_check
 
         for dim, expected in ((4, True), (5, True), (7, False)):
-            t = StructTensor.from_constants(dim, {})
+            t = StructTensor(dim, {})
             w = Subspace.span([linalg.identity(dim)[i] for i in range(3)], dim)
             assert mubar_bound_check(t, w) is expected

@@ -21,11 +21,12 @@ from heisenleib.catalog import build_entry, catalog_entries, entry_parameter_gri
 from heisenleib.certify import (
     commuting_sp2_proportionality,
     matrix_nilpotent,
-    nilpotency_power_oracle,
     sp2_nilpotency_locus,
 )
 from heisenleib.poly import PolyQ
 from heisenleib.scalars import Scalar
+
+from reference_kernel import nilpotency_power_oracle
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
