@@ -38,6 +38,7 @@ from .certify import NilradicalCertificate, certify_nilradical, mubar_bound_chec
 from .heisenberg import (
     ExtensionSpec,
     build_extension,
+    extract_extension_data,
     heisenberg_subspace,
     left_action_display,
 )
@@ -332,17 +333,7 @@ def jordan_block_rank(tensor: StructTensor, n: int, f: int) -> tuple:
     generator.  Separates the diagonal and Jordan a=1 families at A = 0,
     where the base fingerprint ties; it is a change-of-basis invariant of
     the pair (algebra, chosen complement)."""
-    ranks = []
-    for al in range(f):
-        disp = left_action_display(tensor, n, f, al)
-        a = disp[0][0] / Scalar.rational(2)
-        block = [
-            [disp[1 + u][1 + v] - (a if u == v else Scalar.zero())
-             for v in range(2 * n)]
-            for u in range(2 * n)
-        ]
-        ranks.append(linalg.rank(block))
-    return tuple(ranks)
+    return tuple(linalg.rank(x) for x in extract_extension_data(tensor, n, f).X)
 
 
 @dataclass(frozen=True)

@@ -490,7 +490,7 @@ def main(argv=None) -> int:
     try:
         status = args.handler(args, out)
     except CliError as exc:
-        out.record(f"error: {exc}", error=str(exc).replace(" ", "_"))
+        out.record(f"error: {exc}", error=str(exc))
         _emit(out, args.output)
         return exc.status
     _emit(out, args.output)

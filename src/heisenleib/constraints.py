@@ -11,13 +11,21 @@ replays the derivation:
 
 Each stage computes residual polynomials, extracts the linearly forced
 bindings (verified by re-substitution), and substitutes them into the
-tensor.  Bilinear residuals (commutators of the X blocks, the eigenvector
-system X rho = a rho, the arar combination) are reported as side
-conditions, never solved.  Two normalizations the derivation states
-without displaying are applied as explicit named binding steps, justified
-by a symbolic change of basis that is performed and checked on the spot:
-the a-vector normalization (a_1 in {0, 1}, a_2 = ... = 0) and, in the
-a_1 = 1 branch, the H-shear that clears the leftover r_1b.
+tensor.  The jacobi, annihilator and arar stages repeat this until no
+linear residual remains, all through one driver (_fixed_point): the stage
+computes its first-round residual system once, keeps it as the reports it
+shows, and hands it to the driver, which recomputes the system only on
+each newly bound tensor.  The commutation stage runs a single round.
+
+Bilinear residuals (commutators of the X blocks, the eigenvector system
+X rho = a rho, the arar combination) are reported as side conditions,
+never solved; the side conditions are read off the X-commutator and
+eigenvector block forms directly.  Two normalizations the derivation
+states without displaying are applied as explicit named binding steps,
+justified by a symbolic change of basis that is performed and checked on
+the spot (_checked_shear): the a-vector normalization (a_1 in {0, 1},
+a_2 = ... = 0) and, in the a_1 = 1 branch, the H-shear that clears the
+leftover r_1b.
 
 The Jacobi residual here is oriented as [[x,y],z] + [y,[x,z]] - [x,[y,z]]
 so that reported polynomials carry the signs of the worked derivation
@@ -271,11 +279,14 @@ def jacobi_vector(t: StructTensor, i: int, j: int, k: int) -> list:
     return [p if p.is_zero() else -p for p in t.leibniz_residual(i, j, k)]
 
 
-def _report_from_vector(pa: ParamAlgebra, source: str, vec) -> ConstraintReport:
-    polys = tuple(
-        (_label(pa, comp), p) for comp, p in enumerate(vec) if not p.is_zero()
-    )
-    return ConstraintReport(source=source, residual_polys=polys)
+def _nonzero_report(source: str, labelled) -> list:
+    """The report of the nonzero (label, poly) pairs, or none if all vanish."""
+    polys = tuple((label, p) for label, p in labelled if not p.is_zero())
+    return [ConstraintReport(source=source, residual_polys=polys)] if polys else []
+
+
+def _vector_report(pa: ParamAlgebra, source: str, vec) -> list:
+    return _nonzero_report(source, ((_label(pa, comp), p) for comp, p in enumerate(vec)))
 
 
 def jacobi_residual_system(pa: ParamAlgebra, triples=None) -> list:
@@ -290,11 +301,9 @@ def jacobi_residual_system(pa: ParamAlgebra, triples=None) -> list:
         ]
     reports = []
     for (i, j, k) in triples:
-        vec = jacobi_vector(t, i, j, k)
-        if any(not p.is_zero() for p in vec):
-            reports.append(
-                _report_from_vector(pa, "jacobi " + triple_label(pa, i, j, k), vec)
-            )
+        reports += _vector_report(
+            pa, "jacobi " + triple_label(pa, i, j, k), jacobi_vector(t, i, j, k)
+        )
     return reports
 
 
@@ -404,24 +413,50 @@ def annotate_forced(reports, bindings) -> list:
     return out
 
 
-def _fixed_point(pa: ParamAlgebra, stage: str, residual_fn):
-    """Extract-substitute until no linear residual remains; returns the new
-    ParamAlgebra, the first-round reports (annotated with the bindings they
-    forced), and all bindings found."""
-    first = None
+def _fixed_point(pa: ParamAlgebra, stage: str, residual_fn, reports):
+    """Extract-substitute until no linear residual remains.  reports is the
+    first round's residual system, which the stage has already computed;
+    each later round calls residual_fn on the newly bound tensor.  Returns
+    the new ParamAlgebra and every binding found, in round order."""
     all_bindings: list = []
     while True:
-        reports = residual_fn(pa)
-        if first is None:
-            first = reports
         bindings = extract_forced_bindings(reports)
         if not bindings:
             break
         all_bindings.extend(bindings)
         pa = apply_bindings(pa, stage, bindings)
+        reports = residual_fn(pa)
     if not all_bindings:
         pa = apply_bindings(pa, stage, ())
-    return pa, annotate_forced(first, all_bindings), all_bindings
+    return pa, all_bindings
+
+
+def _checked_shear(pa: ParamAlgebra, entries: dict, cleared, bound, what: str) -> list:
+    """Change basis by the unipotent rows I + E, E given by entries
+    {(row, col): poly} with E^2 = 0 (so the inverse is I - E).  Checks that
+    the constants at the cleared (i, j, k) vanish in the new basis and that
+    binding the bound names to zero gives the same tensor in both bases, so
+    recording the bindings keeps the history replayable; returns them."""
+    t = pa.tensor
+    zero = PolyQ.zero(pa.params)
+    one = PolyQ.const(pa.params, 1)
+
+    def rows_with(sign: int):
+        rows = [[one if i == j else zero for j in range(t.dim)] for i in range(t.dim)]
+        for (i, j), p in entries.items():
+            rows[i][j] = sign * p
+        return rows
+
+    changed = _change_basis_with_inverse(
+        t, linalg.transpose(rows_with(-1)), linalg.transpose(rows_with(+1))
+    )
+    if any(not changed.entry(i, j, k).is_zero() for i, j, k in cleared):
+        raise CascadeError(f"{what} failed to clear its target constants")
+    bindings = [(name, zero) for name in bound]
+    zeros = dict(bindings)
+    if substitute_tensor(t, zeros) != substitute_tensor(changed, zeros):
+        raise CascadeError(f"{what} is not a pure reparameterization")
+    return bindings
 
 
 # -- gamma elimination --------------------------------------------------------
@@ -436,11 +471,7 @@ def gamma_eliminate(pa: ParamAlgebra) -> ParamAlgebra:
     so a second call is the identity transformation.
     """
     n, f = pa.n, pa.f
-    names = pa.params
     t = pa.tensor
-    dim = t.dim
-    zero = PolyQ.zero(names)
-    one = PolyQ.const(names, 1)
 
     current = {}
     for al in range(1, f + 1):
@@ -450,42 +481,25 @@ def gamma_eliminate(pa: ParamAlgebra) -> ParamAlgebra:
     if all(p.is_zero() for p in current.values()):
         return apply_bindings(pa, "gamma_eliminate", ())
     for (base, al, i), p in current.items():
-        if p != PolyQ.var(names, f"{base}_{al}_{i}"):
+        if p != PolyQ.var(pa.params, f"{base}_{al}_{i}"):
             raise CascadeError(
                 "gamma elimination expects the generic tensor (H-components "
                 "must be the free gamma indeterminates or zero)"
             )
 
-    def rows_with(sign: int):
-        rows = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-        for al in range(1, f + 1):
-            for i in range(1, n + 1):
-                g1 = current[("gamma1", al, i)]
-                g2 = current[("gamma2", al, i)]
-                rows[al - 1][f + 1 + (i - 1)] = -sign * g2
-                rows[al - 1][f + 1 + n + (i - 1)] = sign * g1
-        return rows
-
-    m = rows_with(+1)
-    m_inv = rows_with(-1)  # the correction squares to zero
-    p_coord = linalg.transpose(m_inv)
-    p_inv = linalg.transpose(m)
-    changed = _change_basis_with_inverse(t, p_coord, p_inv)
-    for al in range(f):
-        for u in range(2 * n):
-            if not changed.entry(al, f + 1 + u, f).is_zero():
-                raise CascadeError(
-                    "gamma elimination left an H-component in [S, nilradical]"
-                )
-    bindings = []
-    for al in range(1, f + 1):
-        for i in range(1, n + 1):
-            bindings.append((f"gamma1_{al}_{i}", zero))
-            bindings.append((f"gamma2_{al}_{i}", zero))
-    direct = substitute_tensor(t, dict(bindings))
-    renamed = substitute_tensor(changed, dict(bindings))
-    if direct != renamed:
-        raise CascadeError("gamma elimination is not a pure reparameterization")
+    entries = {}
+    for (base, al, i), p in current.items():
+        if base == "gamma1":
+            entries[(al - 1, f + n + i)] = p
+        else:
+            entries[(al - 1, f + i)] = -p
+    bindings = _checked_shear(
+        pa,
+        entries,
+        cleared=[(al, f + 1 + u, f) for al in range(f) for u in range(2 * n)],
+        bound=[f"{base}_{al}_{i}" for base, al, i in current],
+        what="gamma elimination",
+    )
     return apply_bindings(pa, "gamma_eliminate", bindings)
 
 
@@ -510,12 +524,11 @@ def annihilator_residual_system(pa: ParamAlgebra) -> list:
                 continue
             for z in range(t.dim):
                 vec = t.contract((um, m, z) for m, um in support)
-                if any(not p.is_zero() for p in vec):
-                    source = (
-                        f"[[{_label(pa, s)},{_label(pa, y)}]+"
-                        f"[{_label(pa, y)},{_label(pa, s)}],{_label(pa, z)}]"
-                    )
-                    reports.append(_report_from_vector(pa, source, vec))
+                source = (
+                    f"[[{_label(pa, s)},{_label(pa, y)}]+"
+                    f"[{_label(pa, y)},{_label(pa, s)}],{_label(pa, z)}]"
+                )
+                reports += _vector_report(pa, source, vec)
     for al in range(f):
         s = al
         for i in range(pa.n):
@@ -523,15 +536,11 @@ def annihilator_residual_system(pa: ParamAlgebra) -> list:
                 p_i = f + 1 + i
                 b_j = f + 1 + pa.n + j
                 for (x, y) in ((p_i, b_j), (b_j, p_i)):
-                    vec = jacobi_vector(t, x, y, s)
-                    if any(not p.is_zero() for p in vec):
-                        reports.append(
-                            _report_from_vector(
-                                pa,
-                                "closure jacobi " + triple_label(pa, x, y, s),
-                                vec,
-                            )
-                        )
+                    reports += _vector_report(
+                        pa,
+                        "closure jacobi " + triple_label(pa, x, y, s),
+                        jacobi_vector(t, x, y, s),
+                    )
     return reports
 
 
@@ -574,6 +583,37 @@ def _poly_unit(pa: ParamAlgebra, i: int) -> list:
     return v
 
 
+def _commutator_report(source: str, a, b) -> list:
+    comm = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return _nonzero_report(
+        source,
+        ((f"({u},{v})", p) for u, row in enumerate(comm) for v, p in enumerate(row)),
+    )
+
+
+def _x_commutator_report(pa: ParamAlgebra, al: int, be: int) -> list:
+    return _commutator_report(
+        f"X{al + 1} X{be + 1} - X{be + 1} X{al + 1}",
+        _current_x(pa, al),
+        _current_x(pa, be),
+    )
+
+
+def _eigenvector_report(pa: ParamAlgebra, al: int, be: int) -> list:
+    xa = _current_x(pa, al)
+    a_al = _current_a(pa, al)
+    rho_be = _current_rho(pa, be)
+    eig = [
+        sum((xa[u][v] * rho_be[v] for v in range(2 * pa.n)), PolyQ.zero(pa.params))
+        - a_al * rho_be[u]
+        for u in range(2 * pa.n)
+    ]
+    return _nonzero_report(
+        f"(X{al + 1} - a_{al + 1} I) rho^{be + 1}",
+        ((f"[{u}]", p) for u, p in enumerate(eig)),
+    )
+
+
 def commutation_residual_system(pa: ParamAlgebra) -> list:
     """Residuals of L_a L_b - L_b L_a and L_a R_b - R_b L_a, plus the
     extracted block forms: the X-commutators and the eigenvector system
@@ -588,78 +628,32 @@ def commutation_residual_system(pa: ParamAlgebra) -> list:
     rmats = [t.right_mult_matrix(_poly_unit(pa, al)) for al in range(f)]
     for al in range(f):
         for be in range(al + 1, f):
-            comm = linalg.mat_sub(
-                linalg.mat_mul(lmats[al], lmats[be]),
-                linalg.mat_mul(lmats[be], lmats[al]),
+            reports += _commutator_report(
+                f"L_S{al + 1} L_S{be + 1} = L_S{be + 1} L_S{al + 1}",
+                lmats[al], lmats[be],
             )
-            polys = tuple(
-                (f"({u},{v})", comm[u][v])
-                for u in range(t.dim)
-                for v in range(t.dim)
-                if not comm[u][v].is_zero()
-            )
-            if polys:
-                reports.append(
-                    ConstraintReport(
-                        source=f"L_S{al + 1} L_S{be + 1} = L_S{be + 1} L_S{al + 1}",
-                        residual_polys=polys,
-                    )
-                )
-            xa, xb = _current_x(pa, al), _current_x(pa, be)
-            xcomm = linalg.mat_sub(linalg.mat_mul(xa, xb), linalg.mat_mul(xb, xa))
-            polys = tuple(
-                (f"({u},{v})", xcomm[u][v])
-                for u in range(2 * pa.n)
-                for v in range(2 * pa.n)
-                if not xcomm[u][v].is_zero()
-            )
-            if polys:
-                reports.append(
-                    ConstraintReport(
-                        source=f"X{al + 1} X{be + 1} - X{be + 1} X{al + 1}",
-                        residual_polys=polys,
-                    )
-                )
+            reports += _x_commutator_report(pa, al, be)
     for al in range(f):
         for be in range(f):
-            comm = linalg.mat_sub(
-                linalg.mat_mul(lmats[al], rmats[be]),
-                linalg.mat_mul(rmats[be], lmats[al]),
+            reports += _commutator_report(
+                f"L_S{al + 1} R_S{be + 1} = R_S{be + 1} L_S{al + 1}",
+                lmats[al], rmats[be],
             )
-            polys = tuple(
-                (f"({u},{v})", comm[u][v])
-                for u in range(t.dim)
-                for v in range(t.dim)
-                if not comm[u][v].is_zero()
-            )
-            if polys:
-                reports.append(
-                    ConstraintReport(
-                        source=f"L_S{al + 1} R_S{be + 1} = R_S{be + 1} L_S{al + 1}",
-                        residual_polys=polys,
-                    )
-                )
-            xa = _current_x(pa, al)
-            a_al = _current_a(pa, al)
-            rho_be = _current_rho(pa, be)
-            eig = [
-                sum(
-                    (xa[u][v] * rho_be[v] for v in range(2 * pa.n)),
-                    PolyQ.zero(pa.params),
-                )
-                - a_al * rho_be[u]
-                for u in range(2 * pa.n)
-            ]
-            polys = tuple(
-                (f"[{u}]", eig[u]) for u in range(2 * pa.n) if not eig[u].is_zero()
-            )
-            if polys:
-                reports.append(
-                    ConstraintReport(
-                        source=f"(X{al + 1} - a_{al + 1} I) rho^{be + 1}",
-                        residual_polys=polys,
-                    )
-                )
+            reports += _eigenvector_report(pa, al, be)
+    return reports
+
+
+def _block_side_reports(pa: ParamAlgebra) -> list:
+    """The bilinear block forms left as side conditions: the X-commutators
+    (pairs al < be), then the eigenvector systems (all al, be)."""
+    f = pa.f
+    reports = []
+    for al in range(f):
+        for be in range(al + 1, f):
+            reports += _x_commutator_report(pa, al, be)
+    for al in range(f):
+        for be in range(f):
+            reports += _eigenvector_report(pa, al, be)
     return reports
 
 
@@ -710,44 +704,18 @@ def _h_shear(pa: ParamAlgebra) -> list:
     """In the a_1 = 1 branch, clear the leftover r_1b by the basis change
     S~_b = S_b - (r_1b / 2) H; returns the resulting bindings r_1b := 0.
 
-    The shear is performed symbolically and checked: it only moves the
-    [S_1, S_b] and [S_b, S_1] entries, so recording the binding keeps the
-    history replayable.
+    The shear only moves the [S_1, S_b] and [S_b, S_1] entries.
     """
-    names = pa.params
-    t = pa.tensor
-    dim = t.dim
-    zero = PolyQ.zero(names)
-    one = PolyQ.const(names, 1)
-    bindings = []
-    todo = []
-    for be in range(1, pa.f):
-        r1b = _current_r(pa, 0, be)
-        if not r1b.is_zero():
-            todo.append((be, r1b))
+    todo = [be for be in range(1, pa.f) if not _current_r(pa, 0, be).is_zero()]
     if not todo:
         return []
-
-    def rows_with(sign: int):
-        rows = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-        for be, r1b in todo:
-            rows[be][pa.f] = sign * r1b * Fraction(-1, 2)
-        return rows
-
-    m = rows_with(+1)
-    m_inv = rows_with(-1)
-    changed = _change_basis_with_inverse(t, linalg.transpose(m_inv), linalg.transpose(m))
-    for be, _ in todo:
-        if not changed.entry(0, be, pa.f).is_zero() or not changed.entry(be, 0, pa.f).is_zero():
-            raise CascadeError("H-shear failed to clear [S1, S_b]")
-    for be, _ in todo:
-        name = f"r_1_{be + 1}"
-        bindings.append((name, zero))
-    direct = substitute_tensor(t, dict(bindings))
-    renamed = substitute_tensor(changed, dict(bindings))
-    if direct != renamed:
-        raise CascadeError("H-shear is not a pure reparameterization")
-    return bindings
+    return _checked_shear(
+        pa,
+        {(be, pa.f): _current_r(pa, 0, be) * Fraction(-1, 2) for be in todo},
+        cleared=[ijk for be in todo for ijk in ((0, be, pa.f), (be, 0, pa.f))],
+        bound=[f"r_1_{be + 1}" for be in todo],
+        what="H-shear",
+    )
 
 
 # -- cascade driver -----------------------------------------------------------
@@ -847,78 +815,57 @@ def run_cascade(n: int, f: int, branch: int | None = 1) -> CascadeResult:
     pa = parametric_extension(n, f)
     stages: list[StageRecord] = []
 
-    pa = gamma_eliminate(pa)
-    stages.append(
-        StageRecord(
-            name="gamma_eliminate",
-            reports=(),
-            bindings=pa.applied[-1][1],
+    def record(name: str, bindings, reports=()) -> None:
+        stages.append(
+            StageRecord(name=name, reports=tuple(reports), bindings=tuple(bindings))
         )
-    )
 
-    first_full = tuple(jacobi_residual_system(pa))
-    pa, _, jac_bindings = _fixed_point(
-        pa, "jacobi", lambda q: jacobi_residual_system(q, table_triples(q))
+    pa = gamma_eliminate(pa)
+    record("gamma_eliminate", pa.applied[-1][1])
+
+    # the fixed point's first round is the table-triple subset of the full
+    # pass, in the same (i, j, k) order
+    triples = table_triples(pa)
+    table = {"jacobi " + triple_label(pa, *triple) for triple in triples}
+    first = jacobi_residual_system(pa)
+    pa, bindings = _fixed_point(
+        pa, "jacobi", lambda q: jacobi_residual_system(q, triples),
+        [report for report in first if report.source in table],
     )
-    stages.append(
-        StageRecord(
-            name="jacobi",
-            reports=tuple(annotate_forced(first_full, jac_bindings)),
-            bindings=tuple(jac_bindings),
-        )
-    )
+    record("jacobi", bindings, annotate_forced(first, bindings))
 
     if branch is not None:
         zero = PolyQ.zero(pa.params)
-        one = PolyQ.const(pa.params, 1)
-        bindings = [("a_1", one if branch == 1 else zero)]
-        for al in range(2, f + 1):
-            bindings.append((f"a_{al}", zero))
+        bindings = [("a_1", PolyQ.const(pa.params, branch))]
+        bindings += [(f"a_{al}", zero) for al in range(2, f + 1)]
         pa = apply_bindings(pa, "a_normalize", bindings)
-        stages.append(
-            StageRecord(name="a_normalize", reports=(), bindings=tuple(bindings))
-        )
+        record("a_normalize", bindings)
 
-    ann_first = tuple(annihilator_residual_system(pa))
-    pa, _, ann_bindings = _fixed_point(pa, "annihilator", annihilator_residual_system)
-    stages.append(
-        StageRecord(
-            name="annihilator",
-            reports=tuple(annotate_forced(ann_first, ann_bindings)),
-            bindings=tuple(ann_bindings),
-        )
-    )
+    first = annihilator_residual_system(pa)
+    pa, bindings = _fixed_point(pa, "annihilator", annihilator_residual_system, first)
+    record("annihilator", bindings, annotate_forced(first, bindings))
 
-    comm_reports = tuple(commutation_residual_system(pa))
-    comm_bindings = extract_forced_bindings(comm_reports)
-    if comm_bindings:
-        pa = apply_bindings(pa, "commutation", comm_bindings)
-    else:
-        pa = apply_bindings(pa, "commutation", ())
-    stages.append(
-        StageRecord(
-            name="commutation", reports=comm_reports, bindings=tuple(comm_bindings)
-        )
-    )
+    reports = commutation_residual_system(pa)
+    bindings = extract_forced_bindings(reports)
+    pa = apply_bindings(pa, "commutation", bindings)
+    record("commutation", bindings, reports)
 
-    arar_reports: tuple = ()
+    arar_reports: list = []
     if f >= 2:
-        arar_first = tuple(verify_arar(pa))
-        pa, _, arar_bindings = _fixed_point(pa, "arar", verify_arar)
+        first = verify_arar(pa)
+        pa, bindings = _fixed_point(pa, "arar", verify_arar, first)
         shear = _h_shear(pa) if branch == 1 else []
         if shear:
             pa = apply_bindings(pa, "arar_h_shear", shear)
-            arar_bindings = list(arar_bindings) + list(shear)
-        arar_reports = tuple(annotate_forced(arar_first, arar_bindings))
-        stages.append(
-            StageRecord(name="arar", reports=arar_reports, bindings=tuple(arar_bindings))
-        )
+            bindings += shear
+        arar_reports = annotate_forced(first, bindings)
+        record("arar", bindings, arar_reports)
 
-    side: list = []
-    for report in commutation_residual_system(pa):
-        if report.source.startswith("X") or report.source.startswith("(X"):
-            for comp, p in report.residual_polys:
-                side.append((f"{report.source}{comp}", p))
+    side = [
+        (f"{report.source}{comp}", p)
+        for report in _block_side_reports(pa)
+        for comp, p in report.residual_polys
+    ]
     for report in arar_reports:
         for comp, p in report.residual_polys:
             recomputed = p.substitute(dict(pa.bindings_in_order()))

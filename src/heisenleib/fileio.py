@@ -4,7 +4,8 @@ Algebra files:
     {"dim": n, "basis": [labels], "field": "Q" | {"sqrt": d},
      "constants": [{"i": i, "j": j, "k": k, "c": "p/q"}, ...]}
 listing only the nonzero c_ijk with zero-based indices and scalar strings
-in the exact-scalar text format.
+in the exact-scalar text format.  The field tag's d obeys the same bound
+as the text format's, |d| <= scalars.MAX_SQRT_D.
 
 Extension-spec files:
     {"n": n, "f": f, "a": [...], "X": [[4n^2 row-major entries], ...],
@@ -17,7 +18,7 @@ import json
 
 from .algebra import StructTensor
 from .heisenberg import ExtensionSpec
-from .scalars import Scalar, ScalarParseError, is_squarefree
+from .scalars import MAX_SQRT_D, Scalar, ScalarParseError, is_squarefree
 
 
 class FileFormatError(ValueError):
@@ -74,6 +75,8 @@ def _check_field(value, entries, context: str) -> None:
         d = value["sqrt"]
         if not _is_int(d):
             raise FileFormatError("sqrt tag must be an integer", context)
+        if abs(d) > MAX_SQRT_D:
+            raise FileFormatError(f"sqrt tag must have |d| <= {MAX_SQRT_D}", context)
         if d in (0, 1) or not is_squarefree(d):
             raise FileFormatError(
                 f"sqrt tag must be squarefree and not 0 or 1, got {d}", context

@@ -11,13 +11,26 @@ two different d values raises IncompatibleFieldError.  Rationals promote
 silently into whatever extension they meet.
 
 Text format (used by the CLI file formats): "p/q" for rationals and
-"p/q+r/s*sqrt(d)" for quadratics, minus signs inline, no whitespace.
+"p/q+r/s*sqrt(d)" for quadratics, minus signs inline, no whitespace.  The
+"/q" may be left out.  So that parsing text has a bounded cost, every
+integer in it has at most MAX_TEXT_DIGITS digits and |d| is at most
+MAX_SQRT_D: d goes to squarefree trial division (about sqrt|d| steps),
+which every arithmetic result over sqrt(d) repeats.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
+
+MAX_TEXT_DIGITS = 1000
+MAX_SQRT_D = 10**6
+
+_RATIONAL_TEXT = re.compile(
+    rf"([+-]?[0-9]{{1,{MAX_TEXT_DIGITS}}})(?:/([0-9]{{1,{MAX_TEXT_DIGITS}}}))?"
+)
+_D_TEXT = re.compile(r"[+-]?[0-9]{1,%d}" % len(str(MAX_SQRT_D)))
 
 
 class ScalarError(ArithmeticError):
@@ -234,10 +247,11 @@ class Scalar:
             if star < 0 or not s.endswith(")"):
                 raise ScalarParseError(f"malformed quadratic scalar {text!r}")
             d_text = s[star + 6 : -1]
-            try:
-                d = int(d_text)
-            except ValueError:
-                raise ScalarParseError(f"bad d in {text!r}") from None
+            d = int(d_text) if _D_TEXT.fullmatch(d_text) else None
+            if d is None or abs(d) > MAX_SQRT_D:
+                raise ScalarParseError(
+                    f"bad d in {text!r} (an integer with |d| <= {MAX_SQRT_D})"
+                )
             head = s[:star]
             # split head into rational part and sqrt coefficient at the last
             # +/- that is not a leading sign
@@ -249,19 +263,20 @@ class Scalar:
                 a_text, b_text = "0", head
             else:
                 a_text, b_text = head[:cut], head[cut:]
-            try:
-                a = Fraction(a_text)
-                b = Fraction(b_text.lstrip("+"))
-            except (ValueError, ZeroDivisionError):
-                raise ScalarParseError(f"bad coefficients in {text!r}") from None
+            a = _parse_rational(a_text, "bad coefficients in", text)
+            b = _parse_rational(b_text.lstrip("+"), "bad coefficients in", text)
             try:
                 return cls(a, b, d)
             except ScalarError as exc:
                 raise ScalarParseError(str(exc)) from None
-        try:
-            return cls(Fraction(s))
-        except (ValueError, ZeroDivisionError):
-            raise ScalarParseError(f"bad rational scalar {text!r}") from None
+        return cls(_parse_rational(s, "bad rational scalar", text))
+
+
+def _parse_rational(part: str, message: str, text: str) -> Fraction:
+    match = _RATIONAL_TEXT.fullmatch(part)
+    if match is None or int(match[2] or 1) == 0:
+        raise ScalarParseError(f"{message} {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 _ZERO = Scalar(0)

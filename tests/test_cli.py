@@ -151,6 +151,15 @@ def test_nilradical_invalid_spec(capsys, tmp_path):
                         "rho": [5], "r": [["0/1"]]}),
         ("nilradical", {"n": 1, "f": 1, "a": ["0/1"], "X": [["1/1", "0/1", "0/1", "-1/1"]],
                         "rho": [["0/1", "0/1"]], "r": [5]}),
+        # d just above the text bound, and rationals outside p/q
+        ("verify", {"dim": 3, "basis": ["H", "P1", "B1"], "field": {"sqrt": 1000001},
+                    "constants": [{"i": 1, "j": 2, "k": 0, "c": "1/1"}]}),
+        ("verify", {"dim": 3, "basis": ["H", "P1", "B1"], "field": {"sqrt": 1000001},
+                    "constants": [{"i": 1, "j": 2, "k": 0, "c": "1/1*sqrt(1000001)"}]}),
+        ("verify", {"dim": 3, "basis": ["H", "P1", "B1"], "field": "Q",
+                    "constants": [{"i": 1, "j": 2, "k": 0, "c": "1e999"}]}),
+        ("nilradical", {"n": 1, "f": 1, "a": ["0.5"], "X": [["1/1", "0/1", "0/1", "-1/1"]],
+                        "rho": [["0/1", "0/1"]], "r": [["0/1"]]}),
     ],
 )
 def test_malformed_shapes_exit_2(capsys, tmp_path, command, doc):

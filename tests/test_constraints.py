@@ -1,6 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+
+from heisenleib import constraints
 
 from heisenleib.constraints import (
     CascadeError,
@@ -310,6 +313,68 @@ class TestCascade:
         bindings = dict(jacobi.bindings)
         for _, poly in report.residual_polys:
             assert poly.substitute(bindings).is_zero()
+
+
+def _render_cascade(result) -> str:
+    """Every stage record (bindings, report sources, residuals, forced
+    bindings), the side conditions, the free parameters and the audit
+    counts, one item a line."""
+    lines = []
+    for record in result.stages:
+        lines.append(f"stage {record.name}")
+        lines.extend(f"bind {name} = {rhs}" for name, rhs in record.bindings)
+        for report in record.reports:
+            lines.append(f"report {report.source}")
+            lines.extend(f"poly {comp}: {p}" for comp, p in report.residual_polys)
+            lines.extend(f"forced {name} = {rhs}" for name, rhs in report.forced)
+    lines.extend(f"side {label}: {p}" for label, p in result.side_conditions)
+    lines.append("free " + " ".join(result.pa.free_params()))
+    audit = result.audit
+    if audit is not None:
+        lines.append(f"audit {audit.triples_checked} {audit.zero_residuals} "
+                     f"{len(audit.matched)} {len(audit.unmatched)}")
+    return "\n".join(lines)
+
+
+# sha256 of _render_cascade: a change to how the cascade computes its stages
+# must keep every stage record, report, side condition and audit count
+@pytest.mark.parametrize(
+    "n,f,branch,digest",
+    [
+        (1, 1, 1, "e4469c8fe23feb2909d4517f8116f9a17366a267a2d1a92ff94ccc5d4b5d3a2e"),
+        (1, 1, 0, "ec4dad10ba64d7f89ecea3f189c1739ddfc1c72e5bda7a110fe3a1fc8393c77d"),
+        (1, 2, 0, "88764dff5fcbc39e07aaf7b4962c63140fde29a50819ad94b60499e9e8cbe46a"),
+        (1, 2, 1, "78652aa538e03964bdd1559dbe37b6a879e5beddab18cbb3699d6f324bc986ec"),
+        (1, 2, None, "29ff97551e457a157104b0f2a1e588263a750aa3aeff6df9324d1e32396c0197"),
+        (2, 2, 0, "5f4e936b283d7c715d3ff0ae882b99c79d4f02db5410ca5d0e61833091323194"),
+        (2, 2, 1, "7e60dc57899e75e6d85215622077e2a9d81c37d3c70dcd55ad007cb410762f92"),
+    ],
+)
+def test_stage_records_digest(n, f, branch, digest):
+    text = _render_cascade(run_cascade(n, f, branch))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_residual_system_once_per_round(monkeypatch):
+    calls = {"annihilator": 0, "arar": 0}
+
+    def counted(stage, fn):
+        def wrapper(pa):
+            calls[stage] += 1
+            return fn(pa)
+        return wrapper
+
+    monkeypatch.setattr(constraints, "annihilator_residual_system",
+                        counted("annihilator", annihilator_residual_system))
+    monkeypatch.setattr(constraints, "verify_arar", counted("arar", verify_arar))
+    result = run_cascade(1, 2, 1)
+    rounds = {
+        stage: sum(1 for name, bindings in result.pa.applied if name == stage and bindings)
+        for stage in calls
+    }
+    # two binding rounds for the annihilator, none for arar at (1, 2, 1)
+    assert rounds == {"annihilator": 2, "arar": 0}
+    assert calls == {stage: count + 1 for stage, count in rounds.items()}
 
 
 class TestInstantiation:

@@ -50,6 +50,10 @@ def test_heisenberg_doc_shape():
         (lambda d: d.update(field="R"), "field"),
         (lambda d: d.update(dim=True, basis=["x"], constants=[]), "dim=True"),
         (lambda d: d["constants"][0].update(i=False), "i=False"),
+        # d just above the text bound, and rationals outside p/q
+        (lambda d: d.update(field={"sqrt": 1000001}), "field"),
+        (lambda d: d["constants"][0].update(c="0.5"), "c=0.5"),
+        (lambda d: d["constants"][0].update(c="1e200000"), "c=1e200000"),
     ],
 )
 def test_algebra_doc_errors(mutate, context):
@@ -109,6 +113,8 @@ SPEC_N1F1 = {"n": 1, "f": 1, "a": ["0/1"], "X": [["1/1", "0/1", "0/1", "-1/1"]],
         ({"rho": [5]}, "rho[0]"),
         ({"r": 5}, "r"),
         ({"r": [5]}, "r"),
+        ({"a": ["0.5"]}, "a[0]"),
+        ({"r": [["1e9"]]}, "r[0][0]"),
     ],
 )
 def test_extension_spec_shape_errors(changes, context):

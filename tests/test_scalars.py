@@ -84,7 +84,18 @@ def test_format_roundtrip():
         assert Scalar.parse(str(s)) == s
 
 
-@pytest.mark.parametrize("text", ["", "a/b", "1/0", "1+sqrt(2)", "1/1+1/1*sqrt(4)"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "a/b", "1/0", "1+sqrt(2)", "1/1+1/1*sqrt(4)",
+        # outside the p/q grammar, or over the text bounds (1000 digits,
+        # |d| <= 10^6)
+        "0.5", "1e3", "1_000", "1/2+0.5*sqrt(2)", "1/1*sqrt(1_9)",
+        pytest.param("1" * 1001, id="1001-digit-numerator"),
+        pytest.param("1/" + "1" * 1001, id="1001-digit-denominator"),
+        "1/1*sqrt(1000001)", "1/1*sqrt(-1000001)",
+    ],
+)
 def test_parse_errors(text):
     with pytest.raises(ScalarParseError):
         Scalar.parse(text)
