@@ -184,11 +184,9 @@ class StructTensor:
         return linalg.transpose(columns)
 
     def unit_vector(self, i: int) -> list:
+        """e_i, with the one of the tensor's entry kind in slot i."""
         v = [self.zero] * self.dim
-        one = Scalar.one() if self.is_scalar() else None
-        if one is None:
-            raise EntryKindError("unit_vector on symbolic tensor: build explicitly")
-        v[i] = one
+        v[i] = self.zero + 1
         return v
 
     def __eq__(self, other) -> bool:

@@ -24,6 +24,7 @@ from .algebra import (
     element_nilpotent,
     subspace_closure_checks,
 )
+from .heisenberg import extract_extension_data, heisenberg_subspace, symplectic_check
 from .linalg import ShapeError
 from .poly import PolyQ, quadratic_real_root_exists, quadratic_roots
 from .scalars import Scalar
@@ -50,8 +51,6 @@ def matrix_nilpotent(m) -> bool:
 def _require_sp2(x, what: str):
     if linalg.shape(x) != (2, 2):
         raise CertifyError(f"{what} must be 2x2")
-    from .heisenberg import symplectic_check
-
     if not symplectic_check(x, 1):
         raise CertifyError(f"{what} is not in sp(2)")
     for row in x:
@@ -161,9 +160,13 @@ def commuting_sp2_proportionality(x1, x2) -> ProportionalityResult:
 
 def subspace_nilpotent(t: StructTensor, w: Subspace) -> bool:
     """Lower central series of the subalgebra w, computed inside t."""
-    checks = subspace_closure_checks(t, w)
-    if not checks.is_subalgebra:
+    if not subspace_closure_checks(t, w).is_subalgebra:
         raise NotSubalgebraError("subspace is not closed under the bracket")
+    return _lower_central_vanishes(t, w)
+
+
+def _lower_central_vanishes(t: StructTensor, w: Subspace) -> bool:
+    """The lower central series of w, a subalgebra of t, reaches zero."""
     current = bracket_span(t, w, w)
     while current.dim > 0:
         nxt = bracket_span(t, w, current)
@@ -239,11 +242,9 @@ def certify_nilradical(
 
     checks = subspace_closure_checks(t, n_subspace)
     ideal = checks.is_two_sided_ideal
-    nilpotent = checks.is_subalgebra and subspace_nilpotent(t, n_subspace)
+    nilpotent = checks.is_subalgebra and _lower_central_vanishes(t, n_subspace)
     full = Subspace.full(t.dim)
     contains_derived = bracket_span(t, full, full).is_contained_in(n_subspace)
-
-    from .heisenberg import heisenberg_subspace
 
     standard = heisenberg_subspace(n, f)
     if n_subspace != standard or not (ideal and nilpotent and contains_derived):
@@ -273,8 +274,6 @@ def _verified_refutation(t: StructTensor, n_subspace: Subspace, x, note: str) ->
 def _decide_maximality(
     t: StructTensor, n_subspace: Subspace, n: int, f: int, field: str
 ) -> Maximality:
-    from .heisenberg import extract_extension_data
-
     try:
         data = extract_extension_data(t, n, f)
     except ValueError as exc:

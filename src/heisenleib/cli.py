@@ -17,7 +17,7 @@ import sys
 from . import algebra, catalog, constraints, fileio
 from .certify import certify_nilradical, mubar_bound_check
 from .heisenberg import build_extension, heisenberg_subspace
-from .scalars import Scalar, ScalarParseError
+from .scalars import Scalar, ScalarError, ScalarParseError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -101,7 +101,7 @@ def _parse_params(items) -> dict:
         try:
             scalar = Scalar.parse(value)
             params[name] = scalar.as_fraction()
-        except (ScalarParseError, ValueError) as exc:
+        except (ScalarParseError, ScalarError, ValueError) as exc:
             raise CliError(f"--param {name}: {exc}", EXIT_PARSE_ERROR) from None
     return params
 

@@ -39,10 +39,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import StructTensor, _change_basis_with_inverse
-from .heisenberg import extension_basis_labels
+from .heisenberg import block_forms, eigenvector_residual, extension_basis_labels
 from .poly import PolyQ
-
-HALF = Fraction(1, 2)
 
 
 class CascadeError(ValueError):
@@ -547,42 +545,6 @@ def annihilator_residual_system(pa: ParamAlgebra) -> list:
 # -- commutation --------------------------------------------------------------
 
 
-def _current_a(pa: ParamAlgebra, al: int) -> PolyQ:
-    return pa.tensor.entry(al, pa.f, pa.f) * HALF
-
-
-def _current_x(pa: ParamAlgebra, al: int) -> list:
-    """The sp-block of L_{S_al} read from the tensor: X = block - a I."""
-    t = pa.tensor
-    n, f = pa.n, pa.f
-    a = _current_a(pa, al)
-    x = []
-    for u in range(2 * n):
-        row = []
-        for v in range(2 * n):
-            entry = t.entry(al, f + 1 + u, f + 1 + v)
-            if u == v:
-                entry = entry - a
-            row.append(entry)
-        x.append(row)
-    return x
-
-
-def _current_rho(pa: ParamAlgebra, al: int) -> list:
-    t = pa.tensor
-    return [t.entry(pa.f + 1 + u, al, pa.f) for u in range(2 * pa.n)]
-
-
-def _current_r(pa: ParamAlgebra, al: int, be: int) -> PolyQ:
-    return pa.tensor.entry(al, be, pa.f)
-
-
-def _poly_unit(pa: ParamAlgebra, i: int) -> list:
-    v = [PolyQ.zero(pa.params)] * pa.tensor.dim
-    v[i] = PolyQ.const(pa.params, 1)
-    return v
-
-
 def _commutator_report(source: str, a, b) -> list:
     comm = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
     return _nonzero_report(
@@ -591,23 +553,14 @@ def _commutator_report(source: str, a, b) -> list:
     )
 
 
-def _x_commutator_report(pa: ParamAlgebra, al: int, be: int) -> list:
+def _x_commutator_report(x, al: int, be: int) -> list:
     return _commutator_report(
-        f"X{al + 1} X{be + 1} - X{be + 1} X{al + 1}",
-        _current_x(pa, al),
-        _current_x(pa, be),
+        f"X{al + 1} X{be + 1} - X{be + 1} X{al + 1}", x[al], x[be]
     )
 
 
-def _eigenvector_report(pa: ParamAlgebra, al: int, be: int) -> list:
-    xa = _current_x(pa, al)
-    a_al = _current_a(pa, al)
-    rho_be = _current_rho(pa, be)
-    eig = [
-        sum((xa[u][v] * rho_be[v] for v in range(2 * pa.n)), PolyQ.zero(pa.params))
-        - a_al * rho_be[u]
-        for u in range(2 * pa.n)
-    ]
+def _eigenvector_report(a, x, rho, al: int, be: int) -> list:
+    eig = eigenvector_residual(x[al], rho[be], a[al])
     return _nonzero_report(
         f"(X{al + 1} - a_{al + 1} I) rho^{be + 1}",
         ((f"[{u}]", p) for u, p in enumerate(eig)),
@@ -623,23 +576,24 @@ def commutation_residual_system(pa: ParamAlgebra) -> list:
         raise OrderingError("commutation stage requires jacobi and annihilator")
     t = pa.tensor
     f = pa.f
+    a, x, rho, _ = block_forms(t, pa.n, f)
     reports = []
-    lmats = [t.left_mult_matrix(_poly_unit(pa, al)) for al in range(f)]
-    rmats = [t.right_mult_matrix(_poly_unit(pa, al)) for al in range(f)]
+    lmats = [t.left_mult_matrix(t.unit_vector(al)) for al in range(f)]
+    rmats = [t.right_mult_matrix(t.unit_vector(al)) for al in range(f)]
     for al in range(f):
         for be in range(al + 1, f):
             reports += _commutator_report(
                 f"L_S{al + 1} L_S{be + 1} = L_S{be + 1} L_S{al + 1}",
                 lmats[al], lmats[be],
             )
-            reports += _x_commutator_report(pa, al, be)
+            reports += _x_commutator_report(x, al, be)
     for al in range(f):
         for be in range(f):
             reports += _commutator_report(
                 f"L_S{al + 1} R_S{be + 1} = R_S{be + 1} L_S{al + 1}",
                 lmats[al], rmats[be],
             )
-            reports += _eigenvector_report(pa, al, be)
+            reports += _eigenvector_report(a, x, rho, al, be)
     return reports
 
 
@@ -647,13 +601,14 @@ def _block_side_reports(pa: ParamAlgebra) -> list:
     """The bilinear block forms left as side conditions: the X-commutators
     (pairs al < be), then the eigenvector systems (all al, be)."""
     f = pa.f
+    a, x, rho, _ = block_forms(pa.tensor, pa.n, f)
     reports = []
     for al in range(f):
         for be in range(al + 1, f):
-            reports += _x_commutator_report(pa, al, be)
+            reports += _x_commutator_report(x, al, be)
     for al in range(f):
         for be in range(f):
-            reports += _eigenvector_report(pa, al, be)
+            reports += _eigenvector_report(a, x, rho, al, be)
     return reports
 
 
@@ -670,6 +625,7 @@ def verify_arar(pa: ParamAlgebra) -> list:
     if "annihilator" not in stages:
         raise OrderingError("arar stage requires the annihilator stage first")
     t = pa.tensor
+    a, _, _, r = block_forms(t, pa.n, pa.f)
     reports = []
     for al in range(pa.f):
         for be in range(pa.f):
@@ -680,11 +636,7 @@ def verify_arar(pa: ParamAlgebra) -> list:
                     raise CascadeError(
                         "unexpected non-H component in the (S1,S,S) residual"
                     )
-            expected = (
-                _current_a(pa, 0) * _current_r(pa, al, be)
-                - _current_a(pa, al) * _current_r(pa, 0, be)
-                + _current_a(pa, be) * _current_r(pa, 0, al)
-            )
+            expected = a[0] * r[al][be] - a[al] * r[0][be] + a[be] * r[0][al]
             if raw != expected * (-2):
                 raise CascadeError(
                     f"(S1,S{al + 1},S{be + 1}) residual does not match the "
@@ -706,12 +658,13 @@ def _h_shear(pa: ParamAlgebra) -> list:
 
     The shear only moves the [S_1, S_b] and [S_b, S_1] entries.
     """
-    todo = [be for be in range(1, pa.f) if not _current_r(pa, 0, be).is_zero()]
+    r = block_forms(pa.tensor, pa.n, pa.f)[3]
+    todo = [be for be in range(1, pa.f) if not r[0][be].is_zero()]
     if not todo:
         return []
     return _checked_shear(
         pa,
-        {(be, pa.f): _current_r(pa, 0, be) * Fraction(-1, 2) for be in todo},
+        {(be, pa.f): r[0][be] * Fraction(-1, 2) for be in todo},
         cleared=[ijk for be in todo for ijk in ((0, be, pa.f), (be, 0, pa.f))],
         bound=[f"r_1_{be + 1}" for be in todo],
         what="H-shear",
@@ -889,9 +842,7 @@ def run_cascade(n: int, f: int, branch: int | None = 1) -> CascadeResult:
 def instantiate(pa: ParamAlgebra, values: dict) -> "StructTensor":
     """Evaluate the parametric tensor at exact scalar values for its free
     parameters; bound parameters take their derived values automatically."""
-    from .linalg import to_scalar
-
-    point = {name: to_scalar(v) for name, v in values.items()}
+    point = {name: linalg.to_scalar(v) for name, v in values.items()}
     constants = pa.tensor.constants_dict()
     missing = {
         name

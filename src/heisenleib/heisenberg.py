@@ -13,13 +13,17 @@ lists the coefficients of the bracket of S with the i-th basis element.
 
 Built tensors use the basis order (S_1..S_f, H, P_1..P_n, B_1..B_n).
 build_extension validates every side condition eagerly and refuses
-invalid data rather than assembling a non-Leibniz product.
+invalid data rather than assembling a non-Leibniz product.  block_forms
+is the one reader of the block form: it reads (a, X, rho, r) back from a
+tensor with Scalar or PolyQ entries, for extract_extension_data and for
+the symbolic constraint cascade alike.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .algebra import StructTensor, Subspace
@@ -97,13 +101,17 @@ def symplectic_check(x, n: int) -> bool:
     return linalg.is_zero_matrix(residual)
 
 
+def eigenvector_residual(x, rho, a) -> list:
+    """X rho - a rho, for Scalar or PolyQ entries."""
+    return [u - a * v for u, v in zip(linalg.mat_vec(x, rho), rho)]
+
+
 def eigenvector_check(x, rho, a) -> bool:
     """True iff X rho = a rho (vacuously true for rho = 0)."""
     if linalg.shape(x)[1] != len(rho):
         raise ShapeError("matrix and vector sizes disagree")
-    a = linalg.to_scalar(a)
-    image = linalg.mat_vec(x, list(rho))
-    return all((u - a * v).is_zero() for u, v in zip(image, rho))
+    residual = eigenvector_residual(x, list(rho), linalg.to_scalar(a))
+    return all(p.is_zero() for p in residual)
 
 
 def max_extension_bound(n: int) -> int:
@@ -311,41 +319,47 @@ def _action_display(t: StructTensor, n: int, f: int, al: int, left: bool):
         raise ShapeError("tensor dimension does not match (n, f)")
     if not 0 <= al < f:
         raise IndexError(f"generator index {al} out of range")
-    s = t.unit_vector(al)
     rows = []
     for i in range(f, t.dim):
-        e = t.unit_vector(i)
-        w = t.bracket(s, e) if left else t.bracket(e, s)
+        pair = (al, i) if left else (i, al)
+        w = [t.entry(*pair, k) for k in range(t.dim)]
         if any(not w[j].is_zero() for j in range(f)):
             raise ValueError("bracket leaves the nilradical; not extension-shaped")
         rows.append(w[f:])
     return rows
 
 
+def block_forms(t: StructTensor, n: int, f: int):
+    """The block form (a, X, rho, r) of a tensor in the basis (S, H, P, B):
+    a_al = c(S_al, H, H) / 2, X_al the (P, B) block of L_S_al minus a_al on
+    the diagonal, rho_al = c(P/B, S_al, H) and r_ab = c(S_a, S_b, H).  Reads
+    Scalar and PolyQ entries alike, through entry() only, and checks
+    nothing: extract_extension_data checks the block normal form first."""
+    h = f
+    pb = range(f + 1, f + 1 + 2 * n)
+    a = [t.entry(al, h, h) * Fraction(1, 2) for al in range(f)]
+    x = [
+        [[t.entry(al, u, v) - a[al] if u == v else t.entry(al, u, v) for v in pb]
+         for u in pb]
+        for al in range(f)
+    ]
+    rho = [[t.entry(u, al, h) for u in pb] for al in range(f)]
+    r = [[t.entry(al, be, h) for be in range(f)] for al in range(f)]
+    return a, x, rho, r
+
+
 def extract_extension_data(t: StructTensor, n: int, f: int) -> ExtensionSpec:
     """Recover (a, X, rho, r) from a built tensor (round-trip of the block
-    forms)."""
-    a, xs, rhos = [], [], []
+    forms), after checking that it is in the block normal form."""
     for al in range(f):
         disp = left_action_display(t, n, f, al)
-        a_al = disp[0][0] / Scalar.rational(2)
         for j in range(1, 2 * n + 1):
             if not disp[0][j].is_zero() or not disp[j][0].is_zero():
                 raise ValueError("left action is not in the block normal form")
-        x = [[disp[1 + u][1 + v] - (a_al if u == v else Scalar.zero())
-              for v in range(2 * n)] for u in range(2 * n)]
-        rdisp = right_action_display(t, n, f, al)
-        rho = [rdisp[1 + u][0] for u in range(2 * n)]
-        a.append(a_al)
-        xs.append(x)
-        rhos.append(rho)
-    r = []
+        # raises when the right action leaves the nilradical
+        right_action_display(t, n, f, al)
     for al in range(f):
-        row = []
         for be in range(f):
-            w = t.bracket(t.unit_vector(al), t.unit_vector(be))
-            if any(not w[j].is_zero() for j in list(range(f)) + list(range(f + 1, t.dim))):
+            if any(not t.entry(al, be, k).is_zero() for k in range(t.dim) if k != f):
                 raise ValueError("[S,S] is not a multiple of H")
-            row.append(w[f])
-        r.append(row)
-    return ExtensionSpec.make(n, f, a, xs, rhos, r)
+    return ExtensionSpec.make(n, f, *block_forms(t, n, f))

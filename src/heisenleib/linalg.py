@@ -73,10 +73,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_neg(a: Matrix) -> Matrix:
-    return [[-x for x in row] for row in a]
-
-
 def mat_scale(a: Matrix, s) -> Matrix:
     return [[x * s for x in row] for row in a]
 
@@ -134,10 +130,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ShapeError("vector length mismatch")
     return [x + y for x, y in zip(u, v)]
-
-
-def vec_scale(u: Vector, s) -> Vector:
-    return [x * s for x in u]
 
 
 def mat_pow(a: Matrix, n: int) -> Matrix:

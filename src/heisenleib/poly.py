@@ -119,17 +119,6 @@ class PolyQ:
                     used[i] = True
         return tuple(n for n, u in zip(self.names, used) if u)
 
-    def coefficient(self, name: str, power: int = 1) -> PolyQ:
-        """The polynomial coefficient of name**power (other names kept)."""
-        i = self._name_index(name)
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            if exp[i] == power:
-                reduced = list(exp)
-                reduced[i] = 0
-                out[tuple(reduced)] = coeff
-        return PolyQ(self.names, out)
-
     def as_linear(self) -> tuple[Fraction, dict[str, Fraction]] | None:
         """Return (constant, {name: coeff}) when total degree <= 1, else None."""
         const = Fraction(0)

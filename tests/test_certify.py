@@ -1,7 +1,7 @@
 import pytest
 
 from heisenleib import linalg
-from heisenleib.algebra import Subspace
+from heisenleib.algebra import Subspace, subspace_closure_checks
 from heisenleib.catalog import build_entry
 from heisenleib.certify import (
     CertifyError,
@@ -205,8 +205,24 @@ class TestCertifyNilradical:
         assert cert.maximality.status == "undecided"
         assert cert.ideal and cert.nilpotent and cert.contains_derived
 
+    def test_closure_checks_run_once(self, monkeypatch):
+        from heisenleib import certify
+
+        calls = []
+
+        def counted(t, w):
+            calls.append(w)
+            return subspace_closure_checks(t, w)
+
+        monkeypatch.setattr(certify, "subspace_closure_checks", counted)
+        cert = certify_nilradical(
+            build_entry("H1a0C-r1"), heisenberg_subspace(1, 1), field="C"
+        )
+        assert cert.proved()
+        assert len(calls) == 1
+
     def test_certificate_subchecks_reassertable(self):
-        from heisenleib.algebra import bracket_span, subspace_closure_checks
+        from heisenleib.algebra import bracket_span
 
         t = build_entry("H1a0R-r1")
         nr = heisenberg_subspace(1, 1)

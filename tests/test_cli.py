@@ -98,6 +98,19 @@ def test_catalog_build_out_of_domain(capsys):
     assert "violates" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog", "build", "H1a1C-diag", "--param", "A=1/1*sqrt(2)"),
+        ("witness", "H1a1R", "H1a1C-diag", "--param", "C=1/1*sqrt(2)"),
+    ],
+)
+def test_quadratic_param_exit_2(capsys, argv):
+    status, out = run(capsys, *argv)
+    assert status == 2
+    assert "Traceback" not in out
+
+
 def test_catalog_build_unknown_id(capsys):
     status, out = run(capsys, "catalog", "build", "H9")
     assert status == 3

@@ -3,7 +3,15 @@ import warnings
 import pytest
 
 from heisenleib import linalg
-from heisenleib.algebra import lower_central_series
+from heisenleib.algebra import StructTensor, lower_central_series
+from heisenleib.catalog import (
+    build_entry,
+    catalog_entries,
+    entry_parameter_grid,
+    get_entry,
+)
+from heisenleib.certify import certify_nilradical
+from heisenleib.constraints import instantiate, run_cascade
 from heisenleib.heisenberg import (
     ANormalizationViolation,
     CommutationViolation,
@@ -14,6 +22,7 @@ from heisenleib.heisenberg import (
     NullspaceViolation,
     SymplecticViolation,
     assemble_extension,
+    block_forms,
     build_extension,
     eigenvector_check,
     extract_extension_data,
@@ -249,10 +258,72 @@ class TestBuildExtension:
             [[-2, 0, 0], [0, -3, 0], [0, 0, 1]]
         )
 
-    def test_extract_round_trip(self):
-        spec = ExtensionSpec.make(1, 2, [1, 0], [[[0, 0], [0, 0]], ROT])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExtensionSpec.make(1, 2, [1, 0], [[[0, 0], [0, 0]], ROT]),
+            ExtensionSpec.make(
+                2, 1, [0], [[[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]],
+                rho=[[0, 1, 0, 0]], r=[[-1]],
+            ),
+        ],
+    )
+    def test_extract_round_trip(self, spec):
         t = build_extension(spec)
-        assert extract_extension_data(t, 1, 2) == spec
+        assert extract_extension_data(t, spec.n, spec.f) == spec
+
+    @pytest.mark.parametrize(
+        "entry_id,params",
+        [
+            (entry_id, params)
+            for entry_id in sorted({e.id for fld in "CR" for e in catalog_entries(fld)})
+            for params in entry_parameter_grid(get_entry(entry_id))
+        ],
+    )
+    def test_extract_round_trip_catalog(self, entry_id, params):
+        entry = get_entry(entry_id)
+        t = build_entry(entry_id, params)
+        assert extract_extension_data(t, entry.n, entry.f) == entry.spec(params)
+
+    @pytest.mark.parametrize(
+        "strays,message",
+        [
+            ([(0, 2, 0)], "bracket leaves the nilradical"),
+            ([(2, 0, 0)], "bracket leaves the nilradical"),
+            ([(0, 1, 2)], "left action is not in the block normal form"),
+            ([(0, 0, 2)], r"\[S,S\] is not a multiple of H"),
+            ([(0, 0, 2), (0, 1, 2)], "left action is not in the block normal form"),
+        ],
+    )
+    def test_extract_rejects_off_block_constants(self, strays, message):
+        t = _with_strays(ExtensionSpec.make(1, 1, [1], [DIAG]), strays)
+        with pytest.raises(ValueError, match=message):
+            extract_extension_data(t, 1, 1)
+
+    def test_certify_notes_off_block_form(self):
+        t = _with_strays(ExtensionSpec.make(1, 1, [1], [DIAG]), [(0, 1, 2)])
+        cert = certify_nilradical(t, heisenberg_subspace(1, 1), field="R")
+        assert cert.ideal and cert.nilpotent and cert.contains_derived
+        assert cert.maximality.status == "undecided"
+        assert cert.maximality.note == (
+            "not in block normal form: left action is not in the block normal form"
+        )
+
+    @pytest.mark.parametrize("branch", [1, 0, None])
+    def test_block_forms_agree_on_both_entry_kinds(self, branch):
+        pa = run_cascade(1, 2, branch).pa
+        point = {
+            name: Scalar.rational(i + 2, 3) for i, name in enumerate(pa.free_params())
+        }
+        symbolic = block_forms(pa.tensor, 1, 2)
+        numeric = block_forms(instantiate(pa, point), 1, 2)
+
+        def evaluate(value):
+            if isinstance(value, list):
+                return [evaluate(v) for v in value]
+            return value.evaluate(point)
+
+        assert [evaluate(block) for block in symbolic] == list(numeric)
 
     def test_ss_bracket_lands_in_annihilator(self):
         from heisenleib.algebra import left_annihilator
@@ -272,6 +343,16 @@ class TestBuildExtension:
         assert w.ambient_dim == 4 and w.dim == 3
         assert w.contains(svec([0, 1, 0, 0]))
         assert not w.contains(svec([1, 0, 0, 0]))
+
+
+def _with_strays(spec, strays):
+    """The assembled tensor of spec with the constant 1 added at each stray
+    (i, j, k)."""
+    t = assemble_extension(spec)
+    constants = t.constants_dict()
+    for key in strays:
+        constants[key] = Scalar.one()
+    return StructTensor(t.dim, constants, basis_labels=t.basis_labels)
 
 
 class TestMubarakzjanovBound:
