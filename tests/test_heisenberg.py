@@ -258,19 +258,18 @@ class TestBuildExtension:
             [[-2, 0, 0], [0, -3, 0], [0, 0, 1]]
         )
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ExtensionSpec.make(1, 2, [1, 0], [[[0, 0], [0, 0]], ROT]),
-            ExtensionSpec.make(
-                2, 1, [0], [[[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]],
-                rho=[[0, 1, 0, 0]], r=[[-1]],
-            ),
-        ],
-    )
-    def test_extract_round_trip(self, spec):
+    def test_extract_round_trip(self):
+        spec = ExtensionSpec.make(1, 2, [1, 0], [[[0, 0], [0, 0]], ROT])
         t = build_extension(spec)
-        assert extract_extension_data(t, spec.n, spec.f) == spec
+        assert extract_extension_data(t, 1, 2) == spec
+
+    def test_extract_round_trip_rho_r(self):
+        spec = ExtensionSpec.make(
+            2, 1, [0], [[[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]],
+            rho=[[0, 1, 0, 0]], r=[[-1]],
+        )
+        t = build_extension(spec)
+        assert extract_extension_data(t, 2, 1) == spec
 
     @pytest.mark.parametrize(
         "entry_id,params",
