@@ -365,19 +365,8 @@ def extract_forced_bindings(reports) -> list:
             name = min(
                 coeffs, key=lambda nm: (_PRIORITY.get(_prefix(nm), 99), _neg_lex(nm))
             )
-            pivot = coeffs[name]
-            rhs_terms: dict = {}
-            width = len(poly.names)
-            zero_exp = (0,) * width
-            if const != 0:
-                rhs_terms[zero_exp] = -const / pivot
-            for other, coeff in coeffs.items():
-                if other == name:
-                    continue
-                exp = [0] * width
-                exp[poly.names.index(other)] = 1
-                rhs_terms[tuple(exp)] = -coeff / pivot
-            rhs = PolyQ(poly.names, rhs_terms)
+            # poly = pivot*name + rest, so name := -rest/pivot = name - poly/pivot
+            rhs = PolyQ.var(poly.names, name) - poly * (1 / coeffs[name])
             if not poly.substitute({name: rhs}).is_zero():
                 raise InconsistencyError(f"binding {name} failed re-substitution")
             found[name] = rhs

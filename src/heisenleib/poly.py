@@ -1,24 +1,35 @@
 """Sparse multivariate polynomials over Q with named indeterminates.
 
-A PolyQ lives in a declared indeterminate universe (an ordered tuple of
-names).  Terms map full-length exponent tuples to nonzero Fraction
-coefficients, so equality is structural and the zero polynomial is the empty
-term map.  Display order is graded lexicographic.
+A PolyQ lives in a declared universe, an ordered tuple of distinct names.
+Its terms map packed monomial keys to nonzero Fraction coefficients, so
+equality is structural and the zero polynomial is the empty term map.
 
-These polynomials carry the symbolic parameters of the extension derivation
-(entries of the generic left/right action matrices, the r/mu/nu products,
-and the nilpotency-locus coefficients), so only exact rational arithmetic is
-allowed.  Square roots enter only when solving univariate quadratics, and
-those roots are returned as exact quadratic Scalars.
+Packed keys follow Monagan & Pearce (CASC 2007): the exponent vector of a
+width-w universe is one int of w + 1 fields of FIELD_BITS = 8 bits, the
+bytes of its big-endian encoding: the total degree on top, then variable 0
+down to variable w - 1.  A monomial product is one int add.  Every field is
+at most the total degree, which every operation keeps at or below
+MAX_DEGREE = 255 (PolyError beyond it), so no field carries into the next.
+Descending int order is the display order, graded lexicographic.  The
+constructor takes and sorted_terms returns exponent tuples; the packing is
+private to this module.
+
+Only exact rational arithmetic is allowed: these polynomials carry the
+symbolic parameters of the extension derivation.  Square roots enter only
+when solving univariate quadratics, as exact quadratic Scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import Scalar, rational_is_square, sqrt_as_scalar
 
 Exponent = tuple[int, ...]
+
+FIELD_BITS = 8
+MAX_DEGREE = (1 << FIELD_BITS) - 1
 
 
 class PolyError(ValueError):
@@ -33,26 +44,98 @@ class UnsupportedDegreeError(PolyError):
     """Real-root decision requested beyond degree 2 (out of scope by design)."""
 
 
+class _Layout:
+    """The packing of one universe: name lookup and field positions."""
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names, self.width = names, len(names)
+        self.index = {name: i for i, name in enumerate(names)}
+        if len(self.index) != self.width:
+            raise PolyError(f"repeated indeterminate name in universe {names}")
+        self.shift = FIELD_BITS * self.width  # of the total-degree field
+        self.var_mask = (1 << self.shift) - 1
+
+    def position(self, name: str) -> int:
+        try:
+            return self.index[name]
+        except KeyError:
+            raise UnknownIndeterminateError(f"unknown indeterminate {name!r}") from None
+
+    def pack(self, exp) -> int:
+        if len(exp) != self.width:
+            raise PolyError(f"exponent width {len(exp)} != universe size {self.width}")
+        try:
+            return int.from_bytes(bytes((sum(exp), *exp)), "big")
+        except (TypeError, ValueError):
+            bad = f"exponents {tuple(exp)} are not integers >= 0 of total degree <= {MAX_DEGREE}"
+            raise PolyError(bad) from None
+
+    def unpack(self, key: int) -> Exponent:
+        return tuple(key.to_bytes(self.width + 1, "big")[1:])
+
+    def fields(self, key: int) -> list[tuple[int, int]]:
+        """(index, exponent) of the nonzero variable fields, index ascending."""
+        out = []
+        key &= self.var_mask
+        top = self.width - 1
+        while key:
+            f = (key.bit_length() - 1) // FIELD_BITS
+            s = f * FIELD_BITS
+            e = key >> s
+            key ^= e << s
+            out.append((top - f, e))
+        return out
+
+
+@lru_cache(maxsize=64)
+def _layout(names: tuple[str, ...]) -> _Layout:
+    return _Layout(names)
+
+
+def _poly(layout: _Layout, terms: dict[int, Fraction]) -> PolyQ:
+    # private constructor: the keys are valid packed monomials of layout
+    p = object.__new__(PolyQ)
+    _set_names(p, layout.names)
+    _set_terms(p, terms)
+    _set_layout(p, layout)
+    return p
+
+
+def _add_into(out: dict[int, Fraction], items) -> None:
+    for key, coeff in items:
+        s = out.get(key)
+        if s is None:
+            out[key] = coeff
+        else:
+            s += coeff
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+
+
+def _mul_terms(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for k1, c1 in a.items():
+        _add_into(out, [(k1 + k2, c1 * c2) for k2, c2 in b.items()])
+    return out
+
+
 class PolyQ:
     """Polynomial over Q in a fixed, ordered tuple of indeterminate names."""
 
-    __slots__ = ("names", "terms", "_index")
+    __slots__ = ("names", "terms", "_layout")
 
     def __init__(self, names: tuple[str, ...], terms: dict[Exponent, Fraction] | None = None):
-        names = tuple(names)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", None)
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            width = len(names)
-            for exp, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                if len(exp) != width:
-                    raise PolyError(f"exponent width {len(exp)} != universe size {width}")
-                clean[tuple(exp)] = coeff
-        object.__setattr__(self, "terms", clean)
+        layout = _layout(tuple(names))
+        clean: dict[int, Fraction] = {}
+        for exp, coeff in (terms or {}).items():
+            key, coeff = layout.pack(exp), Fraction(coeff)
+            if coeff:
+                clean[key] = coeff
+        _set_names(self, layout.names)
+        _set_terms(self, clean)
+        _set_layout(self, layout)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyQ is immutable")
@@ -61,34 +144,17 @@ class PolyQ:
 
     @classmethod
     def zero(cls, names: tuple[str, ...]) -> PolyQ:
-        return cls(names, {})
+        return _poly(_layout(tuple(names)), {})
 
     @classmethod
     def const(cls, names: tuple[str, ...], value) -> PolyQ:
-        value = Fraction(value)
-        if value == 0:
-            return cls(names, {})
-        return cls(names, {(0,) * len(names): value})
+        return _const(_layout(tuple(names)), value)
 
     @classmethod
     def var(cls, names: tuple[str, ...], name: str) -> PolyQ:
-        try:
-            i = names.index(name)
-        except ValueError:
-            raise UnknownIndeterminateError(f"unknown indeterminate {name!r}") from None
-        exp = [0] * len(names)
-        exp[i] = 1
-        return cls(names, {tuple(exp): Fraction(1)})
-
-    def _name_index(self, name: str) -> int:
-        idx = object.__getattribute__(self, "_index")
-        if idx is None:
-            idx = {n: i for i, n in enumerate(self.names)}
-            object.__setattr__(self, "_index", idx)
-        try:
-            return idx[name]
-        except KeyError:
-            raise UnknownIndeterminateError(f"unknown indeterminate {name!r}") from None
+        layout = _layout(tuple(names))
+        field = FIELD_BITS * (layout.width - 1 - layout.position(name))
+        return _poly(layout, {(1 << layout.shift) | (1 << field): Fraction(1)})
 
     # -- predicates and views ----------------------------------------------
 
@@ -96,7 +162,7 @@ class PolyQ:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.terms:
@@ -107,28 +173,26 @@ class PolyQ:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
+        # the largest key has the largest total degree
+        return max(self.terms) >> self._layout.shift if self.terms else -1
 
     def used_names(self) -> tuple[str, ...]:
-        used = [False] * len(self.names)
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used[i] = True
-        return tuple(n for n, u in zip(self.names, used) if u)
+        union = 0
+        for key in self.terms:
+            union |= key
+        return tuple(self.names[i] for i, _ in self._layout.fields(union))
 
     def as_linear(self) -> tuple[Fraction, dict[str, Fraction]] | None:
         """Return (constant, {name: coeff}) when total degree <= 1, else None."""
+        layout = self._layout
         const = Fraction(0)
         coeffs: dict[str, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            deg = sum(exp)
+        for key, coeff in self.terms.items():
+            deg = key >> layout.shift
             if deg == 0:
                 const = coeff
             elif deg == 1:
-                i = exp.index(1)
+                ((i, _),) = layout.fields(key)
                 coeffs[self.names[i]] = coeff
             else:
                 return None
@@ -137,7 +201,7 @@ class PolyQ:
     # -- arithmetic ---------------------------------------------------------
 
     def _check_universe(self, other: PolyQ) -> None:
-        if self.names != other.names:
+        if self.names is not other.names and self.names != other.names:
             raise PolyError("polynomials from different indeterminate universes")
 
     def _coerce(self, other):
@@ -145,7 +209,7 @@ class PolyQ:
             self._check_universe(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return PolyQ.const(self.names, other)
+            return _const(self._layout, other)
         return None
 
     def __add__(self, other) -> PolyQ:
@@ -153,18 +217,13 @@ class PolyQ:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            s = out.get(exp, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return PolyQ(self.names, out)
+        _add_into(out, other.terms.items())
+        return _poly(self._layout, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> PolyQ:
-        return PolyQ(self.names, {exp: -c for exp, c in self.terms.items()})
+        return _poly(self._layout, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> PolyQ:
         other = self._coerce(other)
@@ -179,23 +238,16 @@ class PolyQ:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return PolyQ(self.names, out)
+        if self.terms and other.terms and self.degree() + other.degree() > MAX_DEGREE:
+            raise PolyError(f"product degree exceeds the bound {MAX_DEGREE}")
+        return _poly(self._layout, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> PolyQ:
         if n < 0:
             raise PolyError("negative polynomial power")
-        out = PolyQ.const(self.names, 1)
+        out = _const(self._layout, 1)
         for _ in range(n):
             out = out * self
         return out
@@ -206,49 +258,58 @@ class PolyQ:
         """Substitute polynomials or rationals for names; may be partial.
 
         Unbound names stay symbolic.  Binding an undeclared name raises
-        UnknownIndeterminateError.
+        UnknownIndeterminateError.  One pass over the terms: each key splits
+        into its bound fields and the kept rest, and each value**e is formed
+        once per call.
         """
         if not bindings:
             return self
-        cols: dict[int, PolyQ] = {}
+        layout = self._layout
+        values: dict[int, PolyQ] = {}
+        mask = bytearray(layout.width + 1)  # all ones in the bound fields
         for name, value in bindings.items():
-            i = self._name_index(name)
-            if isinstance(value, PolyQ):
-                self._check_universe(value)
-                cols[i] = value
+            i = layout.position(name)
+            values[i] = self._coerce(value) if isinstance(value, PolyQ) else _const(layout, value)
+            mask[i + 1] = MAX_DEGREE
+        mask = int.from_bytes(mask, "big")
+        out: dict[int, Fraction] = {}
+        hit = []
+        for key, coeff in self.terms.items():
+            if key & mask:
+                hit.append((key, coeff))
             else:
-                cols[i] = PolyQ.const(self.names, value)
-        out = PolyQ.zero(self.names)
-        for exp, coeff in self.terms.items():
-            residual = list(exp)
-            term = PolyQ.const(self.names, coeff)
-            for i, value in cols.items():
-                e = exp[i]
-                if e:
-                    residual[i] = 0
-                    term = term * value**e
-            if any(residual):
-                term = term * PolyQ(self.names, {tuple(residual): Fraction(1)})
-            out = out + term
-        return out
+                out[key] = coeff
+        if not hit:
+            return self
+        powers: dict[tuple[int, int], PolyQ] = {}
+        for key, coeff in hit:
+            bound = key & mask
+            fields = layout.fields(bound)
+            part = _poly(layout, {key - bound - (sum(e for _, e in fields) << layout.shift): coeff})
+            for i, e in fields:
+                if (i, e) not in powers:
+                    powers[i, e] = values[i] ** e
+                part = part * powers[i, e]
+            _add_into(out, part.terms.items())
+        return _poly(layout, out)
 
     def evaluate(self, bindings: dict[str, Scalar]) -> Scalar:
         """Full evaluation to an exact Scalar; every used name must be bound."""
         missing = [n for n in self.used_names() if n not in bindings]
         if missing:
             raise PolyError(f"unbound indeterminates in evaluation: {missing}")
+        layout = self._layout
         for name in bindings:
-            self._name_index(name)
+            layout.position(name)
         total = Scalar.zero()
-        for exp, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             term = Scalar(coeff)
-            for i, e in enumerate(exp):
-                if e:
-                    value = bindings[self.names[i]]
-                    if not isinstance(value, Scalar):
-                        value = Scalar(value)
-                    for _ in range(e):
-                        term = term * value
+            for i, e in layout.fields(key):
+                value = bindings[self.names[i]]
+                if not isinstance(value, Scalar):
+                    value = Scalar(value)
+                for _ in range(e):
+                    term = term * value
             total = total + term
         return total
 
@@ -256,66 +317,68 @@ class PolyQ:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = PolyQ.const(self.names, other)
+            other = _const(self._layout, other)
         if not isinstance(other, PolyQ):
             return NotImplemented
-        return self.names == other.names and self.terms == other.terms
+        return (self.names is other.names or self.names == other.names) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.names, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in descending graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        """(exponent tuple, coefficient) in descending graded-lexicographic order."""
+        unpack = self._layout.unpack
+        return [(unpack(key), c) for key, c in sorted(self.terms.items(), reverse=True)]
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        fields = self._layout.fields
+        names = self.names
         parts: list[str] = []
-        for exp, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
+        for key, coeff in sorted(self.terms.items(), reverse=True):
+            mono = "*".join(
+                names[i] if e == 1 else f"{names[i]}^{e}" for i, e in fields(key)
+            )
             if not mono:
                 body = str(coeff)
-            elif coeff == 1:
-                body = mono
-            elif coeff == -1:
-                body = f"-{mono}"
+            elif coeff in (1, -1):
+                body = mono if coeff == 1 else "-" + mono
             else:
                 body = f"{coeff}*{mono}"
-            if parts and not body.startswith("-"):
-                parts.append("+" + body)
-            else:
-                parts.append(body)
-        return "".join(parts)
+            parts.append(body if body.startswith("-") else "+" + body)
+        return "".join(parts).removeprefix("+")
 
     def __repr__(self) -> str:
         return f"PolyQ({self})"
 
 
+# the slot setters, which bypass PolyQ.__setattr__
+_set_names, _set_terms, _set_layout = (PolyQ.__dict__[slot].__set__ for slot in PolyQ.__slots__)
+
+
+def _const(layout: _Layout, value) -> PolyQ:
+    value = Fraction(value)
+    return _poly(layout, {0: value} if value else {})
+
+
 def univariate_coefficients(p: PolyQ) -> tuple[str | None, list[Fraction]]:
     """View p as a univariate polynomial; returns (name, [c0, c1, ...]).
 
-    The name is None for constant polynomials.  Raises PolyError when more
-    than one indeterminate occurs.
+    The name is None for constant polynomials, and the last coefficient is
+    nonzero unless p is zero.  Raises PolyError when more than one
+    indeterminate occurs.
     """
     used = p.used_names()
     if len(used) > 1:
         raise PolyError(f"{p} is not univariate (uses {used})")
     if not used:
         return None, [p.constant_value()]
-    name = used[0]
-    i = p._name_index(name)
-    deg = max(exp[i] for exp in p.terms)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for exp, coeff in p.terms.items():
-        coeffs[exp[i]] = coeff
-    return name, coeffs
+    # with one indeterminate, a key's degree field is its exponent
+    coeffs = [Fraction(0)] * (p.degree() + 1)
+    for key, coeff in p.terms.items():
+        coeffs[key >> p._layout.shift] = coeff
+    return used[0], coeffs
 
 
 def quadratic_real_root_exists(p: PolyQ) -> bool:
@@ -327,8 +390,6 @@ def quadratic_real_root_exists(p: PolyQ) -> bool:
     """
     _, coeffs = univariate_coefficients(p)
     deg = len(coeffs) - 1
-    while deg > 0 and coeffs[deg] == 0:
-        deg -= 1
     if deg > 2:
         raise UnsupportedDegreeError(f"degree {deg} > 2: {p}")
     if deg == 0:
@@ -346,8 +407,6 @@ def quadratic_roots(p: PolyQ) -> list[Scalar]:
     squarefree part of the discriminant (negative s for complex roots).
     """
     _, coeffs = univariate_coefficients(p)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     deg = len(coeffs) - 1
     if deg > 2:
         raise UnsupportedDegreeError(f"degree {deg} > 2: {p}")
@@ -361,10 +420,7 @@ def quadratic_roots(p: PolyQ) -> list[Scalar]:
     if disc == 0:
         return [Scalar(-c1) * half]
     root = sqrt_as_scalar(disc)
-    return [
-        (Scalar(-c1) + root) * half,
-        (Scalar(-c1) - root) * half,
-    ]
+    return [(Scalar(-c1) + root) * half, (Scalar(-c1) - root) * half]
 
 
 __all__ = [

@@ -15,13 +15,14 @@ Text format (used by the CLI file formats): "p/q" for rationals and
 "/q" may be left out.  So that parsing text has a bounded cost, every
 integer in it has at most MAX_TEXT_DIGITS digits and |d| is at most
 MAX_SQRT_D: d goes to squarefree trial division (about sqrt|d| steps),
-which every arithmetic result over sqrt(d) repeats.
+whose verdict is memoized for the arithmetic results over sqrt(d).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 MAX_TEXT_DIGITS = 1000
@@ -45,6 +46,7 @@ class ScalarParseError(ValueError):
     """A scalar string did not match the exact-scalar text format."""
 
 
+@lru_cache(maxsize=64)
 def is_squarefree(d: int) -> bool:
     """True iff the integer d is squarefree (no repeated prime factor)."""
     n = abs(d)

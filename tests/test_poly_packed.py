@@ -1,0 +1,244 @@
+"""The packed-monomial PolyQ against the tuple-exponent kernel it replaced.
+
+Every operation is compared with tests/reference_kernel.TuplePoly on
+hypothesis polynomials over a 3-name universe and a 72-name one (whose
+packed keys span many machine words), with exponents up to near the field
+bound.  sympy, where installed, is an independent oracle for products and
+substitution.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heisenleib.poly import (
+    MAX_DEGREE,
+    PolyError,
+    PolyQ,
+    UnknownIndeterminateError,
+    univariate_coefficients,
+)
+from heisenleib.scalars import Scalar
+
+from reference_kernel import TuplePoly
+
+NARROW = ("u", "v", "w")
+WIDE = tuple(f"x{i}" for i in range(72))
+UNIVERSES = pytest.mark.parametrize("names", [NARROW, WIDE], ids=["width3", "width72"])
+
+coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+
+@st.composite
+def term_maps(draw, names, max_deg, max_terms=5):
+    """{exponent tuple: coefficient} with total degree at most max_deg."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exp = [0] * len(names)
+        budget = draw(st.integers(0, max_deg))
+        for i in draw(st.lists(st.integers(0, len(names) - 1), max_size=4, unique=True)):
+            exp[i] = draw(st.integers(0, budget))
+            budget -= exp[i]
+        terms[tuple(exp)] = draw(coeffs)
+    return terms
+
+
+def pair(names, terms):
+    return PolyQ(names, terms), TuplePoly(names, terms)
+
+
+def assert_same(p, ref):
+    assert p.sorted_terms() == ref.sorted_terms()
+    assert str(p) == str(ref)
+    assert p.degree() == ref.degree()
+    assert p.used_names() == ref.used_names()
+    assert p.as_linear() == ref.as_linear()
+
+
+def univariate_or_error(fn):
+    try:
+        return fn()
+    except PolyError as exc:
+        return type(exc)
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_views_match(names, data):
+    p, ref = pair(names, data.draw(term_maps(names, MAX_DEGREE)))
+    assert_same(p, ref)
+    assert p.is_zero() == ref.is_zero()
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_univariate_coefficients_match(names, data):
+    name = data.draw(st.sampled_from(names))
+    i = names.index(name)
+    exps = data.draw(st.lists(st.integers(0, MAX_DEGREE), max_size=5))
+    terms = {tuple(e if j == i else 0 for j in range(len(names))): 1 + k for k, e in enumerate(exps)}
+    if data.draw(st.booleans()):
+        terms.update(data.draw(term_maps(names, 3, max_terms=2)))
+    p, ref = pair(names, terms)
+    got = univariate_or_error(lambda: univariate_coefficients(p))
+    assert got == univariate_or_error(ref.univariate_coefficients)
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sum_difference_product_match(names, data):
+    half = MAX_DEGREE // 2
+    p, p_ref = pair(names, data.draw(term_maps(names, half)))
+    q, q_ref = pair(names, data.draw(term_maps(names, half)))
+    assert_same(p + q, p_ref + q_ref)
+    assert_same(p - q, p_ref - q_ref)
+    assert_same(p * q, p_ref * q_ref)
+    assert_same(p * 3, p_ref * 3)
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_power_matches(names, data):
+    k = data.draw(st.integers(0, 4))
+    p, ref = pair(names, data.draw(term_maps(names, MAX_DEGREE // 4, max_terms=3)))
+    assert_same(p**k, ref**k)
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_substitute_rational_matches(names, data):
+    p, ref = pair(names, data.draw(term_maps(names, MAX_DEGREE)))
+    full = data.draw(st.booleans())
+    bound = p.used_names() if full else data.draw(st.lists(st.sampled_from(names), max_size=4))
+    values = {name: data.draw(st.fractions(-3, 3, max_denominator=3)) for name in bound}
+    got = p.substitute(values)
+    assert_same(got, ref.substitute(values))
+    if full:
+        assert got.is_constant()
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_substitute_polynomial_matches(names, data):
+    p, ref = pair(names, data.draw(term_maps(names, 15)))
+    bound = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    values, ref_values = {}, {}
+    for name in bound:
+        values[name], ref_values[name] = pair(names, data.draw(term_maps(names, 15, max_terms=3)))
+    assert_same(p.substitute(values), ref.substitute(ref_values))
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_evaluate_matches(names, data):
+    p, ref = pair(names, data.draw(term_maps(names, 40)))
+    d = data.draw(st.sampled_from([None, -1, 2]))
+    point = {}
+    for name in p.used_names():
+        a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        point[name] = Scalar(a) if d is None else Scalar(a, b, d)
+    assert p.evaluate(point) == ref.evaluate(point)
+
+
+class TestFieldBound:
+    def test_power_past_the_bound_raises(self):
+        x = PolyQ.var(WIDE, "x5")
+        with pytest.raises(PolyError):
+            x**256
+        with pytest.raises(PolyError):
+            (x + 1) ** 256
+
+    def test_product_past_the_bound_raises(self):
+        x, y = PolyQ.var(WIDE, "x5"), PolyQ.var(WIDE, "x4")
+        with pytest.raises(PolyError):
+            x**128 * x**128
+        with pytest.raises(PolyError):
+            x**200 * y**56
+
+    def test_substitution_past_the_bound_raises(self):
+        x, y = PolyQ.var(NARROW, "u"), PolyQ.var(NARROW, "v")
+        with pytest.raises(PolyError):
+            (x**200).substitute({"u": y * y})
+
+    def test_top_of_the_field_does_not_wrap(self):
+        x = PolyQ.var(WIDE, "x5")
+        exp = tuple(MAX_DEGREE if i == 5 else 0 for i in range(len(WIDE)))
+        assert (x**MAX_DEGREE).sorted_terms() == [(exp, Fraction(1))]
+        assert str(x**128 * x**127) == "x5^255"
+        assert (x**255).degree() == 255 and (x**255).used_names() == ("x5",)
+
+
+class TestUniverseAndExponentChecks:
+    def test_repeated_name_rejected(self):
+        with pytest.raises(PolyError):
+            PolyQ(("x", "x"), {(1, 1): 1})
+        with pytest.raises(PolyError):
+            PolyQ.var(("x", "x"), "x")
+
+    @pytest.mark.parametrize("exp", [(-1,), (256,), (1.5,), (-1, 2)])
+    def test_bad_exponent_rejected(self, exp):
+        names = ("x", "y")[: len(exp)]
+        with pytest.raises(PolyError):
+            PolyQ(names, {exp: 1})
+
+    def test_total_degree_past_the_bound_rejected(self):
+        with pytest.raises(PolyError):
+            PolyQ(("x", "y"), {(200, 56): 1})
+        assert PolyQ(("x", "y"), {(200, 55): 1}).degree() == 255
+
+    def test_unknown_name(self):
+        with pytest.raises(UnknownIndeterminateError):
+            PolyQ.var(WIDE, "y")
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, p, symbols):
+    total = sympy.Integer(0)
+    for exp, c in p.sorted_terms():
+        mono = sympy.Mul(*(s**e for s, e in zip(symbols, exp) if e))
+        total += sympy.Rational(c.numerator, c.denominator) * mono
+    return total
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_product_against_sympy(sympy, names, data):
+    symbols = sympy.symbols(names)
+    p = PolyQ(names, data.draw(term_maps(names, 30)))
+    q = PolyQ(names, data.draw(term_maps(names, 30)))
+    product = to_sympy(sympy, p, symbols) * to_sympy(sympy, q, symbols)
+    assert sympy.expand(product - to_sympy(sympy, p * q, symbols)) == 0
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_substitute_against_sympy(sympy, names, data):
+    symbols = sympy.symbols(names)
+    p = PolyQ(names, data.draw(term_maps(names, 8)))
+    bound = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    values = {name: PolyQ(names, data.draw(term_maps(names, 4, max_terms=3))) for name in bound}
+    if data.draw(st.booleans()):
+        values[bound[0]] = data.draw(st.fractions(-3, 3, max_denominator=3))
+    replaced = to_sympy(sympy, p, symbols).xreplace({
+        symbols[names.index(name)]: (
+            to_sympy(sympy, v, symbols) if isinstance(v, PolyQ)
+            else sympy.Rational(v.numerator, v.denominator)
+        )
+        for name, v in values.items()
+    })
+    assert sympy.expand(replaced - to_sympy(sympy, p.substitute(values), symbols)) == 0

@@ -106,6 +106,16 @@ def test_is_squarefree():
     assert not is_squarefree(4) and not is_squarefree(-18) and not is_squarefree(0)
 
 
+def test_squarefree_verdict_memoized():
+    # every quadratic result re-checks d; trial division over sqrt(999983)
+    # (a prime near the text cap) must run once, not once per result
+    is_squarefree.cache_clear()
+    x = Scalar.quadratic(1, 1, 999983)
+    for _ in range(100):
+        assert (x * x).d == 999983
+    assert is_squarefree.cache_info().misses <= 1
+
+
 def test_squarefree_split():
     assert squarefree_split(72) == (2, 6)
     assert squarefree_split(-75) == (-3, 5)
