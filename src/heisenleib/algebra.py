@@ -8,6 +8,16 @@ elements) or PolyQ (symbolic parameters); one entry kind per tensor.
 Whether the product satisfies the Leibniz identity is checked, never
 assumed: leibniz_residual exposes the defect of each basis triple.
 
+For Scalar entries leibniz_defects runs that residual over integers.  The
+tensor's private integer view holds every constant times the lcm D of all
+denominators: an int over Q, and over Q(sqrt d) an integer pair (a, b)
+for a + b*sqrt(d) in a ring class that holds d once (constants with two
+different d raise IncompatibleFieldError).  The check is exact, not a
+tolerance: each residual component is a homogeneous quadratic in the
+constants, so scaling them by D scales it by D^2 and keeps its zero set;
+and since d is squarefree and not 0 or 1, a + b*sqrt(d) = 0 iff a = b = 0.
+The defect list is computed once per tensor and memoized.
+
 Subspaces are kept in reduced row echelon form so that equality of
 subspaces is structural equality, and the series/annihilator operations
 return canonical objects.
@@ -16,11 +26,13 @@ return canonical objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
+from math import lcm
 
 from . import linalg
 from .linalg import ShapeError
-from .scalars import Scalar
+from .scalars import IncompatibleFieldError, Scalar
 
 _NO_PRODUCT: dict = {}
 
@@ -36,7 +48,7 @@ class StructTensor:
     in (i, j, k) order; a product [e_i, e_j] that vanishes has no key.
     """
 
-    __slots__ = ("dim", "basis_labels", "zero", "_c")
+    __slots__ = ("dim", "basis_labels", "zero", "_c", "_view", "_defects")
 
     def __init__(self, dim: int, constants: dict, basis_labels=None, zero=None):
         """Build from a sparse {(i, j, k): entry} map; zero entries are
@@ -58,12 +70,15 @@ class StructTensor:
                 )
             if not value.is_zero():
                 c.setdefault((i, j), {})[k] = value
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis_labels", basis_labels)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(
-            self, "_c", {ij: dict(sorted(row.items())) for ij, row in sorted(c.items())}
+        self._fill(
+            dim, basis_labels, zero,
+            {ij: dict(sorted(row.items())) for ij, row in sorted(c.items())},
         )
+
+    def _fill(self, dim, basis_labels, zero, c) -> None:
+        # the integer view and the defect memo start empty
+        for slot, value in zip(self.__slots__, (dim, basis_labels, zero, c, None, None)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("StructTensor is immutable")
@@ -143,14 +158,50 @@ class StructTensor:
         )
 
     def leibniz_defects(self) -> list[tuple[int, int, int]]:
-        """Triples whose residual is nonzero (empty iff Leibniz)."""
-        bad = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if any(not e.is_zero() for e in self.leibniz_residual(i, j, k)):
-                        bad.append((i, j, k))
-        return bad
+        """Triples whose residual is nonzero (empty iff Leibniz), in (i, j, k)
+        order.  Scalar tensors are checked on their integer view; the answer
+        is computed once per tensor and each call returns a fresh list."""
+        if self._defects is None:
+            view = self._integer_view() if self.is_scalar() else self
+            n, zero = self.dim, view.zero
+            defects = tuple(
+                (i, j, k)
+                for i in range(n)
+                for j in range(n)
+                for k in range(n)
+                if any(e != zero for e in view.leibniz_residual(i, j, k))
+            )
+            object.__setattr__(self, "_defects", defects)
+        return list(self._defects)
+
+    def _integer_view(self) -> StructTensor:
+        """The tensor with every constant times the lcm of all denominators,
+        as an int over Q or a Z[sqrt d] pair over Q(sqrt d); built on first
+        use.  Only contract and leibniz_residual may run on it."""
+        if self._view is None:
+            values = [v for row in self._c.values() for v in row.values()]
+            fields = sorted({v.d for v in values if v.d is not None})
+            if len(fields) > 1:
+                raise IncompatibleFieldError(
+                    f"cannot combine sqrt({fields[0]}) with sqrt({fields[1]})"
+                )
+            den = lcm(*(x.denominator for v in values for x in (v.a, v.b)))
+
+            def clear(x):
+                return x.numerator * (den // x.denominator)
+
+            if fields:
+                ring = _quadratic_integers(fields[0])
+                zero, cleared = ring(0, 0), lambda v: ring(clear(v.a), clear(v.b))
+            else:
+                zero, cleared = 0, lambda v: clear(v.a)
+            view = object.__new__(StructTensor)
+            view._fill(
+                self.dim, self.basis_labels, zero,
+                {ij: {k: cleared(v) for k, v in row.items()} for ij, row in self._c.items()},
+            )
+            object.__setattr__(self, "_view", view)
+        return self._view
 
     def is_leibniz(self) -> bool:
         return not self.leibniz_defects()
@@ -204,6 +255,32 @@ class StructTensor:
     def __repr__(self):
         kind = "Scalar" if self.is_scalar() else "PolyQ"
         return f"StructTensor(dim={self.dim}, entries={kind})"
+
+
+@lru_cache(maxsize=64)
+def _quadratic_integers(d: int) -> type:
+    """The ring Z[sqrt d]: elements are integer pairs (a, b) for a + b*sqrt(d),
+    and d is held by the class, once."""
+
+    class QuadraticInteger:
+        __slots__ = ("a", "b")
+
+        def __init__(self, a: int, b: int):
+            self.a, self.b = a, b
+
+        def __add__(self, o):
+            return QuadraticInteger(self.a + o.a, self.b + o.b)
+
+        def __neg__(self):
+            return QuadraticInteger(-self.a, -self.b)
+
+        def __mul__(self, o):
+            return QuadraticInteger(self.a * o.a + d * self.b * o.b, self.a * o.b + self.b * o.a)
+
+        def __eq__(self, o):
+            return self.a == o.a and self.b == o.b
+
+    return QuadraticInteger
 
 
 @dataclass(frozen=True)

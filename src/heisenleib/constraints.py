@@ -40,7 +40,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import StructTensor, _change_basis_with_inverse
 from .heisenberg import block_forms, eigenvector_residual, extension_basis_labels
-from .poly import PolyQ
+from .poly import PolyQ, _substituter
 
 
 class CascadeError(ValueError):
@@ -208,7 +208,9 @@ def parametric_extension(n: int, f: int) -> ParamAlgebra:
 
 
 def substitute_tensor(t: StructTensor, bindings: dict) -> StructTensor:
-    return t.map_entries(lambda entry: entry.substitute(bindings))
+    """Every entry substituted with one mask and one set of coerced values;
+    entries that mention no bound name are kept as they are."""
+    return t.map_entries(_substituter(t.zero, bindings))
 
 
 def _reduce_binding_map(raw: dict) -> dict:

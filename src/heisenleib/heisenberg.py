@@ -164,9 +164,6 @@ class ExtensionSpec:
     def rho_vector(self, al: int):
         return list(self.rho[al])
 
-    def r_matrix(self):
-        return [list(row) for row in self.r]
-
     def dim(self) -> int:
         return 2 * self.n + 1 + self.f
 

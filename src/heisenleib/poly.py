@@ -264,34 +264,7 @@ class PolyQ:
         """
         if not bindings:
             return self
-        layout = self._layout
-        values: dict[int, PolyQ] = {}
-        mask = bytearray(layout.width + 1)  # all ones in the bound fields
-        for name, value in bindings.items():
-            i = layout.position(name)
-            values[i] = self._coerce(value) if isinstance(value, PolyQ) else _const(layout, value)
-            mask[i + 1] = MAX_DEGREE
-        mask = int.from_bytes(mask, "big")
-        out: dict[int, Fraction] = {}
-        hit = []
-        for key, coeff in self.terms.items():
-            if key & mask:
-                hit.append((key, coeff))
-            else:
-                out[key] = coeff
-        if not hit:
-            return self
-        powers: dict[tuple[int, int], PolyQ] = {}
-        for key, coeff in hit:
-            bound = key & mask
-            fields = layout.fields(bound)
-            part = _poly(layout, {key - bound - (sum(e for _, e in fields) << layout.shift): coeff})
-            for i, e in fields:
-                if (i, e) not in powers:
-                    powers[i, e] = values[i] ** e
-                part = part * powers[i, e]
-            _add_into(out, part.terms.items())
-        return _poly(layout, out)
+        return _substituter(self, bindings)(self)
 
     def evaluate(self, bindings: dict[str, Scalar]) -> Scalar:
         """Full evaluation to an exact Scalar; every used name must be bound."""
@@ -355,6 +328,41 @@ class PolyQ:
 
 # the slot setters, which bypass PolyQ.__setattr__
 _set_names, _set_terms, _set_layout = (PolyQ.__dict__[slot].__set__ for slot in PolyQ.__slots__)
+
+
+def _substituter(like: PolyQ, bindings: dict):
+    """PolyQ.substitute(bindings) as a function of the polynomial, for
+    polynomials in the universe of `like`: the bound-field mask and the
+    coerced values are built once, here, however many polynomials follow.
+    A polynomial with no term in the mask is returned as is."""
+    layout = like._layout
+    values: dict[int, PolyQ] = {}
+    mask = bytearray(layout.width + 1)  # all ones in the bound fields
+    for name, value in bindings.items():
+        i = layout.position(name)
+        values[i] = like._coerce(value) if isinstance(value, PolyQ) else _const(layout, value)
+        mask[i + 1] = MAX_DEGREE
+    mask = int.from_bytes(mask, "big")
+    powers: dict[tuple[int, int], PolyQ] = {}
+
+    def substitute(p: PolyQ) -> PolyQ:
+        like._check_universe(p)
+        hit = [(key, coeff) for key, coeff in p.terms.items() if key & mask]
+        if not hit:
+            return p
+        out = {key: coeff for key, coeff in p.terms.items() if not key & mask}
+        for key, coeff in hit:
+            bound = key & mask
+            fields = layout.fields(bound)
+            part = _poly(layout, {key - bound - (sum(e for _, e in fields) << layout.shift): coeff})
+            for i, e in fields:
+                if (i, e) not in powers:
+                    powers[i, e] = values[i] ** e
+                part = part * powers[i, e]
+            _add_into(out, part.terms.items())
+        return _poly(layout, out)
+
+    return substitute
 
 
 def _const(layout: _Layout, value) -> PolyQ:

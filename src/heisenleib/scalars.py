@@ -207,9 +207,6 @@ class Scalar:
     def __rtruediv__(self, other) -> Scalar:
         return self.inv() * other
 
-    def conjugate(self) -> Scalar:
-        return Scalar(self.a, -self.b, self.d)
-
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:

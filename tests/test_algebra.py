@@ -20,7 +20,7 @@ from heisenleib.algebra import (
 from heisenleib.catalog import build_entry
 from heisenleib.heisenberg import heisenberg
 from heisenleib.linalg import smat, svec
-from heisenleib.scalars import Scalar
+from heisenleib.scalars import IncompatibleFieldError, Scalar
 
 ZERO, ONE = Scalar.zero(), Scalar.one()
 
@@ -81,6 +81,21 @@ class TestLeibnizResidual:
         perturbed = StructTensor(2, {(0, 1, 1): ONE, (1, 1, 0): ONE})
         assert not linalg.is_zero_vector(perturbed.leibniz_residual(0, 1, 1))
         assert not perturbed.is_leibniz()
+
+    @pytest.mark.parametrize(
+        "constants",
+        [
+            # sqrt(2) and sqrt(3) never meet in a product: every residual
+            # vanishes, yet the constants span no single field
+            {(0, 0, 1): Scalar.sqrt_d(2), (2, 2, 3): Scalar.sqrt_d(3)},
+            # residual (0, 0, 0) multiplies sqrt(2) by sqrt(3)
+            {(0, 0, 1): Scalar.sqrt_d(2), (0, 1, 2): Scalar.sqrt_d(3)},
+        ],
+    )
+    def test_mixed_fields_raise(self, constants):
+        t = StructTensor(4, constants)
+        with pytest.raises(IncompatibleFieldError):
+            t.leibniz_defects()
 
 
 class TestLieFlags:

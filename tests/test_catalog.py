@@ -193,6 +193,25 @@ class TestDistinctness:
         assert frozenset(("H1a0C-r1", "H1a0R-r1")) in flagged
         assert frozenset(("H1a0C-rm1", "H1a0R-rm1")) in flagged
 
+    @pytest.mark.parametrize(
+        "left, right, signs",
+        [
+            # H' = -H, B' = -B keeps [P, B] = H and X and flips r
+            ("H1a0C-r1", "H1a0C-rm1", (1, -1, 1, -1)),
+            # for the rotation X, S' = -S as well
+            ("H1a0R-r1", "H1a0R-rm1", (-1, -1, 1, -1)),
+        ],
+    )
+    def test_r_pm1_pairs_isomorphic(self, left, right, signs):
+        # the real catalog lists these classes twice; pinned here until the
+        # paper's text decides which entry to keep
+        rows = linalg.smat([[s if i == j else 0 for j, _ in enumerate(signs)]
+                            for i, s in enumerate(signs)])
+        t, u = build_entry(left), build_entry(right)
+        assert t.basis_labels == ("S1", "H", "P1", "B1")
+        assert t != u
+        assert change_basis(t, basis_rows_to_coordinate_map(rows)) == u
+
     def test_aux_rank_values(self):
         assert jordan_block_rank(build_entry("H1a1C-diag", {"A": Fraction(0)}), 1, 1) == (0,)
         assert jordan_block_rank(build_entry("H1a1C-jordan"), 1, 1) == (1,)
