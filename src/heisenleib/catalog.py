@@ -53,6 +53,10 @@ class NoWitnessError(CatalogError):
     """The requested pair has no documented condensation witness."""
 
 
+class WitnessMismatchError(CatalogError):
+    """A documented condensation witness failed exact tensor equality."""
+
+
 @dataclass(frozen=True)
 class ParamSlot:
     name: str
@@ -556,7 +560,7 @@ def condensation_witness(
     moved = change_basis(source, p, basis_labels=target.basis_labels)
     verified = moved == target
     if not verified:
-        raise CatalogError(
+        raise WitnessMismatchError(
             f"condensation witness for ({real_id}, {complex_id}) failed "
             "exact tensor equality"
         )

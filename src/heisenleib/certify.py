@@ -7,9 +7,11 @@ decision for the binary quadratic det(c1 X1 + c2 X2).
 
 certify_nilradical is the trust anchor of the catalog: it re-checks that
 the Heisenberg subspace of a built extension is a nilpotent two-sided
-ideal containing [L, L], and decides maximality where the implemented
-machinery is complete (f = 1 at any n, or n = 1 with f <= 2).  Every
-refutation witness is re-verified before it is reported.
+ideal containing [L, L], and decides maximality through
+ExtensionSpec.nilpotent_combination, which is complete when the zero
+H-eigenvalue combinations of the generators span at most a line (any n)
+or a plane at n = 1.  Every refutation witness is re-verified before it
+is reported.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .algebra import (
     element_nilpotent,
     subspace_closure_checks,
 )
-from .heisenberg import extract_extension_data, heisenberg_subspace, symplectic_check
+from .heisenberg import (
+    UNDECIDED, extract_extension_data, heisenberg_subspace, symplectic_check,
+)
 from .linalg import ShapeError
 from .poly import PolyQ, quadratic_real_root_exists, quadratic_roots
 from .scalars import Scalar
@@ -224,8 +228,9 @@ def certify_nilradical(
     The sub-checks are: two-sided ideal, nilpotent, and [L, L] contained in
     the subspace (which makes every enlargement an ideal, so maximality
     reduces to element nilpotency of the appended generators).  Maximality
-    is complete for f = 1 at any n and for n = 1 with f = 2; other scales
-    report "undecided" after single-generator spot checks.
+    is complete when the zero H-eigenvalue combinations of the generators
+    span at most a line, or a plane at n = 1; larger spans report
+    "undecided" unless one of their basis combinations is nilpotent.
     """
     if field is None:
         field = _detect_field(t)
@@ -278,63 +283,21 @@ def _decide_maximality(
         data = extract_extension_data(t, n, f)
     except ValueError as exc:
         return Maximality(status="undecided", note=f"not in block normal form: {exc}")
-
-    if f == 1:
-        s = t.unit_vector(0)
-        if element_nilpotent(t, s):
-            return _verified_refutation(
-                t, n_subspace, s, "appended generator is a nilpotent element"
-            )
+    c = data.nilpotent_combination(field)
+    if c is None:
         return Maximality(
             status="proved",
-            note="f = 1: the generator is not a nilpotent element, and every "
-            "enlargement of the nilradical would need one",
+            note="no nonzero combination of the appended generators is a "
+            f"nilpotent element over {field}",
         )
-
-    if n == 1 and f == 2:
-        a1, a2 = data.a
-        x1, x2 = data.x_matrix(0), data.x_matrix(1)
-        if not (a1.is_zero() and a2.is_zero()):
-            # combinations with sum(c_al a_al) != 0 act on H with a nonzero
-            # eigenvalue; the remaining line is spanned by a2 S1 - a1 S2
-            m = linalg.mat_sub(linalg.mat_scale(x1, a2), linalg.mat_scale(x2, a1))
-            if matrix_nilpotent(m):
-                x = [a2, -a1] + [Scalar.zero()] * (t.dim - 2)
-                return _verified_refutation(
-                    t, n_subspace, x, "the zero-eigenvalue combination is nilpotent"
-                )
-            return Maximality(
-                status="proved",
-                note="n = 1, f = 2: nonzero H-eigenvalue off one line, and the "
-                "line's sp(2) part is not nilpotent",
-            )
-        locus = sp2_nilpotency_locus(x1, x2)
-        nilindependent = (
-            locus.nilindependent_over_C if field == "C" else locus.nilindependent_over_R
+    if c is UNDECIDED:
+        return Maximality(
+            status="undecided",
+            note="no basis combination of the generators with zero H-eigenvalue "
+            "is nilpotent; a complete decision needs sp(2n) machinery beyond "
+            "this scale",
         )
-        if nilindependent:
-            return Maximality(
-                status="proved",
-                note=f"n = 1, f = 2, a = 0: no nilpotent combination over {field}",
-            )
-        c1, c2 = locus.witness
-        x = [c1, c2] + [Scalar.zero()] * (t.dim - 2)
-        return _verified_refutation(
-            t, n_subspace, x, "nilpotency locus has a nonzero point"
-        )
-
-    notes = []
-    for al in range(f):
-        s = t.unit_vector(al)
-        if element_nilpotent(t, s):
-            return _verified_refutation(
-                t, n_subspace, s, f"generator S{al + 1} is a nilpotent element"
-            )
-        notes.append(f"S{al + 1} not nilpotent")
-    return Maximality(
-        status="undecided",
-        note="single-generator spot checks passed ("
-        + ", ".join(notes)
-        + "); complete decision needs sp(2n) machinery beyond this scale",
+    x = list(c) + [Scalar.zero()] * (t.dim - f)
+    return _verified_refutation(
+        t, n_subspace, x, "a combination of the appended generators is a nilpotent element"
     )
-

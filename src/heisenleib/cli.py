@@ -390,10 +390,10 @@ def cmd_witness(args, out: Output) -> int:
         witness = catalog.condensation_witness(
             args.real_id, args.complex_id, params or None
         )
-    except catalog.NoWitnessError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION_ERROR) from None
-    except catalog.CatalogError as exc:
+    except catalog.WitnessMismatchError as exc:
         raise CliError(str(exc), EXIT_CHECK_FAILED) from None
+    except catalog.CatalogError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION_ERROR) from None
     out.record(
         f"witness {args.real_id} -> {args.complex_id}: verified exact equality",
         check="witness",

@@ -199,6 +199,8 @@ def extension_spec_from_doc(doc) -> ExtensionSpec:
     for i, row in enumerate(_require_list(doc["r"], f, "r must be an f x f array", "r")):
         row = _require_list(row, f, "r must be an f x f array", "r")
         r.append([_parse_scalar(v, f"r[{i}][{j}]") for j, v in enumerate(row)])
+    scalars = a + [v for part in (*xs, rho, r) for row in part for v in row]
+    _check_field(_field_tag(scalars), scalars, "scalars")
     return ExtensionSpec.make(n, f, a, xs, rho, r)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg
 from .algebra import StructTensor, Subspace
@@ -65,6 +66,10 @@ class NilindependenceUndecidedWarning(UserWarning):
     """Nilindependence could not be decided at the implemented scale."""
 
 
+# what ExtensionSpec.nilpotent_combination returns beyond the implemented scale
+UNDECIDED = "undecided"
+
+
 def heisenberg(n: int) -> StructTensor:
     """H(n) in the basis (H, P_1..P_n, B_1..B_n)."""
     if n < 1:
@@ -80,25 +85,19 @@ def heisenberg(n: int) -> StructTensor:
     return StructTensor(dim, constants, basis_labels=labels)
 
 
-def standard_symplectic_form(n: int):
-    """K = ((0, I_n), (-I_n, 0))."""
-    zero, one = Scalar.zero(), Scalar.one()
-    k = [[zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        k[i][n + i] = one
-        k[n + i][i] = -one
-    return k
-
-
 def symplectic_check(x, n: int) -> bool:
-    """True iff X K + K X^T = 0, i.e. X lies in sp(2n)."""
+    """True iff X K + K X^T = 0, i.e. X lies in sp(2n).  Since K X^T =
+    -(X K)^T this says X K is symmetric, which for X = ((A, B), (C, D)) is
+    B = B^T, C = C^T and D = -A^T: read off the entries, with no products."""
     if linalg.shape(x) != (2 * n, 2 * n):
         raise ShapeError(f"expected a {2 * n}x{2 * n} matrix")
-    k = standard_symplectic_form(n)
-    residual = linalg.mat_add(
-        linalg.mat_mul(x, k), linalg.mat_mul(k, linalg.transpose(x))
+    return all(
+        x[i][n + j] == x[j][n + i]
+        and x[n + i][j] == x[n + j][i]
+        and x[n + i][n + j] == -x[j][i]
+        for i in range(n)
+        for j in range(n)
     )
-    return linalg.is_zero_matrix(residual)
 
 
 def eigenvector_residual(x, rho, a) -> list:
@@ -220,34 +219,54 @@ class ExtensionSpec:
                         )
         self._validate_nilindependence()
 
-    def _validate_nilindependence(self) -> None:
+    def nilpotent_combination(self, field: str = "R"):
+        """S-coefficients c != 0 of a nilpotent element sum c_al S_al, None
+        when there is none, or UNDECIDED beyond the implemented scale.
+
+        sum c_al S_al acts on H by 2 sum c_al a_al, so only the hyperplane
+        c . a = 0 can hold a nilpotent element; there it acts on (P, B) by
+        sum c_al X_al.  Each basis combination is checked, then a plane at
+        n = 1 is decided by the sp(2) nilpotency locus over field (R or C).
+        """
         from .certify import matrix_nilpotent, sp2_nilpotency_locus
 
-        start = 1 if self.a[0] == Scalar.one() else 0
-        needed = [self.x_matrix(al) for al in range(start, self.f)]
-        names = [f"X_{al + 1}" for al in range(start, self.f)]
-        for name, m in zip(names, needed):
-            if matrix_nilpotent(m):
+        # single generators first: the plainest witness
+        basis = sorted(
+            linalg.nullspace([list(self.a)]), key=lambda c: sum(not v.is_zero() for v in c)
+        )
+        combos = [reduce(linalg.mat_add, map(linalg.mat_scale, self.X, c)) for c in basis]
+        for c, y in zip(basis, combos):
+            if matrix_nilpotent(y):
+                return tuple(c)
+        if len(basis) <= 1:
+            return None
+        if len(basis) > 2 or self.n > 1:
+            return UNDECIDED
+        locus = sp2_nilpotency_locus(*combos)
+        if locus.nilindependent_over_C if field == "C" else locus.nilindependent_over_R:
+            return None
+        w1, w2 = locus.witness
+        return tuple(w1 * u + w2 * v for u, v in zip(*basis))
+
+    def _validate_nilindependence(self) -> None:
+        c = self.nilpotent_combination()
+        if c is UNDECIDED:
+            warnings.warn(
+                "nilindependence of more than one matrix is only decided at n = 1; "
+                "single-matrix checks passed, completeness undecided at this scale",
+                NilindependenceUndecidedWarning,
+                stacklevel=3,
+            )
+        elif c is not None:
+            names = [f"X_{al + 1}" for al, v in enumerate(c) if not v.is_zero()]
+            if len(names) == 1:
                 raise NilindependenceViolation(
-                    f"{name} is nilpotent, so the appended generators are not "
+                    f"{names[0]} is nilpotent, so the appended generators are not "
                     "linearly nilindependent and the nilradical would grow"
                 )
-        if len(needed) <= 1:
-            return
-        if len(needed) == 2 and self.n == 1:
-            locus = sp2_nilpotency_locus(needed[0], needed[1])
-            if not locus.nilindependent_over_R:
-                raise NilindependenceViolation(
-                    f"{names[0]}, {names[1]} admit the nilpotent combination "
-                    f"{locus.witness}"
-                )
-            return
-        warnings.warn(
-            "nilindependence of more than one matrix is only decided at n = 1; "
-            "single-matrix checks passed, completeness undecided at this scale",
-            NilindependenceUndecidedWarning,
-            stacklevel=3,
-        )
+            raise NilindependenceViolation(
+                f"{', '.join(names)} admit the nilpotent combination {c}"
+            )
 
 
 def assemble_extension(spec: ExtensionSpec) -> StructTensor:

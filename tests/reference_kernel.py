@@ -11,11 +11,31 @@ TuplePoly is the polynomial kernel as it was before PolyQ packed its
 exponent vectors into ints: terms keyed by full-length exponent tuples,
 graded-lex display by sorting those tuples, substitution by value**e
 products per term.  The packed-kernel tests compare PolyQ against it.
+
+symplectic_check_by_products is the sp(2n) test as the matrix products
+X K + K X^T; reference_decide_maximality and
+reference_validate_nilindependence are the maximality and
+nilindependence decisions as they were before both moved behind
+ExtensionSpec.nilpotent_combination, with their own branches on n, f and
+the normalized a.
 """
 
+import warnings
 from fractions import Fraction
 
 from heisenleib import linalg
+from heisenleib.algebra import element_nilpotent
+from heisenleib.certify import (
+    Maximality,
+    _verified_refutation,
+    matrix_nilpotent,
+    sp2_nilpotency_locus,
+)
+from heisenleib.heisenberg import (
+    NilindependenceUndecidedWarning,
+    NilindependenceViolation,
+    extract_extension_data,
+)
 from heisenleib.linalg import ShapeError
 from heisenleib.poly import PolyError, UnknownIndeterminateError
 from heisenleib.scalars import Scalar
@@ -133,6 +153,99 @@ def nilpotency_power_oracle(m) -> bool:
             return True
         power = linalg.mat_mul(power, m)
     return linalg.is_zero_matrix(power)
+
+
+def symplectic_check_by_products(x, n: int) -> bool:
+    """X K + K X^T = 0 for K = ((0, I_n), (-I_n, 0)), by matrix products."""
+    if linalg.shape(x) != (2 * n, 2 * n):
+        raise ShapeError(f"expected a {2 * n}x{2 * n} matrix")
+    k = linalg.zeros(2 * n, 2 * n)
+    for i in range(n):
+        k[i][n + i] = Scalar.one()
+        k[n + i][i] = -Scalar.one()
+    residual = linalg.mat_add(
+        linalg.mat_mul(x, k), linalg.mat_mul(k, linalg.transpose(x))
+    )
+    return linalg.is_zero_matrix(residual)
+
+
+def reference_validate_nilindependence(spec) -> None:
+    """Single-matrix checks past the a_1 = 1 generator, the sp(2) pair locus
+    at n = 1, and a warning for any other pair or more."""
+    start = 1 if spec.a[0] == Scalar.one() else 0
+    needed = [spec.x_matrix(al) for al in range(start, spec.f)]
+    names = [f"X_{al + 1}" for al in range(start, spec.f)]
+    for name, m in zip(names, needed):
+        if matrix_nilpotent(m):
+            raise NilindependenceViolation(
+                f"{name} is nilpotent, so the appended generators are not "
+                "linearly nilindependent and the nilradical would grow"
+            )
+    if len(needed) <= 1:
+        return
+    if len(needed) == 2 and spec.n == 1:
+        locus = sp2_nilpotency_locus(needed[0], needed[1])
+        if not locus.nilindependent_over_R:
+            raise NilindependenceViolation(
+                f"{names[0]}, {names[1]} admit the nilpotent combination "
+                f"{locus.witness}"
+            )
+        return
+    warnings.warn(
+        "nilindependence of more than one matrix is only decided at n = 1; "
+        "single-matrix checks passed, completeness undecided at this scale",
+        NilindependenceUndecidedWarning,
+        stacklevel=2,
+    )
+
+
+def reference_decide_maximality(t, n_subspace, n: int, f: int, field: str) -> Maximality:
+    """Maximality with its own cases: f = 1, (n = 1, f = 2) with a != 0 or
+    a = 0, and single-generator spot checks elsewhere."""
+    try:
+        data = extract_extension_data(t, n, f)
+    except ValueError as exc:
+        return Maximality(status="undecided", note=f"not in block normal form: {exc}")
+
+    if f == 1:
+        s = t.unit_vector(0)
+        if element_nilpotent(t, s):
+            return _verified_refutation(
+                t, n_subspace, s, "appended generator is a nilpotent element"
+            )
+        return Maximality(status="proved", note="f = 1")
+
+    if n == 1 and f == 2:
+        a1, a2 = data.a
+        x1, x2 = data.x_matrix(0), data.x_matrix(1)
+        if not (a1.is_zero() and a2.is_zero()):
+            # the zero H-eigenvalue line is spanned by a2 S1 - a1 S2
+            m = linalg.mat_sub(linalg.mat_scale(x1, a2), linalg.mat_scale(x2, a1))
+            if matrix_nilpotent(m):
+                x = [a2, -a1] + [Scalar.zero()] * (t.dim - 2)
+                return _verified_refutation(
+                    t, n_subspace, x, "the zero-eigenvalue combination is nilpotent"
+                )
+            return Maximality(status="proved", note="n = 1, f = 2, a != 0")
+        locus = sp2_nilpotency_locus(x1, x2)
+        nilindependent = (
+            locus.nilindependent_over_C if field == "C" else locus.nilindependent_over_R
+        )
+        if nilindependent:
+            return Maximality(status="proved", note="n = 1, f = 2, a = 0")
+        c1, c2 = locus.witness
+        x = [c1, c2] + [Scalar.zero()] * (t.dim - 2)
+        return _verified_refutation(
+            t, n_subspace, x, "nilpotency locus has a nonzero point"
+        )
+
+    for al in range(f):
+        s = t.unit_vector(al)
+        if element_nilpotent(t, s):
+            return _verified_refutation(
+                t, n_subspace, s, f"generator S{al + 1} is a nilpotent element"
+            )
+    return Maximality(status="undecided", note="single-generator spot checks passed")
 
 
 class TuplePoly:

@@ -1,5 +1,6 @@
 import pytest
 
+from heisenleib import linalg
 from heisenleib.cli import main
 from heisenleib.fileio import algebra_to_doc, extension_spec_to_doc, save_json
 from heisenleib.heisenberg import ExtensionSpec, heisenberg
@@ -92,10 +93,20 @@ def test_catalog_roundtrip_every_entry(capsys, tmp_path):
             assert status == 0
 
 
-def test_catalog_build_out_of_domain(capsys):
-    status, out = run(capsys, "catalog", "build", "H1a1C-diag", "--param", "A=-1")
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("catalog", "build", "H1a1C-diag", "--param", "A=-1"), "violates"),
+        (("witness", "H1a1R", "H1a1C-diag", "--param", "C=-1"), "violates"),
+        (("catalog", "build", "H1a1C-diag", "--param", "C=1"), "needs parameter A"),
+        (("witness", "H1a1R", "H1a1C-diag", "--param", "A=1"), "needs parameter C"),
+    ],
+    ids=["catalog", "witness", "catalog-missing", "witness-missing"],
+)
+def test_catalog_build_out_of_domain(capsys, argv, text):
+    status, out = run(capsys, *argv)
     assert status == 3
-    assert "violates" in out
+    assert text in out
 
 
 @pytest.mark.parametrize(
@@ -111,8 +122,13 @@ def test_quadratic_param_exit_2(capsys, argv):
     assert "Traceback" not in out
 
 
-def test_catalog_build_unknown_id(capsys):
-    status, out = run(capsys, "catalog", "build", "H9")
+@pytest.mark.parametrize(
+    "argv",
+    [("catalog", "build", "H9"), ("witness", "H9", "H1a0C-r1")],
+    ids=["catalog", "witness"],
+)
+def test_catalog_build_unknown_id(capsys, argv):
+    status, out = run(capsys, *argv)
     assert status == 3
     assert "known ids" in out
 
@@ -139,13 +155,22 @@ def test_nilradical_command(capsys, tmp_path):
     assert "maximality: proved" in out
 
 
-def test_nilradical_invalid_spec(capsys, tmp_path):
-    spec = ExtensionSpec.make(1, 1, [0], [[[0, 1], [0, 0]]])
+@pytest.mark.parametrize(
+    "spec,text",
+    [
+        (ExtensionSpec.make(1, 1, [0], [[[0, 1], [0, 0]]]), "X_1 is nilpotent"),
+        # a proportional pair at a = 0: X2 - 2 X1 = 0 is nilpotent
+        (ExtensionSpec.make(1, 2, [0, 0], [[[1, 0], [0, -1]], [[2, 0], [0, -2]]]),
+         "X_1, X_2 admit the nilpotent combination"),
+    ],
+    ids=["nilpotent-x", "proportional-pair"],
+)
+def test_nilradical_invalid_spec(capsys, tmp_path, spec, text):
     path = tmp_path / "bad.json"
     save_json(str(path), extension_spec_to_doc(spec))
     status, out = run(capsys, "nilradical", str(path))
     assert status == 3
-    assert "nilpotent" in out
+    assert text in out
 
 
 @pytest.mark.parametrize(
@@ -172,6 +197,10 @@ def test_nilradical_invalid_spec(capsys, tmp_path):
         ("verify", {"dim": 3, "basis": ["H", "P1", "B1"], "field": "Q",
                     "constants": [{"i": 1, "j": 2, "k": 0, "c": "1e999"}]}),
         ("nilradical", {"n": 1, "f": 1, "a": ["0.5"], "X": [["1/1", "0/1", "0/1", "-1/1"]],
+                        "rho": [["0/1", "0/1"]], "r": [["0/1"]]}),
+        # scalars over two different fields, sqrt(2) and sqrt(3)
+        ("nilradical", {"n": 1, "f": 1, "a": ["0/1"],
+                        "X": [["0/1+1/1*sqrt(2)", "0/1", "0/1", "0/1+1/1*sqrt(3)"]],
                         "rho": [["0/1", "0/1"]], "r": [["0/1"]]}),
     ],
 )
@@ -222,6 +251,18 @@ def test_witness_command(capsys):
 def test_witness_undocumented(capsys):
     status, out = run(capsys, "witness", "H1a0R-r1", "H2a1C")
     assert status == 3
+
+
+def test_witness_mismatch_exit_1(capsys, monkeypatch):
+    from heisenleib import catalog
+
+    def identity_rows(real_id, complex_id, params):
+        return linalg.identity(4), complex_id, dict(params)
+
+    monkeypatch.setattr(catalog, "_witness_rows", identity_rows)
+    status, out = run(capsys, "witness", "H1a0C-rm1", "H1a0C-r1")
+    assert status == 1
+    assert "failed exact tensor equality" in out
 
 
 def test_output_to_file(capsys, tmp_path, h1_file):

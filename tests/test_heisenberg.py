@@ -10,9 +10,10 @@ from heisenleib.catalog import (
     entry_parameter_grid,
     get_entry,
 )
-from heisenleib.certify import certify_nilradical
+from heisenleib.certify import certify_nilradical, matrix_nilpotent
 from heisenleib.constraints import instantiate, run_cascade
 from heisenleib.heisenberg import (
+    UNDECIDED,
     ANormalizationViolation,
     CommutationViolation,
     ExtensionSpec,
@@ -169,6 +170,24 @@ class TestValidation:
         )
         with pytest.raises(NilindependenceViolation):
             spec.validate()
+
+    def test_nilpotent_combination_outcomes(self):
+        # a_1 = 1 leaves only S2 with zero H-eigenvalue
+        jordan = [[0, 1], [0, 0]]
+        spec = ExtensionSpec.make(1, 2, [1, 0], [DIAG, jordan])
+        assert spec.nilpotent_combination() == (Scalar.zero(), Scalar.one())
+        assert ExtensionSpec.make(1, 1, [1], [jordan]).nilpotent_combination() is None
+        # det(c1 X1 + c2 X2) = -c1^2 - c2^2: no real point, a point over Q(i)
+        sym = [[0, 1], [1, 0]]
+        spec = ExtensionSpec.make(1, 2, [0, 0], [DIAG, sym])
+        assert spec.nilpotent_combination("R") is None
+        c1, c2 = spec.nilpotent_combination("C")
+        assert matrix_nilpotent(linalg.mat_add(linalg.mat_scale(smat(DIAG), c1),
+                                               linalg.mat_scale(smat(sym), c2)))
+        x1 = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]]
+        x2 = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, -2, 0], [0, 0, 0, -1]]
+        spec = ExtensionSpec.make(2, 2, [0, 0], [x1, x2])
+        assert spec.nilpotent_combination() is UNDECIDED
 
     def test_undecided_scale_warns(self):
         x1 = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]]

@@ -1,21 +1,38 @@
-"""Differential tests: the sparse contraction behind StructTensor, and the
-integer-backed Leibniz check, against the dense reference loops of
-reference_kernel.py, on every catalog entry and on generated tensors over
-Q, Q(i), Q(sqrt 2) and Q(sqrt 5) in seeded random bases."""
+"""Differential tests against reference_kernel.py: the sparse contraction
+behind StructTensor and the integer-backed Leibniz check against the dense
+reference loops, on every catalog entry and on generated tensors over Q,
+Q(i), Q(sqrt 2) and Q(sqrt 5) in seeded random bases; the entry-wise
+sp(2n) test against the K products; and maximality and nilindependence
+through ExtensionSpec.nilpotent_combination against the per-case
+decisions they replaced."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heisenleib import linalg
-from heisenleib.algebra import StructTensor, change_basis
+from heisenleib.algebra import StructTensor, change_basis, element_nilpotent
 from heisenleib.catalog import build_entry, catalog_entries, entry_parameter_grid, get_entry
-from heisenleib.heisenberg import ExtensionSpec, build_extension
+from heisenleib.certify import _decide_maximality
+from heisenleib.heisenberg import (
+    ExtensionSpec,
+    ExtensionValidationError,
+    assemble_extension,
+    build_extension,
+    heisenberg_subspace,
+    symplectic_check,
+)
 from heisenleib.scalars import Scalar
 
-from reference_kernel import DenseTensor
+from reference_kernel import (
+    DenseTensor,
+    reference_decide_maximality,
+    reference_validate_nilindependence,
+    symplectic_check_by_products,
+)
 
 FIELDS = [None, -1, 2, 5]  # d of Q(sqrt d); None is Q
 
@@ -167,3 +184,116 @@ def test_integer_check_makes_no_scalar_products(monkeypatch):
     monkeypatch.setattr(Scalar, "__rmul__", counting)
     assert moved.leibniz_defects() == []
     assert calls == []
+
+
+def sp_member(data, n):
+    """Integer X = ((A, B), (C, -A^T)) with B and C symmetric."""
+    ints = st.integers(-2, 2)
+    a = [[data.draw(ints) for _ in range(n)] for _ in range(n)]
+    b = [[data.draw(ints) for _ in range(n)] for _ in range(n)]
+    c = [[data.draw(ints) for _ in range(n)] for _ in range(n)]
+    return [
+        [a[i][j] for j in range(n)] + [b[min(i, j)][max(i, j)] for j in range(n)]
+        for i in range(n)
+    ] + [
+        [c[min(i, j)][max(i, j)] for j in range(n)] + [-a[j][i] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_symplectic_check_matches_products(n, data):
+    x = sp_member(data, n)
+    if data.draw(st.booleans()):
+        # one entry moved: usually, not always, a non-member
+        i, j = data.draw(st.integers(0, 2 * n - 1)), data.draw(st.integers(0, 2 * n - 1))
+        x[i][j] += data.draw(st.integers(-3, 3))
+    else:
+        assert symplectic_check(linalg.smat(x), n)
+    x = linalg.smat(x)
+    assert symplectic_check(x, n) == symplectic_check_by_products(x, n)
+
+
+def commuting_xs(data, n, f):
+    """f commuting sp(2n) matrices: diag(d, -d) families, or multiples of
+    one sp(2n) matrix."""
+    ints = st.integers(-2, 2)
+    if data.draw(st.booleans()):
+        xs = []
+        for _ in range(f):
+            d = [data.draw(ints) for _ in range(n)]
+            diag = d + [-v for v in d]
+            xs.append([[diag[i] if i == j else 0 for j in range(2 * n)] for i in range(2 * n)])
+        return xs
+    m = sp_member(data, n)
+    ks = [data.draw(ints) for _ in range(f)]
+    return [[[k * v for v in row] for row in m] for k in ks]
+
+
+SCALES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
+
+
+def proportional(u, v) -> bool:
+    return linalg.rank([list(u), list(v)]) == 1
+
+
+@pytest.mark.parametrize("n,f", SCALES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_maximality_matches_reference(n, f, data):
+    ints = st.integers(-2, 2)
+    a = [data.draw(ints) for _ in range(f)]
+    r = [[data.draw(st.integers(-1, 1)) for _ in range(f)] for _ in range(f)]
+    spec = ExtensionSpec.make(n, f, a, commuting_xs(data, n, f), r=r)
+    field = data.draw(st.sampled_from(["R", "C"]))
+    t, nr = assemble_extension(spec), heisenberg_subspace(n, f)
+    old = reference_decide_maximality(t, nr, n, f, field)
+    new = _decide_maximality(t, nr, n, f, field)
+    if old.status == new.status == "refuted":
+        assert proportional(old.witness, new.witness)
+    elif old.status != new.status:
+        # only an undecided verdict may change; a refutation is re-verified
+        # inside _verified_refutation, and a proof must be for a single
+        # zero H-eigenvalue line whose element is not nilpotent
+        assert old.status == "undecided"
+        if new.status == "proved":
+            line = linalg.nullspace([list(spec.a)])
+            assert len(line) <= 1
+            assert all(
+                not element_nilpotent(t, c + [Scalar.zero()] * (t.dim - f)) for c in line
+            )
+
+
+def test_single_generator_witness_first():
+    # the hyperplane c . a = 0 of a = (1, 1, 0) has the basis (-1, 1, 0),
+    # (0, 0, 1); both combinations are nilpotent, and the witness is S3
+    x = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]]
+    spec = ExtensionSpec.make(2, 3, [1, 1, 0], [x, x, [[0] * 4] * 4])
+    t, nr = assemble_extension(spec), heisenberg_subspace(2, 3)
+    new = _decide_maximality(t, nr, 2, 3, "R")
+    assert new.status == "refuted"
+    assert new.witness == reference_decide_maximality(t, nr, 2, 3, "R").witness
+    assert new.witness == tuple(t.unit_vector(2))
+
+
+def validation_outcome(check):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check()
+        except ExtensionValidationError as exc:
+            return type(exc), str(exc)
+    return [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("n,f", SCALES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_nilindependence_matches_reference(n, f, data):
+    a = [data.draw(st.integers(0, 1))] + [0] * (f - 1)
+    spec = ExtensionSpec.make(n, f, a, commuting_xs(data, n, f))
+    assert validation_outcome(spec._validate_nilindependence) == validation_outcome(
+        lambda: reference_validate_nilindependence(spec)
+    )
