@@ -38,6 +38,7 @@ from .certify import NilradicalCertificate, certify_nilradical, mubar_bound_chec
 from .heisenberg import (
     ExtensionSpec,
     build_extension,
+    extension_basis_rows,
     extract_extension_data,
     heisenberg_subspace,
     left_action_display,
@@ -427,62 +428,39 @@ def heisenberg_rescale_rows(n: int, f: int, mu: Scalar) -> list:
     """Basis rows of the H(n) rescaling P~ = mu P, B~ = mu B, H~ = mu^2 H.
 
     Leaves the X action unchanged and divides r by mu^2."""
-    dim = 2 * n + 1 + f
-    rows = linalg.identity(dim)
-    rows[f][f] = mu * mu
-    for u in range(2 * n):
-        rows[f + 1 + u][f + 1 + u] = mu
-    return rows
+    return extension_basis_rows(
+        linalg.identity(f), mu * mu, linalg.mat_scale(linalg.identity(2 * n), mu)
+    )
 
 
 def s_scale_rows(n: int, f: int, al: int, lam: Scalar) -> list:
     """Basis rows of S~_al = (1/lam) S_al: divides X_al by lam and r_alal
     by lam^2."""
-    dim = 2 * n + 1 + f
-    rows = linalg.identity(dim)
-    rows[al][al] = lam.inv()
-    return rows
+    s_rows = linalg.identity(f)
+    s_rows[al][al] = lam.inv()
+    return extension_basis_rows(s_rows, 1, linalg.identity(2 * n))
 
 
-def _rows_H1a0R_to_H1a0C(n=1, f=1):
-    """S~ = iS, H~ = -H, P~ = P + iB, B~ = -(i/2) P - (1/2) B.
+# P~ = P + iB, B~ = -(i/2) P - (1/2) B: diagonalizes the rotation to
+# diag(1, -1) while preserving the Heisenberg product up to H~ = -H
+_ROTATION_TO_DIAG = [[1, _I], [-_HALF_I, Fraction(-1, 2)]]
 
-    Diagonalizes the rotation to diag(1, -1) while preserving the
-    Heisenberg product and keeping [S,S] = r H~ for the same r."""
-    rows = linalg.zeros(4, 4)
-    rows[0][0] = _I
-    rows[1][1] = -Scalar.one()
-    rows[2][2] = Scalar.one()
-    rows[2][3] = _I
-    rows[3][2] = -_HALF_I
-    rows[3][3] = -Scalar.rational(1, 2)
-    return rows
+
+def _rows_H1a0R_to_H1a0C():
+    """S~ = iS, H~ = -H, P~ = P + iB, B~ = -(i/2) P - (1/2) B: keeps
+    [S,S] = r H~ for the same r."""
+    return extension_basis_rows([[_I]], -1, _ROTATION_TO_DIAG)
 
 
 def _rows_H1a1R_to_diag():
     """S~ = S, H~ = H, P~ = P - iB, B~ = -(i/2) P + (1/2) B: sends the
     rotation family at C to the diagonal family at A = iC."""
-    rows = linalg.zeros(4, 4)
-    rows[0][0] = Scalar.one()
-    rows[1][1] = Scalar.one()
-    rows[2][2] = Scalar.one()
-    rows[2][3] = -_I
-    rows[3][2] = -_HALF_I
-    rows[3][3] = Scalar.rational(1, 2)
-    return rows
+    return extension_basis_rows([[1]], 1, [[1, -_I], [-_HALF_I, Fraction(1, 2)]])
 
 
 def _rows_H2a1R_to_H2a1C():
     """S~1 = S1, S~2 = iS2, H~ = -H, P~ = P + iB, B~ = -(i/2) P - (1/2) B."""
-    rows = linalg.zeros(5, 5)
-    rows[0][0] = Scalar.one()
-    rows[1][1] = _I
-    rows[2][2] = -Scalar.one()
-    rows[3][3] = Scalar.one()
-    rows[3][4] = _I
-    rows[4][3] = -_HALF_I
-    rows[4][4] = -Scalar.rational(1, 2)
-    return rows
+    return extension_basis_rows([[1, 0], [0, _I]], -1, _ROTATION_TO_DIAG)
 
 
 @dataclass(frozen=True)

@@ -211,8 +211,9 @@ def mubar_bound_check(t: StructTensor, n: Subspace) -> bool:
 
 
 def _detect_field(t: StructTensor) -> str:
+    """C when some constant lies in Q(sqrt d) with d < 0, else R."""
     for entry in t.constants_dict().values():
-        if isinstance(entry, Scalar) and entry.d == -1:
+        if isinstance(entry, Scalar) and entry.d is not None and entry.d < 0:
             return "C"
     return "R"
 

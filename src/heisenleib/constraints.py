@@ -39,7 +39,9 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import StructTensor, _change_basis_with_inverse
-from .heisenberg import block_forms, eigenvector_residual, extension_basis_labels
+from .heisenberg import (
+    block_forms, eigenvector_residual, extension_basis_rows, extension_tensor,
+)
 from .poly import PolyQ, _substituter
 
 
@@ -143,67 +145,48 @@ def _param_names(n: int, f: int) -> tuple:
 
 
 def parametric_extension(n: int, f: int) -> ParamAlgebra:
-    """The generic extension tensor of H(n) by S_1..S_f, all slots symbolic."""
+    """The generic extension tensor of H(n) by S_1..S_f, all slots symbolic:
+    L_S = ((2a, sigma1, sigma2), (gamma1, aI + A, C), (gamma2, D, aI + E)),
+    R_S = ((2b, tau1, tau2), (rho1, bI + F, G), (rho2, M, bI + N)) and
+    [S_al, S_be] = (r, mu, nu)."""
     if n < 1:
         raise CascadeError(f"n must be >= 1, got {n}")
     if not 1 <= f <= n + 1:
         raise CascadeError(f"f = {f} outside 1..{n + 1}")
     names = _param_names(n, f)
-    zero = PolyQ.zero(names)
-    one = PolyQ.const(names, 1)
+    indices = range(1, n + 1)
 
-    def var(nm: str) -> PolyQ:
-        return PolyQ.var(names, nm)
+    def var(*parts) -> PolyQ:
+        return PolyQ.var(names, "_".join(map(str, parts)))
 
-    dim = 2 * n + 1 + f
-    idx_h = f
+    def display(al, corner, top, sides, blocks, diag) -> list:
+        # ((corner, top), (sides, blocks)), then diag added on the (P, B) diagonal
+        rows = [[corner] + [var(base, al, j) for base in top for j in indices]]
+        rows += [
+            [var(side, al, i)] + [var(base, al, i, j) for base in pair for j in indices]
+            for side, pair in zip(sides, blocks)
+            for i in indices
+        ]
+        for u in range(1, 2 * n + 1):
+            rows[u][u] = diag + rows[u][u]
+        return rows
 
-    def p_(i: int) -> int:  # i is 1-based
-        return f + 1 + (i - 1)
-
-    def b_(i: int) -> int:
-        return f + 1 + n + (i - 1)
-
-    constants: dict = {}
-    for i in range(1, n + 1):
-        constants[(p_(i), b_(i), idx_h)] = one
-        constants[(b_(i), p_(i), idx_h)] = -one
+    left, right = [], []
     for al in range(1, f + 1):
-        s = al - 1
-        a = var(f"a_{al}")
-        bvar = var(f"b_{al}")
-        constants[(s, idx_h, idx_h)] = 2 * a
-        constants[(idx_h, s, idx_h)] = 2 * bvar
-        for j in range(1, n + 1):
-            constants[(s, idx_h, p_(j))] = var(f"sigma1_{al}_{j}")
-            constants[(s, idx_h, b_(j))] = var(f"sigma2_{al}_{j}")
-            constants[(idx_h, s, p_(j))] = var(f"tau1_{al}_{j}")
-            constants[(idx_h, s, b_(j))] = var(f"tau2_{al}_{j}")
-        for i in range(1, n + 1):
-            constants[(s, p_(i), idx_h)] = var(f"gamma1_{al}_{i}")
-            constants[(s, b_(i), idx_h)] = var(f"gamma2_{al}_{i}")
-            constants[(p_(i), s, idx_h)] = var(f"rho1_{al}_{i}")
-            constants[(b_(i), s, idx_h)] = var(f"rho2_{al}_{i}")
-            for j in range(1, n + 1):
-                delta = one if i == j else zero
-                constants[(s, p_(i), p_(j))] = a * delta + var(f"A_{al}_{i}_{j}")
-                constants[(s, p_(i), b_(j))] = var(f"C_{al}_{i}_{j}")
-                constants[(s, b_(i), p_(j))] = var(f"D_{al}_{i}_{j}")
-                constants[(s, b_(i), b_(j))] = a * delta + var(f"E_{al}_{i}_{j}")
-                constants[(p_(i), s, p_(j))] = bvar * delta + var(f"F_{al}_{i}_{j}")
-                constants[(p_(i), s, b_(j))] = var(f"G_{al}_{i}_{j}")
-                constants[(b_(i), s, p_(j))] = var(f"M_{al}_{i}_{j}")
-                constants[(b_(i), s, b_(j))] = bvar * delta + var(f"N_{al}_{i}_{j}")
-    for al in range(1, f + 1):
-        for be in range(1, f + 1):
-            constants[(al - 1, be - 1, idx_h)] = var(f"r_{al}_{be}")
-            for i in range(1, n + 1):
-                constants[(al - 1, be - 1, p_(i))] = var(f"mu_{al}_{be}_{i}")
-                constants[(al - 1, be - 1, b_(i))] = var(f"nu_{al}_{be}_{i}")
-
-    tensor = StructTensor(
-        dim, constants, basis_labels=extension_basis_labels(n, f), zero=zero
-    )
+        a, b = var("a", al), var("b", al)
+        left.append(display(al, 2 * a, ("sigma1", "sigma2"), ("gamma1", "gamma2"),
+                            (("A", "C"), ("D", "E")), a))
+        right.append(display(al, 2 * b, ("tau1", "tau2"), ("rho1", "rho2"),
+                             (("F", "G"), ("M", "N")), b))
+    ss = [
+        [
+            [var("r", al, be)]
+            + [var(base, al, be, i) for base in ("mu", "nu") for i in indices]
+            for be in range(1, f + 1)
+        ]
+        for al in range(1, f + 1)
+    ]
+    tensor = extension_tensor(n, f, left, right, ss, zero=PolyQ.zero(names))
     return ParamAlgebra(n=n, f=f, params=names, tensor=tensor)
 
 
@@ -253,16 +236,6 @@ def replay(pa: ParamAlgebra) -> ParamAlgebra:
 
 
 # -- basis-index helpers ------------------------------------------------------
-
-
-def _kind(pa: ParamAlgebra, i: int) -> str:
-    if i < pa.f:
-        return "S"
-    if i == pa.f:
-        return "H"
-    if i <= pa.f + pa.n:
-        return "P"
-    return "B"
 
 
 def _label(pa: ParamAlgebra, i: int) -> str:
@@ -321,7 +294,8 @@ _TABLE_ROWS = {
 
 
 def table_row(pa: ParamAlgebra, i: int, j: int, k: int) -> str | None:
-    return _TABLE_ROWS.get((_kind(pa, i), _kind(pa, j), _kind(pa, k)))
+    # the kind (S, H, P or B) of a basis element is the first letter of its label
+    return _TABLE_ROWS.get(tuple(_label(pa, x)[0] for x in (i, j, k)))
 
 
 def table_triples(pa: ParamAlgebra) -> list:
@@ -855,22 +829,13 @@ def a_normalize_basis(a_values, n: int):
     a-vector: Gaussian elimination on the S-block sends a to (1, 0, ..., 0)
     (or leaves it zero).  Rows are new basis vectors in old coordinates."""
     a = [linalg.to_scalar(v) for v in a_values]
-    f = len(a)
-    dim = 2 * n + 1 + f
-    rows = linalg.identity(dim)
+    s_rows = linalg.identity(len(a))
     pivot = next((i for i, v in enumerate(a) if not v.is_zero()), None)
-    if pivot is None:
-        return rows
-    inv = a[pivot].inv()
-    s_rows = linalg.identity(f)
-    new_first = [x * inv for x in s_rows[pivot]]
-    others = [
-        [x - a[i] * inv * y for x, y in zip(s_rows[i], s_rows[pivot])]
-        for i in range(f)
-        if i != pivot
-    ]
-    block = [new_first] + others
-    for i in range(f):
-        for j in range(f):
-            rows[i][j] = block[i][j]
-    return rows
+    if pivot is not None:
+        inv = a[pivot].inv()
+        s_rows = [[x * inv for x in s_rows[pivot]]] + [
+            [x - a[i] * inv * y for x, y in zip(s_rows[i], s_rows[pivot])]
+            for i in range(len(a))
+            if i != pivot
+        ]
+    return extension_basis_rows(s_rows, 1, linalg.identity(2 * n))

@@ -13,10 +13,15 @@ lists the coefficients of the bracket of S with the i-th basis element.
 
 Built tensors use the basis order (S_1..S_f, H, P_1..P_n, B_1..B_n).
 build_extension validates every side condition eagerly and refuses
-invalid data rather than assembling a non-Leibniz product.  block_forms
-is the one reader of the block form: it reads (a, X, rho, r) back from a
-tensor with Scalar or PolyQ entries, for extract_extension_data and for
-the symbolic constraint cascade alike.
+invalid data rather than assembling a non-Leibniz product.  This module
+alone knows that layout.  extension_tensor is the one writer: it turns
+the left and right action display matrices and the [S, S] vectors into
+structure constants, for H(n), every spec tensor and the generic tensor
+of the symbolic constraint cascade alike; extension_basis_rows places a
+block-diagonal change of basis in the same order.  block_forms is the
+one reader of the block form: it reads (a, X, rho, r) back from a tensor
+with Scalar or PolyQ entries, for extract_extension_data and for the
+cascade alike.
 """
 
 from __future__ import annotations
@@ -72,17 +77,52 @@ UNDECIDED = "undecided"
 
 def heisenberg(n: int) -> StructTensor:
     """H(n) in the basis (H, P_1..P_n, B_1..B_n)."""
+    return extension_tensor(n, 0, [], [], [])
+
+
+def extension_tensor(n: int, f: int, left, right, ss, zero=None) -> StructTensor:
+    """The structure constants in the basis (S_1..S_f, H, P, B).
+
+    left[al] and right[al] are the (2n+1)x(2n+1) display matrices of
+    [S_al, -] and [-, S_al] on (H, P, B), in the form left_action_display
+    and right_action_display return; ss[al][be] is the (H, P, B)-vector of
+    [S_al, S_be].  The H(n) products [P_i, B_i] = -[B_i, P_i] = H are
+    fixed.  Entries are Scalars, or of the kind of zero when it is given.
+    """
     if n < 1:
         raise ValueError(f"H(n) needs n >= 1, got {n}")
-    dim = 2 * n + 1
-    one = Scalar.one()
+    zero = Scalar.zero() if zero is None else zero
+    one = zero + 1
+    h = f  # the index of H; P_i and B_i follow it
     constants = {}
     for i in range(n):
-        p, b = 1 + i, 1 + n + i
-        constants[(p, b, 0)] = one
-        constants[(b, p, 0)] = -one
-    labels = ["H"] + [f"P{i + 1}" for i in range(n)] + [f"B{i + 1}" for i in range(n)]
-    return StructTensor(dim, constants, basis_labels=labels)
+        p, b = h + 1 + i, h + 1 + n + i
+        constants[(p, b, h)] = one
+        constants[(b, p, h)] = -one
+    for al in range(f):
+        for i, (lrow, rrow) in enumerate(zip(left[al], right[al])):
+            for k, (lv, rv) in enumerate(zip(lrow, rrow)):
+                constants[(al, h + i, h + k)] = lv
+                constants[(h + i, al, h + k)] = rv
+        for be, vec in enumerate(ss[al]):
+            for k, v in enumerate(vec):
+                constants[(al, be, h + k)] = v
+    return StructTensor(
+        2 * n + 1 + f, constants, basis_labels=extension_basis_labels(n, f), zero=zero
+    )
+
+
+def extension_basis_rows(s_rows, h, pb_rows) -> list:
+    """Rows of the block-diagonal change of basis S~ = s_rows S, H~ = h H,
+    (P~, B~) = pb_rows (P, B) in the basis (S, H, P, B): new basis vectors
+    in old coordinates, with int, Fraction or Scalar entries."""
+    f, m = len(s_rows), len(pb_rows)
+    rows = (
+        [list(row) + [0] * (1 + m) for row in s_rows]
+        + [[0] * f + [h] + [0] * m]
+        + [[0] * (f + 1) + list(row) for row in pb_rows]
+    )
+    return linalg.smat(rows)
 
 
 def symplectic_check(x, n: int) -> bool:
@@ -226,7 +266,10 @@ class ExtensionSpec:
         sum c_al S_al acts on H by 2 sum c_al a_al, so only the hyperplane
         c . a = 0 can hold a nilpotent element; there it acts on (P, B) by
         sum c_al X_al.  Each basis combination is checked, then a plane at
-        n = 1 is decided by the sp(2) nilpotency locus over field (R or C).
+        n = 1 is decided by the sp(2) nilpotency locus over field (R or C)
+        when its entries are rational, and otherwise by a linear dependence
+        of its two combinations (commuting sp(2) matrices are proportional,
+        so validated data always has one; the zero matrix is nilpotent).
         """
         from .certify import matrix_nilpotent, sp2_nilpotency_locus
 
@@ -242,10 +285,18 @@ class ExtensionSpec:
             return None
         if len(basis) > 2 or self.n > 1:
             return UNDECIDED
-        locus = sp2_nilpotency_locus(*combos)
-        if locus.nilindependent_over_C if field == "C" else locus.nilindependent_over_R:
-            return None
-        w1, w2 = locus.witness
+        if all(v.is_rational() for y in combos for row in y for v in row):
+            locus = sp2_nilpotency_locus(*combos)
+            if locus.nilindependent_over_C if field == "C" else locus.nilindependent_over_R:
+                return None
+            w1, w2 = locus.witness
+        else:
+            dependence = linalg.nullspace(
+                linalg.transpose([[v for row in y for v in row] for y in combos])
+            )
+            if not dependence:
+                return UNDECIDED
+            w1, w2 = dependence[0]
         return tuple(w1 * u + w2 * v for u, v in zip(*basis))
 
     def _validate_nilindependence(self) -> None:
@@ -271,40 +322,21 @@ class ExtensionSpec:
 
 def assemble_extension(spec: ExtensionSpec) -> StructTensor:
     """Assemble the tensor without validation (test hook; prefer
-    build_extension)."""
+    build_extension): L_S = diag(2a, aI + X), R_S = ((-2a, 0), (rho,
+    -(aI + X))) and [S_al, S_be] = r_ab H."""
     spec._check_shapes()
-    n, f = spec.n, spec.f
-    dim = spec.dim()
-    idx_h = f
-
-    def pb(u: int) -> int:
-        return f + 1 + u
-
-    one = Scalar.one()
-    two = Scalar.rational(2)
-    constants = {}
-    for i in range(n):
-        constants[(pb(i), pb(n + i), idx_h)] = one
-        constants[(pb(n + i), pb(i), idx_h)] = -one
-    for al in range(f):
-        a = spec.a[al]
-        x = spec.X[al]
-        rho = spec.rho[al]
-        if not a.is_zero():
-            constants[(al, idx_h, idx_h)] = two * a
-            constants[(idx_h, al, idx_h)] = -(two * a)
-        for u in range(2 * n):
-            for v in range(2 * n):
-                entry = x[u][v] + (a if u == v else Scalar.zero())
-                if not entry.is_zero():
-                    constants[(al, pb(u), pb(v))] = entry
-                    constants[(pb(u), al, pb(v))] = -entry
-            if not rho[u].is_zero():
-                constants[(pb(u), al, idx_h)] = rho[u]
-        for be in range(f):
-            if not spec.r[al][be].is_zero():
-                constants[(al, be, idx_h)] = spec.r[al][be]
-    return StructTensor(dim, constants, basis_labels=extension_basis_labels(n, f))
+    zero, two = Scalar.zero(), Scalar.rational(2)
+    pad = [zero] * (2 * spec.n)
+    left, right = [], []
+    for a, x, rho in zip(spec.a, spec.X, spec.rho):
+        ax = [[v + a if u == w else v for w, v in enumerate(row)]
+              for u, row in enumerate(x)]
+        left.append([[two * a] + pad] + [[zero] + row for row in ax])
+        right.append(
+            [[-(two * a)] + pad] + [[c] + [-v for v in row] for c, row in zip(rho, ax)]
+        )
+    ss = [[[r] + pad for r in row] for row in spec.r]
+    return extension_tensor(spec.n, spec.f, left, right, ss)
 
 
 def build_extension(spec: ExtensionSpec) -> StructTensor:

@@ -18,26 +18,35 @@ reference_validate_nilindependence are the maximality and
 nilindependence decisions as they were before both moved behind
 ExtensionSpec.nilpotent_combination, with their own branches on n, f and
 the normalized a.
+
+reference_heisenberg, reference_assemble_extension and
+reference_parametric_extension write the structure constants of H(n), of
+an extension spec and of the generic cascade tensor with their own index
+arithmetic, and the reference_*_rows functions place the condensation
+basis rows by fixed positions, the way the library did before both went
+through heisenberg.extension_tensor and heisenberg.extension_basis_rows.
 """
 
 import warnings
 from fractions import Fraction
 
 from heisenleib import linalg
-from heisenleib.algebra import element_nilpotent
+from heisenleib.algebra import StructTensor, element_nilpotent
 from heisenleib.certify import (
     Maximality,
     _verified_refutation,
     matrix_nilpotent,
     sp2_nilpotency_locus,
 )
+from heisenleib.constraints import _param_names
 from heisenleib.heisenberg import (
     NilindependenceUndecidedWarning,
     NilindependenceViolation,
+    extension_basis_labels,
     extract_extension_data,
 )
 from heisenleib.linalg import ShapeError
-from heisenleib.poly import PolyError, UnknownIndeterminateError
+from heisenleib.poly import PolyError, PolyQ, UnknownIndeterminateError
 from heisenleib.scalars import Scalar
 
 
@@ -247,6 +256,181 @@ def reference_decide_maximality(t, n_subspace, n: int, f: int, field: str) -> Ma
             )
     return Maximality(status="undecided", note="single-generator spot checks passed")
 
+
+
+def reference_heisenberg(n: int) -> StructTensor:
+    """H(n) in the basis (H, P_1..P_n, B_1..B_n)."""
+    dim = 2 * n + 1
+    one = Scalar.one()
+    constants = {}
+    for i in range(n):
+        p, b = 1 + i, 1 + n + i
+        constants[(p, b, 0)] = one
+        constants[(b, p, 0)] = -one
+    labels = ["H"] + [f"P{i + 1}" for i in range(n)] + [f"B{i + 1}" for i in range(n)]
+    return StructTensor(dim, constants, basis_labels=labels)
+
+
+def reference_assemble_extension(spec) -> StructTensor:
+    """The extension tensor of a spec, written entry by entry."""
+    n, f = spec.n, spec.f
+    dim = spec.dim()
+    idx_h = f
+
+    def pb(u: int) -> int:
+        return f + 1 + u
+
+    one = Scalar.one()
+    two = Scalar.rational(2)
+    constants = {}
+    for i in range(n):
+        constants[(pb(i), pb(n + i), idx_h)] = one
+        constants[(pb(n + i), pb(i), idx_h)] = -one
+    for al in range(f):
+        a = spec.a[al]
+        x = spec.X[al]
+        rho = spec.rho[al]
+        if not a.is_zero():
+            constants[(al, idx_h, idx_h)] = two * a
+            constants[(idx_h, al, idx_h)] = -(two * a)
+        for u in range(2 * n):
+            for v in range(2 * n):
+                entry = x[u][v] + (a if u == v else Scalar.zero())
+                if not entry.is_zero():
+                    constants[(al, pb(u), pb(v))] = entry
+                    constants[(pb(u), al, pb(v))] = -entry
+            if not rho[u].is_zero():
+                constants[(pb(u), al, idx_h)] = rho[u]
+        for be in range(f):
+            if not spec.r[al][be].is_zero():
+                constants[(al, be, idx_h)] = spec.r[al][be]
+    return StructTensor(dim, constants, basis_labels=extension_basis_labels(n, f))
+
+
+def reference_parametric_extension(n: int, f: int) -> StructTensor:
+    """The generic extension tensor of H(n) by S_1..S_f, slot by slot."""
+    names = _param_names(n, f)
+    zero = PolyQ.zero(names)
+    one = PolyQ.const(names, 1)
+
+    def var(nm: str) -> PolyQ:
+        return PolyQ.var(names, nm)
+
+    dim = 2 * n + 1 + f
+    idx_h = f
+
+    def p_(i: int) -> int:  # i is 1-based
+        return f + 1 + (i - 1)
+
+    def b_(i: int) -> int:
+        return f + 1 + n + (i - 1)
+
+    constants: dict = {}
+    for i in range(1, n + 1):
+        constants[(p_(i), b_(i), idx_h)] = one
+        constants[(b_(i), p_(i), idx_h)] = -one
+    for al in range(1, f + 1):
+        s = al - 1
+        a = var(f"a_{al}")
+        bvar = var(f"b_{al}")
+        constants[(s, idx_h, idx_h)] = 2 * a
+        constants[(idx_h, s, idx_h)] = 2 * bvar
+        for j in range(1, n + 1):
+            constants[(s, idx_h, p_(j))] = var(f"sigma1_{al}_{j}")
+            constants[(s, idx_h, b_(j))] = var(f"sigma2_{al}_{j}")
+            constants[(idx_h, s, p_(j))] = var(f"tau1_{al}_{j}")
+            constants[(idx_h, s, b_(j))] = var(f"tau2_{al}_{j}")
+        for i in range(1, n + 1):
+            constants[(s, p_(i), idx_h)] = var(f"gamma1_{al}_{i}")
+            constants[(s, b_(i), idx_h)] = var(f"gamma2_{al}_{i}")
+            constants[(p_(i), s, idx_h)] = var(f"rho1_{al}_{i}")
+            constants[(b_(i), s, idx_h)] = var(f"rho2_{al}_{i}")
+            for j in range(1, n + 1):
+                delta = one if i == j else zero
+                constants[(s, p_(i), p_(j))] = a * delta + var(f"A_{al}_{i}_{j}")
+                constants[(s, p_(i), b_(j))] = var(f"C_{al}_{i}_{j}")
+                constants[(s, b_(i), p_(j))] = var(f"D_{al}_{i}_{j}")
+                constants[(s, b_(i), b_(j))] = a * delta + var(f"E_{al}_{i}_{j}")
+                constants[(p_(i), s, p_(j))] = bvar * delta + var(f"F_{al}_{i}_{j}")
+                constants[(p_(i), s, b_(j))] = var(f"G_{al}_{i}_{j}")
+                constants[(b_(i), s, p_(j))] = var(f"M_{al}_{i}_{j}")
+                constants[(b_(i), s, b_(j))] = bvar * delta + var(f"N_{al}_{i}_{j}")
+    for al in range(1, f + 1):
+        for be in range(1, f + 1):
+            constants[(al - 1, be - 1, idx_h)] = var(f"r_{al}_{be}")
+            for i in range(1, n + 1):
+                constants[(al - 1, be - 1, p_(i))] = var(f"mu_{al}_{be}_{i}")
+                constants[(al - 1, be - 1, b_(i))] = var(f"nu_{al}_{be}_{i}")
+    return StructTensor(
+        dim, constants, basis_labels=extension_basis_labels(n, f), zero=zero
+    )
+
+
+_I = Scalar.quadratic(0, 1, -1)
+_HALF_I = Scalar.quadratic(0, Fraction(1, 2), -1)
+
+
+def reference_heisenberg_rescale_rows(n: int, f: int, mu: Scalar) -> list:
+    """P~ = mu P, B~ = mu B, H~ = mu^2 H."""
+    dim = 2 * n + 1 + f
+    rows = linalg.identity(dim)
+    rows[f][f] = mu * mu
+    for u in range(2 * n):
+        rows[f + 1 + u][f + 1 + u] = mu
+    return rows
+
+
+def reference_rows_H1a0R_to_H1a0C():
+    """S~ = iS, H~ = -H, P~ = P + iB, B~ = -(i/2) P - (1/2) B."""
+    rows = linalg.zeros(4, 4)
+    rows[0][0] = _I
+    rows[1][1] = -Scalar.one()
+    rows[2][2] = Scalar.one()
+    rows[2][3] = _I
+    rows[3][2] = -_HALF_I
+    rows[3][3] = -Scalar.rational(1, 2)
+    return rows
+
+
+def reference_rows_H1a1R_to_diag():
+    """S~ = S, H~ = H, P~ = P - iB, B~ = -(i/2) P + (1/2) B."""
+    rows = linalg.zeros(4, 4)
+    rows[0][0] = Scalar.one()
+    rows[1][1] = Scalar.one()
+    rows[2][2] = Scalar.one()
+    rows[2][3] = -_I
+    rows[3][2] = -_HALF_I
+    rows[3][3] = Scalar.rational(1, 2)
+    return rows
+
+
+def reference_rows_H2a1R_to_H2a1C():
+    """S~1 = S1, S~2 = iS2, H~ = -H, P~ = P + iB, B~ = -(i/2) P - (1/2) B."""
+    rows = linalg.zeros(5, 5)
+    rows[0][0] = Scalar.one()
+    rows[1][1] = _I
+    rows[2][2] = -Scalar.one()
+    rows[3][3] = Scalar.one()
+    rows[3][4] = _I
+    rows[4][3] = -_HALF_I
+    rows[4][4] = -Scalar.rational(1, 2)
+    return rows
+
+
+def reference_condensation_rows(real_id: str, complex_id: str) -> list:
+    """Basis rows of each documented condensation witness."""
+    rescale = reference_heisenberg_rescale_rows(1, 1, _I)
+    return {
+        ("H1a0R-r0", "H1a0C-r0"): reference_rows_H1a0R_to_H1a0C,
+        ("H1a0R-r1", "H1a0C-r1"): reference_rows_H1a0R_to_H1a0C,
+        ("H1a0R-rm1", "H1a0C-rm1"): reference_rows_H1a0R_to_H1a0C,
+        ("H1a0C-rm1", "H1a0C-r1"): lambda: rescale,
+        ("H1a0R-rm1", "H1a0C-r1"): lambda: linalg.mat_mul(
+            rescale, reference_rows_H1a0R_to_H1a0C()
+        ),
+        ("H1a1R", "H1a1C-diag"): reference_rows_H1a1R_to_diag,
+        ("H2a1R", "H2a1C"): reference_rows_H2a1R_to_H2a1C,
+    }[(real_id, complex_id)]()
 
 class TuplePoly:
     """Polynomial over Q with {exponent tuple: Fraction} terms."""

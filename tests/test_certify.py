@@ -205,6 +205,22 @@ class TestCertifyNilradical:
         assert cert.maximality.status == "undecided"
         assert cert.ideal and cert.nilpotent and cert.contains_derived
 
+    def test_complex_proportional_pair_refuted(self):
+        # i X1 + X2 = 0 over Q(i): decided by the linear dependence of X1, X2
+        i = Scalar.quadratic(0, 1, -1)
+        spec = ExtensionSpec.make(1, 2, [0, 0], [[[i, 0], [0, -i]], [[1, 0], [0, -1]]])
+        cert = certify_nilradical(assemble_extension(spec), heisenberg_subspace(1, 2))
+        assert cert.maximality.status == "refuted"
+        assert cert.maximality.witness == (i, Scalar.one()) + (Scalar.zero(),) * 3
+
+    @pytest.mark.parametrize("d,field", [(-1, "C"), (-3, "C"), (2, "R")])
+    def test_detected_field(self, d, field):
+        s = Scalar.sqrt_d(d)
+        spec = ExtensionSpec.make(1, 1, [0], [[[s, 0], [0, -s]]])
+        cert = certify_nilradical(build_extension(spec), heisenberg_subspace(1, 1))
+        assert cert.proved()
+        assert cert.maximality.note.endswith(f"nilpotent element over {field}")
+
     def test_closure_checks_run_once(self, monkeypatch):
         from heisenleib import certify
 

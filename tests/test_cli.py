@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from heisenleib import linalg
@@ -162,8 +164,12 @@ def test_nilradical_command(capsys, tmp_path):
         # a proportional pair at a = 0: X2 - 2 X1 = 0 is nilpotent
         (ExtensionSpec.make(1, 2, [0, 0], [[[1, 0], [0, -1]], [[2, 0], [0, -2]]]),
          "X_1, X_2 admit the nilpotent combination"),
+        # over Q(i): i X1 + X2 = 0 for X1 = diag(i, -i), X2 = diag(1, -1)
+        (ExtensionSpec.make(1, 2, [0, 0], [[["0/1+1/1*sqrt(-1)", 0], [0, "0/1-1/1*sqrt(-1)"]],
+                                           [[1, 0], [0, -1]]]),
+         "X_1, X_2 admit the nilpotent combination"),
     ],
-    ids=["nilpotent-x", "proportional-pair"],
+    ids=["nilpotent-x", "proportional-pair", "complex-proportional-pair"],
 )
 def test_nilradical_invalid_spec(capsys, tmp_path, spec, text):
     path = tmp_path / "bad.json"
@@ -240,6 +246,35 @@ def test_derive_machine(capsys):
     assert "stage=jacobi" in out
     assert "bind=sigma2_1_1 to=0" in out
     assert "unmatched=0" in out
+
+
+# sha256 of the derive transcript with residuals, in machine format: a
+# change to how the cascade tensor is built or reduced must keep every line
+@pytest.mark.parametrize(
+    "n,f,a1,digest",
+    [
+        (1, 1, "0", "a610bef492ad649f1866f53b4e19f9614a6e746bc2f62d50cccf394161f7b1fa"),
+        (1, 1, "1", "32cb8ce60b0727094d5e5778628aa519f7b67b5ab3b3fc5d5aca43719a87781d"),
+        (1, 1, "free", "f9f9abf99d43553d8169823b283e79669d54f5e1c7bacb87dd643bd4e8e913ef"),
+        (1, 2, "0", "4ab1b786c21c7df563a06cf811719640b9ddf737f73ee264bf3d19b652b8f9da"),
+        (1, 2, "1", "08e76a2ecd74bf7003da0e7c28d0df42214547f11ae00741870a7fbdf2f54232"),
+        (1, 2, "free", "75400dca8832f61f6bcd9c28c7d48b2946851f4e328aa95427f4036c19db6c6e"),
+        (2, 1, "0", "413cd62d6d14642227643c768abd6ebbe097242953dbaaa4f6422469a2214bce"),
+        (2, 1, "1", "27cc2a30aea2425c7c8f17d7374e160fd0bd7a667a56284b77d75c98c81d3dfa"),
+        (2, 1, "free", "e43df19c9977965722c1a1cabd887c5a54b1a178fad5cd16f8e33c21f0d7defe"),
+        (2, 2, "0", "c6fa090a0f870a1eae6c268a9ab841f70f9921bc8bf5d91fa57b0d7936ff3f8b"),
+        (2, 2, "1", "d5671e39fc75fb4ca27c1b80096edd973ea7239d138b2d2594951e5e4b9b8d3d"),
+        (2, 2, "free", "f507be777f5e3320279648cfb66042810f0be2def50c16b5e976f11edc2dc409"),
+        (2, 3, "0", "a50c6acb6ca67b3560b9aa327310ffec4c55600ad72abbb9fb3a6f34d69b02c9"),
+        (2, 3, "1", "17c6d772a5c26aa2c0e0b4dfbe043fbbdaf255d32e29f6e7415cd66247d283da"),
+        (2, 3, "free", "0e8bb84a655a4e206f597c0ad58ca315a7361c3d897072753305a8aa41de88cf"),
+    ],
+)
+def test_derive_transcript_digest(capsys, n, f, a1, digest):
+    status, out = run(capsys, "derive", "--n", str(n), "--f", str(f), "--a1", a1,
+                      "--residuals", "--format", "machine")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_witness_command(capsys):

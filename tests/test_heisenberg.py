@@ -188,6 +188,13 @@ class TestValidation:
         x2 = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, -2, 0], [0, 0, 0, -1]]
         spec = ExtensionSpec.make(2, 2, [0, 0], [x1, x2])
         assert spec.nilpotent_combination() is UNDECIDED
+        # a plane with entries in Q(i): a linear dependence, or undecided
+        # for independent (non-commuting) matrices
+        i = Scalar.quadratic(0, 1, -1)
+        spec = ExtensionSpec.make(1, 2, [0, 0], [[[i, 0], [0, -i]], DIAG])
+        assert spec.nilpotent_combination() == (i, Scalar.one())
+        spec = ExtensionSpec.make(1, 2, [0, 0], [[[i, 0], [0, -i]], sym])
+        assert spec.nilpotent_combination("C") is UNDECIDED
 
     def test_undecided_scale_warns(self):
         x1 = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]]

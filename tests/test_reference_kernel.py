@@ -4,7 +4,9 @@ reference loops, on every catalog entry and on generated tensors over Q,
 Q(i), Q(sqrt 2) and Q(sqrt 5) in seeded random bases; the entry-wise
 sp(2n) test against the K products; and maximality and nilindependence
 through ExtensionSpec.nilpotent_combination against the per-case
-decisions they replaced."""
+decisions they replaced; the one extension-layout writer and the
+block-diagonal basis rows against the hand-indexed writers of H(n), spec
+tensors, the generic cascade tensor and the condensation witnesses."""
 
 import random
 import warnings
@@ -15,21 +17,37 @@ from hypothesis import given, settings, strategies as st
 
 from heisenleib import linalg
 from heisenleib.algebra import StructTensor, change_basis, element_nilpotent
-from heisenleib.catalog import build_entry, catalog_entries, entry_parameter_grid, get_entry
+from heisenleib.catalog import (
+    DOCUMENTED_CONDENSATIONS,
+    build_entry,
+    catalog_entries,
+    condensation_witness,
+    entry_parameter_grid,
+    get_entry,
+)
 from heisenleib.certify import _decide_maximality
+from heisenleib.constraints import parametric_extension
 from heisenleib.heisenberg import (
     ExtensionSpec,
     ExtensionValidationError,
     assemble_extension,
     build_extension,
+    extension_tensor,
+    heisenberg,
     heisenberg_subspace,
+    left_action_display,
+    right_action_display,
     symplectic_check,
 )
 from heisenleib.scalars import Scalar
 
 from reference_kernel import (
     DenseTensor,
+    reference_assemble_extension,
+    reference_condensation_rows,
     reference_decide_maximality,
+    reference_heisenberg,
+    reference_parametric_extension,
     reference_validate_nilindependence,
     symplectic_check_by_products,
 )
@@ -297,3 +315,74 @@ def test_nilindependence_matches_reference(n, f, data):
     assert validation_outcome(spec._validate_nilindependence) == validation_outcome(
         lambda: reference_validate_nilindependence(spec)
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_heisenberg_matches_reference(n):
+    assert heisenberg(n) == reference_heisenberg(n)
+
+
+@pytest.mark.parametrize("n,f", [(n, f) for n in (1, 2, 3) for f in range(1, n + 2)])
+def test_parametric_extension_matches_reference(n, f):
+    new, ref = parametric_extension(n, f).tensor, reference_parametric_extension(n, f)
+    assert new == ref and new.zero == ref.zero
+
+
+def scalars(d, nonzero=False):
+    """Small Scalars of Q(sqrt d), or of Q when d is None."""
+    ints = st.integers(-3, 3)
+    values = st.builds(
+        lambda a, b: Scalar(a, b, d) if d is not None and b else Scalar(a), ints, ints
+    )
+    return values.filter(lambda v: not v.is_zero()) if nonzero else values
+
+
+@pytest.mark.parametrize("d", [None, -1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_assemble_extension_matches_reference(n, d, data):
+    # unvalidated data: any a, X, and a nonzero entry in every rho and r row
+    f = data.draw(st.integers(1, n + 1))
+    m = 2 * n
+
+    def draw(k, nonzero=False):
+        return [data.draw(scalars(d, nonzero))] + [data.draw(scalars(d)) for _ in range(k - 1)]
+
+    spec = ExtensionSpec.make(
+        n, f, draw(f), [[draw(m) for _ in range(m)] for _ in range(f)],
+        rho=[draw(m, nonzero=True) for _ in range(f)],
+        r=[draw(f, nonzero=True) for _ in range(f)],
+    )
+    assert assemble_extension(spec) == reference_assemble_extension(spec)
+
+
+@pytest.mark.parametrize("pair", DOCUMENTED_CONDENSATIONS, ids="->".join)
+def test_condensation_rows_match_reference(pair):
+    rows = reference_condensation_rows(*pair)
+    assert condensation_witness(*pair).basis_rows == tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_extension_tensor_round_trip(n, data):
+    # the displays and [S, S] read back the blocks written, and the products
+    # inside the nilradical are those of H(n)
+    f, m = data.draw(st.integers(0, n + 1)), 2 * n + 1
+
+    def rows(k):
+        return [[data.draw(scalars(-1)) for _ in range(m)] for _ in range(k)]
+
+    left, right, ss = ([rows(k) for _ in range(f)] for k in (m, m, f))
+    t = extension_tensor(n, f, left, right, ss)
+    assert [left_action_display(t, n, f, al) for al in range(f)] == left
+    assert [right_action_display(t, n, f, al) for al in range(f)] == right
+    assert [[[t.entry(al, be, k) for k in range(f, t.dim)] for be in range(f)]
+            for al in range(f)] == ss
+    inner = {
+        (i - f, j - f, k - f): v
+        for (i, j, k), v in t.constants_dict().items()
+        if i >= f and j >= f
+    }
+    assert inner == heisenberg(n).constants_dict()
