@@ -10,29 +10,31 @@ assumed: leibniz_residual exposes the defect of each basis triple.
 
 For Scalar entries leibniz_defects runs that residual over integers.  The
 tensor's private integer view holds every constant times the lcm D of all
-denominators: an int over Q, and over Q(sqrt d) an integer pair (a, b)
-for a + b*sqrt(d) in a ring class that holds d once (constants with two
+denominators: an int over Q, and over Q(sqrt d) an element of the ring
+Z[sqrt d] from scalars.py, which holds d once (constants with two
 different d raise IncompatibleFieldError).  The check is exact, not a
 tolerance: each residual component is a homogeneous quadratic in the
 constants, so scaling them by D scales it by D^2 and keeps its zero set;
 and since d is squarefree and not 0 or 1, a + b*sqrt(d) = 0 iff a = b = 0.
 The defect list is computed once per tensor and memoized.
 
-Subspaces are kept in reduced row echelon form so that equality of
-subspaces is structural equality, and the series/annihilator operations
-return canonical objects.
+bracket_span, behind both series, contracts on the same view: [u, v]
+with u, v and the constants cleared is a nonzero multiple of [u, v], so
+it spans the same line.  Subspaces are kept in reduced row echelon form,
+built by linalg.rref (a fraction-free elimination over the same integer
+rings that normalises to Scalars once), so that equality of subspaces is
+structural equality, membership is read off the rows, and the
+series/annihilator operations return canonical objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
-from math import lcm
 
 from . import linalg
 from .linalg import ShapeError
-from .scalars import IncompatibleFieldError, Scalar
+from .scalars import Scalar, clear_denominators, common_field, from_integer, quadratic_integers
 
 _NO_PRODUCT: dict = {}
 
@@ -180,25 +182,13 @@ class StructTensor:
         use.  Only contract and leibniz_residual may run on it."""
         if self._view is None:
             values = [v for row in self._c.values() for v in row.values()]
-            fields = sorted({v.d for v in values if v.d is not None})
-            if len(fields) > 1:
-                raise IncompatibleFieldError(
-                    f"cannot combine sqrt({fields[0]}) with sqrt({fields[1]})"
-                )
-            den = lcm(*(x.denominator for v in values for x in (v.a, v.b)))
-
-            def clear(x):
-                return x.numerator * (den // x.denominator)
-
-            if fields:
-                ring = _quadratic_integers(fields[0])
-                zero, cleared = ring(0, 0), lambda v: ring(clear(v.a), clear(v.b))
-            else:
-                zero, cleared = 0, lambda v: clear(v.a)
+            d = common_field(values)
+            cleared = iter(clear_denominators(values, d)[1])
+            zero = 0 if d is None else quadratic_integers(d)(0, 0)
             view = object.__new__(StructTensor)
             view._fill(
                 self.dim, self.basis_labels, zero,
-                {ij: {k: cleared(v) for k, v in row.items()} for ij, row in self._c.items()},
+                {ij: {k: next(cleared) for k in row} for ij, row in self._c.items()},
             )
             object.__setattr__(self, "_view", view)
         return self._view
@@ -257,32 +247,6 @@ class StructTensor:
         return f"StructTensor(dim={self.dim}, entries={kind})"
 
 
-@lru_cache(maxsize=64)
-def _quadratic_integers(d: int) -> type:
-    """The ring Z[sqrt d]: elements are integer pairs (a, b) for a + b*sqrt(d),
-    and d is held by the class, once."""
-
-    class QuadraticInteger:
-        __slots__ = ("a", "b")
-
-        def __init__(self, a: int, b: int):
-            self.a, self.b = a, b
-
-        def __add__(self, o):
-            return QuadraticInteger(self.a + o.a, self.b + o.b)
-
-        def __neg__(self):
-            return QuadraticInteger(-self.a, -self.b)
-
-        def __mul__(self, o):
-            return QuadraticInteger(self.a * o.a + d * self.b * o.b, self.a * o.b + self.b * o.a)
-
-        def __eq__(self, o):
-            return self.a == o.a and self.b == o.b
-
-    return QuadraticInteger
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of F^n in reduced echelon form (canonical representative)."""
@@ -318,12 +282,17 @@ class Subspace:
         return [list(row) for row in self.rows]
 
     def contains(self, v) -> bool:
+        """Read off the RREF rows: each is 1 at its pivot column and 0 at the
+        others', so v is in W iff v = sum of v[pivot] * row."""
+        v = list(v)
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length != ambient dimension")
-        if linalg.is_zero_vector(list(v)):
-            return True
-        stacked = self.basis_vectors() + [list(v)]
-        return linalg.rank(stacked) == self.dim
+        combination = [Scalar.zero()] * self.ambient_dim
+        for row in self.rows:
+            c = v[next(j for j, x in enumerate(row) if not x.is_zero())]
+            if not c.is_zero():
+                combination = [x + c * y for x, y in zip(combination, row)]
+        return combination == v
 
     def is_contained_in(self, other: Subspace) -> bool:
         return all(other.contains(list(row)) for row in self.rows)
@@ -358,13 +327,26 @@ class Fingerprint:
 
 
 def bracket_span(t: StructTensor, a: Subspace, b: Subspace) -> Subspace:
-    """span([u, v] : u in basis(a), v in basis(b)); complete by bilinearity."""
+    """span([u, v] : u in basis(a), v in basis(b)); complete by bilinearity.
+
+    Each bracket is contracted on the integer view with the denominators of
+    u and v cleared, so it is a nonzero multiple of [u, v] and spans the
+    same line."""
+    t._require_scalar("bracket span")
+    if a.ambient_dim != t.dim or b.ambient_dim != t.dim:
+        raise ShapeError("subspace ambient dimension != tensor dimension")
+    view = t._integer_view()
+    d = common_field(chain((view.zero,), *a.rows, *b.rows))
+    us = [clear_denominators(u, d)[1] for u in a.rows]
+    vs = [clear_denominators(v, d)[1] for v in b.rows]
     vectors = []
-    for u in a.basis_vectors():
-        for v in b.basis_vectors():
-            w = t.bracket(u, v)
-            if not linalg.is_zero_vector(w):
-                vectors.append(w)
+    for u in us:
+        for v in vs:
+            w = view.contract(
+                (x * y, i, j) for i, x in enumerate(u) if x for j, y in enumerate(v) if y
+            )
+            if any(w):
+                vectors.append([from_integer(x) for x in w])
     return Subspace.span(vectors, t.dim)
 
 

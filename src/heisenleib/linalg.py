@@ -2,14 +2,27 @@
 
 Matrices are lists of row lists.  Ring operations (mat_mul, mat_add, ...)
 are duck-typed and also work on PolyQ entries; anything that divides
-(rref, nullspace, inverse, det) requires Scalar entries, which form a field.
+(rref, rank, nullspace, inverse, det) requires Scalar entries, which form
+a field.
+
+All of those run one private kernel, _fraction_free: Bareiss's
+fraction-free Gauss-Jordan elimination on the rows cleared of their
+denominators into Z, or into Z[sqrt d] over Q(sqrt d) (the integer view
+of scalars.py).  It is exact, not approximate: each division by the
+previous pivot has a remainder of zero (Sylvester's identity makes every
+entry a minor of the cleared matrix), and exact_div raises if one does
+not.  Entries over two different d raise IncompatibleFieldError up front.
+rref divides the pivot rows by the last pivot once, so its output is the
+canonical Scalar RREF; rank counts pivots and det reads the last pivot,
+and neither builds a Scalar along the way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from .scalars import Scalar
+from .scalars import Scalar, clear_denominators, common_field, exact_div, from_integer
 
 Matrix = list  # list[list[entry]]
 Vector = list  # list[entry]
@@ -136,6 +149,8 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     r, c = shape(a)
     if r != c:
         raise ShapeError("matrix power needs a square matrix")
+    if n < 0:
+        raise ValueError(f"matrix power needs a nonnegative exponent, got {n}")
     result = identity(r)
     base = [row[:] for row in a]
     while n > 0:
@@ -146,50 +161,80 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     return result
 
 
+def _fraction_free(rows: Matrix) -> tuple[list, list[int], object, int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of Scalar rows.
+
+    Each row is cleared of its denominators into Z, or into Z[sqrt d] when
+    its entries lie in Q(sqrt d); entries from two different d raise
+    IncompatibleFieldError before any work.  Zero rows are dropped.  For
+    each pivot p in row r, every other row becomes
+    (p*row_i - m_i*row_r) / prev, with m_i its entry in the pivot column
+    and prev the previous pivot.  By Sylvester's identity every entry is
+    then a minor of the cleared matrix, so the division is exact in the
+    ring; exact_div raises if it is not.  Afterwards every pivot entry
+    equals the last pivot.
+
+    Returns (eliminated rows, pivot columns, last pivot, sign of the row
+    swaps, per-row scale factors).
+    """
+    ncols = shape(rows)[1]
+    d = common_field(x for row in rows for x in row)
+    scales, m = [], []
+    for row in rows:
+        den, cleared = clear_denominators(row, d)
+        scales.append(den)
+        if any(cleared):
+            m.append(cleared)
+    pivots: list[int] = []
+    prev, sign, r = None, 1, 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                if prev is None:
+                    m[i] = [p * x - f * y for x, y in zip(row, top)]
+                else:
+                    m[i] = [exact_div(p * x - f * y, prev) for x, y in zip(row, top)]
+        prev = p
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, prev, sign, scales
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over Scalar; returns (rref, pivot columns).
 
-    Zero rows are kept in place at the bottom; callers building canonical
-    subspace bases drop them.
+    Zero rows are kept at the bottom; callers building canonical subspace
+    bases drop them.
     """
-    m = [row[:] for row in rows]
-    if not m:
+    if not rows:
         return [], []
-    nrows, ncols = shape(m)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not m[i][col].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col].inv()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][col].is_zero():
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    m, pivots, last, _, _ = _fraction_free(rows)
+    nrows, ncols = len(rows), len(rows[0])
+    red = [[from_integer(x, last) for x in m[i]] for i in range(len(pivots))]
+    zero = Scalar.zero()
+    return red + [[zero] * ncols for _ in range(nrows - len(pivots))], pivots
 
 
 def rank(rows: Matrix) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(_fraction_free(rows)[1])
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Canonical basis of {x : a @ x = 0}, one vector per free column."""
-    r, c = shape(a) if a else (0, 0)
     if not a:
         return []
+    c = shape(a)[1]
     red, pivots = rref(a)
     pivot_set = set(pivots)
     free_cols = [j for j in range(c) if j not in pivot_set]
@@ -205,29 +250,18 @@ def nullspace(a: Matrix) -> list[Vector]:
 
 
 def det(a: Matrix) -> Scalar:
+    """sign * last pivot / product of the row scale factors: the last
+    fraction-free pivot is the determinant of the row-swapped, cleared
+    matrix."""
     r, c = shape(a)
     if r != c:
         raise ShapeError("determinant needs a square matrix")
-    m = [row[:] for row in a]
-    result = Scalar.one()
-    for col in range(c):
-        pivot_row = None
-        for i in range(col, r):
-            if not m[i][col].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Scalar.zero()
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            result = -result
-        result = result * m[col][col]
-        inv = m[col][col].inv()
-        for i in range(col + 1, r):
-            if not m[i][col].is_zero():
-                factor = m[i][col] * inv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
-    return result
+    if not a:
+        return Scalar.one()
+    _, pivots, last, sign, scales = _fraction_free(a)
+    if len(pivots) < r:
+        return Scalar.zero()
+    return from_integer(sign * last, prod(scales))
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -16,6 +16,12 @@ Text format (used by the CLI file formats): "p/q" for rationals and
 integer in it has at most MAX_TEXT_DIGITS digits and |d| is at most
 MAX_SQRT_D: d goes to squarefree trial division (about sqrt|d| steps),
 whose verdict is memoized for the arithmetic results over sqrt(d).
+
+Hot loops run on an integer view instead: clear_denominators multiplies a
+list of Scalars by the lcm of their denominators, giving ints over Q and
+elements of Z[sqrt d] (quadratic_integers(d), a ring class that holds d
+once) over Q(sqrt d).  exact_div divides there and raises unless the
+quotient is in the ring, and from_integer goes back to a Scalar.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 MAX_TEXT_DIGITS = 1000
 MAX_SQRT_D = 10**6
@@ -44,6 +50,10 @@ class IncompatibleFieldError(ScalarError):
 
 class ScalarParseError(ValueError):
     """A scalar string did not match the exact-scalar text format."""
+
+
+class InexactDivisionError(ScalarError):
+    """An integer division that had to be exact left a remainder."""
 
 
 @lru_cache(maxsize=64)
@@ -327,3 +337,106 @@ def sqrt_as_scalar(q: Fraction) -> Scalar:
     if s == 1:
         return Scalar(coeff)
     return Scalar(0, coeff, s)
+
+
+# -- integer views --------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def quadratic_integers(d: int) -> type:
+    """The ring Z[sqrt d]: elements are integer pairs (a, b) for a + b*sqrt(d),
+    and d is held by the class, once.  Division is exact or raises."""
+
+    class QuadraticInteger:
+        __slots__ = ("a", "b")
+
+        def __init__(self, a: int, b: int):
+            self.a, self.b = a, b
+
+        def __add__(self, o):
+            return QuadraticInteger(self.a + o.a, self.b + o.b)
+
+        def __neg__(self):
+            return QuadraticInteger(-self.a, -self.b)
+
+        def __sub__(self, o):
+            return QuadraticInteger(self.a - o.a, self.b - o.b)
+
+        def __mul__(self, o):
+            if o.__class__ is int:
+                return QuadraticInteger(self.a * o, self.b * o)
+            return QuadraticInteger(self.a * o.a + d * self.b * o.b, self.a * o.b + self.b * o.a)
+
+        __rmul__ = __mul__
+
+        def __truediv__(self, o):
+            # x / y = x * conj(y) / N(y), with N(y) = y * conj(y) in Z
+            norm = o.norm()
+            a, ra = divmod(self.a * o.a - d * self.b * o.b, norm)
+            b, rb = divmod(self.b * o.a - self.a * o.b, norm)
+            if ra or rb:
+                raise InexactDivisionError(f"inexact division in Z[sqrt({d})]")
+            return QuadraticInteger(a, b)
+
+        def conjugate(self):
+            return QuadraticInteger(self.a, -self.b)
+
+        def norm(self) -> int:
+            return self.a * self.a - d * self.b * self.b
+
+        def __bool__(self):
+            return bool(self.a or self.b)
+
+        def __eq__(self, o):
+            return self.a == o.a and self.b == o.b
+
+    QuadraticInteger.d = d
+    return QuadraticInteger
+
+
+def exact_div(x, y):
+    """The quotient x / y in Z or in Z[sqrt d]; raises InexactDivisionError
+    unless y divides x."""
+    if x.__class__ is not int:
+        return x / y
+    q, r = divmod(x, y)
+    if r:
+        raise InexactDivisionError(f"{y} does not divide {x}")
+    return q
+
+
+def common_field(values) -> int | None:
+    """The d of the one quadratic field the values live in (None for Q).
+    Values are Scalars or elements of Z or Z[sqrt d]; two different d
+    raise IncompatibleFieldError."""
+    d = None
+    for v in values:
+        vd = getattr(v, "d", None)
+        if vd is not None and vd != d:
+            if d is not None:
+                raise IncompatibleFieldError(f"cannot combine sqrt({d}) with sqrt({vd})")
+            d = vd
+    return d
+
+
+def clear_denominators(values, d: int | None) -> tuple[int, list]:
+    """(D, [D*v for v in values]) for Scalars in Q or Q(sqrt d), with D the
+    lcm of their denominators: each D*v is an int when d is None and an
+    element of quadratic_integers(d) otherwise."""
+    den = lcm(*(x.denominator for v in values for x in (v.a, v.b)))
+    if d is None:
+        return den, [v.a.numerator * (den // v.a.denominator) for v in values]
+    ring = quadratic_integers(d)
+    return den, [
+        ring(v.a.numerator * (den // v.a.denominator), v.b.numerator * (den // v.b.denominator))
+        for v in values
+    ]
+
+
+def from_integer(x, den=1) -> Scalar:
+    """The Scalar x / den, for x and a nonzero den in Z or in Z[sqrt d]."""
+    if den.__class__ is not int:
+        x, den = x * den.conjugate(), den.norm()
+    if x.__class__ is int:
+        return Scalar(Fraction(x, den))
+    return Scalar(Fraction(x.a, den), Fraction(x.b, den), x.d)

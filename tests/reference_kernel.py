@@ -25,6 +25,13 @@ an extension spec and of the generic cascade tensor with their own index
 arithmetic, and the reference_*_rows functions place the condensation
 basis rows by fixed positions, the way the library did before both went
 through heisenberg.extension_tensor and heisenberg.extension_basis_rows.
+
+reference_rref and reference_det are Gauss-Jordan and Gaussian
+elimination on Scalar entries, one Scalar inverse per pivot, the way
+linalg ran before its elimination became fraction-free over Z and
+Z[sqrt d]; reference_contains is subspace membership as a rank test on
+the stacked rows, the way Subspace.contains read it before it read the
+stored RREF rows.
 """
 
 import warnings
@@ -48,6 +55,76 @@ from heisenleib.heisenberg import (
 from heisenleib.linalg import ShapeError
 from heisenleib.poly import PolyError, PolyQ, UnknownIndeterminateError
 from heisenleib.scalars import Scalar
+
+
+def reference_rref(rows):
+    """Reduced row echelon form over Scalar; returns (rref, pivot columns).
+
+    Zero rows are kept in place at the bottom; callers building canonical
+    subspace bases drop them.
+    """
+    m = [row[:] for row in rows]
+    if not m:
+        return [], []
+    nrows, ncols = linalg.shape(m)
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if not m[i][col].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][col].inv()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][col].is_zero():
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def reference_det(a):
+    r, c = linalg.shape(a)
+    if r != c:
+        raise ShapeError("determinant needs a square matrix")
+    m = [row[:] for row in a]
+    result = Scalar.one()
+    for col in range(c):
+        pivot_row = None
+        for i in range(col, r):
+            if not m[i][col].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return Scalar.zero()
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            result = -result
+        result = result * m[col][col]
+        inv = m[col][col].inv()
+        for i in range(col + 1, r):
+            if not m[i][col].is_zero():
+                factor = m[i][col] * inv
+                m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
+    return result
+
+
+def reference_contains(w, v) -> bool:
+    """v in W iff stacking v under W's rows leaves the rank at dim W."""
+    if len(v) != w.ambient_dim:
+        raise ShapeError("vector length != ambient dimension")
+    if linalg.is_zero_vector(list(v)):
+        return True
+    stacked = w.basis_vectors() + [list(v)]
+    return len(reference_rref(stacked)[1]) == w.dim
 
 
 class DenseTensor:

@@ -2,7 +2,7 @@ import pytest
 
 from heisenleib import linalg
 from heisenleib.linalg import ShapeError, SingularMatrixError, smat, svec
-from heisenleib.scalars import Scalar
+from heisenleib.scalars import IncompatibleFieldError, Scalar
 
 
 def test_mat_mul_identity():
@@ -61,3 +61,22 @@ def test_quadratic_entries():
     assert linalg.det(m) == Scalar.one()
     inv = linalg.inverse(m)
     assert linalg.mat_eq(linalg.mat_mul(m, inv), linalg.identity(2))
+
+
+def test_mat_pow_refuses_a_negative_exponent():
+    with pytest.raises(ValueError):
+        linalg.mat_pow(smat([[1, 1], [0, 1]]), -1)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # the two fields never meet in one product: refused all the same
+        [[Scalar.sqrt_d(2), Scalar.zero()], [Scalar.zero(), Scalar.sqrt_d(3)]],
+        [[Scalar.sqrt_d(2), Scalar.sqrt_d(3)], [Scalar.one(), Scalar.zero()]],
+    ],
+)
+@pytest.mark.parametrize("op", [linalg.rref, linalg.rank, linalg.nullspace, linalg.det, linalg.inverse])
+def test_elimination_refuses_two_fields(m, op):
+    with pytest.raises(IncompatibleFieldError):
+        op(m)

@@ -6,7 +6,11 @@ sp(2n) test against the K products; and maximality and nilindependence
 through ExtensionSpec.nilpotent_combination against the per-case
 decisions they replaced; the one extension-layout writer and the
 block-diagonal basis rows against the hand-indexed writers of H(n), spec
-tensors, the generic cascade tensor and the condensation witnesses."""
+tensors, the generic cascade tensor and the condensation witnesses; the
+fraction-free rref, rank, nullspace, det and inverse against Scalar
+Gauss-Jordan elimination (and sympy's rank and det, where installed) over
+Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt -3); Subspace.contains against a
+rank test, and bracket_span on the integer view against Scalar brackets."""
 
 import random
 import warnings
@@ -16,7 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heisenleib import linalg
-from heisenleib.algebra import StructTensor, change_basis, element_nilpotent
+from heisenleib.algebra import (
+    StructTensor,
+    Subspace,
+    bracket_span,
+    change_basis,
+    element_nilpotent,
+)
 from heisenleib.catalog import (
     DOCUMENTED_CONDENSATIONS,
     build_entry,
@@ -39,15 +49,19 @@ from heisenleib.heisenberg import (
     right_action_display,
     symplectic_check,
 )
-from heisenleib.scalars import Scalar
+from heisenleib.linalg import SingularMatrixError
+from heisenleib.scalars import IncompatibleFieldError, Scalar
 
 from reference_kernel import (
     DenseTensor,
     reference_assemble_extension,
     reference_condensation_rows,
+    reference_contains,
     reference_decide_maximality,
+    reference_det,
     reference_heisenberg,
     reference_parametric_extension,
+    reference_rref,
     reference_validate_nilindependence,
     symplectic_check_by_products,
 )
@@ -386,3 +400,165 @@ def test_extension_tensor_round_trip(n, data):
         if i >= f and j >= f
     }
     assert inner == heisenberg(n).constants_dict()
+
+
+ELIMINATION_FIELDS = [None, -1, 2, 5, -3]
+
+
+def random_matrix(rng, d, nrows, ncols):
+    """Entries p/q + r/s*sqrt(d) with q, s up to 3, many of them zero; some
+    rows zero, duplicated or the sum of two earlier rows, and sometimes a
+    zero column."""
+
+    def entry():
+        if rng.random() < 0.3:
+            return Scalar.zero()
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        b = Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if d and rng.random() < 0.6 else 0
+        return Scalar(a, b, d if b else None)
+
+    m = []
+    for i in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            m.append([Scalar.zero()] * ncols)
+        elif kind < 0.2 and i:
+            m.append(list(rng.choice(m)))
+        elif kind < 0.3 and i:
+            m.append(linalg.vec_add(rng.choice(m), rng.choice(m)))
+        else:
+            m.append([entry() for _ in range(ncols)])
+    if rng.random() < 0.3:
+        col = rng.randrange(ncols)
+        for row in m:
+            row[col] = Scalar.zero()
+    return m
+
+
+def expected_nullspace(red, pivots, ncols):
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        v = [Scalar.zero()] * ncols
+        v[free] = Scalar.one()
+        for row, pcol in enumerate(pivots):
+            v[pcol] = -red[row][free]
+        basis.append(v)
+    return basis
+
+
+def assert_elimination_matches_reference(m):
+    red, pivots = reference_rref(m)
+    ncols = len(m[0])
+    assert linalg.rref(m) == (red, pivots)
+    assert linalg.rank(m) == len(pivots)
+    null = linalg.nullspace(m)
+    assert null == expected_nullspace(red, pivots, ncols)
+    assert all(linalg.is_zero_vector(linalg.mat_vec(m, v)) for v in null)
+    n = len(m)
+    if n != ncols:
+        return
+    assert linalg.det(m) == reference_det(m)
+    aug_red, aug_pivots = reference_rref([row + linalg.identity(n)[i] for i, row in enumerate(m)])
+    if aug_pivots == list(range(n)):
+        assert linalg.inverse(m) == [row[n:] for row in aug_red]
+    else:
+        with pytest.raises(SingularMatrixError):
+            linalg.inverse(m)
+
+
+@pytest.mark.parametrize("d", ELIMINATION_FIELDS)
+def test_elimination_matches_reference(d):
+    rng = random.Random(f"elimination over {d}")
+    for _ in range(150):
+        assert_elimination_matches_reference(
+            random_matrix(rng, d, rng.randint(1, 8), rng.randint(1, 9))
+        )
+        n = rng.randint(1, 6)
+        assert_elimination_matches_reference(random_matrix(rng, d, n, n))
+
+
+def test_elimination_keeps_large_denominators_exact():
+    # lcm clearing and Bareiss pivots far past machine words, both fields
+    rng = random.Random(11)
+    for d in (None, 2):
+        p = large_denominator_basis(rng, 5, d)
+        m = linalg.mat_mul(p, linalg.transpose(p))
+        assert_elimination_matches_reference(m)
+        assert_elimination_matches_reference(m + [linalg.vec_add(m[0], m[3])])
+
+
+@pytest.mark.parametrize("d", ELIMINATION_FIELDS)
+def test_rank_and_det_match_sympy(d):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_sympy(x):
+        value = sympy.Rational(x.a.numerator, x.a.denominator)
+        if x.d is not None:
+            value += sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.d)
+        return value
+
+    rng = random.Random(f"sympy over {d}")
+    for _ in range(15):
+        n = rng.randint(1, 5)
+        m = random_matrix(rng, d, n, rng.choice([n, n + 2]))
+        dm = DomainMatrix.from_list_sympy(
+            n, len(m[0]), [[to_sympy(x) for x in row] for row in m], extension=True
+        )
+        assert linalg.rank(m) == dm.rank()
+        if len(m[0]) == n:
+            assert dm.domain.from_sympy(to_sympy(linalg.det(m))) == dm.det()
+
+
+@pytest.mark.parametrize("d", ELIMINATION_FIELDS)
+def test_contains_matches_rank_test(d):
+    rng = random.Random(f"contains over {d}")
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        w = Subspace.span(random_matrix(rng, d, rng.randint(1, n), n), n)
+        basis = w.basis_vectors()
+        candidates = [random_matrix(rng, d, 1, n)[0], [Scalar.zero()] * n]
+        if basis:
+            combo = [Scalar.zero()] * n
+            for row in basis:
+                combo = linalg.vec_add(combo, [x * random_scalar(rng, d) for x in row])
+            candidates.append(combo)
+        for v in candidates:
+            assert w.contains(v) == reference_contains(w, v)
+
+
+def scalar_bracket_span(t, a, b):
+    return Subspace.span(
+        [t.bracket(u, v) for u in a.basis_vectors() for v in b.basis_vectors()], t.dim
+    )
+
+
+@pytest.mark.parametrize(
+    "entry_id, basis_d, subspace_d",
+    [
+        ("H1a0C-r1", -1, None),
+        ("H1a1C-jordan", -1, -1),
+        ("H2a1C", 5, 5),
+        ("H2a1R", 2, None),
+        ("H2a1R", None, 2),  # rational constants, quadratic subspaces
+        ("H1a1C-jordan", None, -1),
+    ],
+)
+def test_bracket_span_matches_scalar_brackets(entry_id, basis_d, subspace_d):
+    rng = random.Random(f"{entry_id} {basis_d} {subspace_d}")
+    t = build_entry(entry_id)
+    n = t.dim
+    t = change_basis(t, random_invertible(rng, n, basis_d))
+    spaces = [Subspace.full(n), Subspace.zero(n)] + [
+        Subspace.span(random_matrix(rng, subspace_d, rng.randint(1, n), n), n) for _ in range(3)
+    ]
+    for a in spaces:
+        for b in spaces:
+            assert bracket_span(t, a, b) == scalar_bracket_span(t, a, b)
+
+
+def test_bracket_span_refuses_two_fields():
+    t = StructTensor(2, {(0, 1, 1): Scalar.sqrt_d(2)})
+    w = Subspace.span([[Scalar.one(), Scalar.sqrt_d(3)]], 2)
+    with pytest.raises(IncompatibleFieldError):
+        bracket_span(t, w, w)

@@ -4,10 +4,16 @@ import pytest
 
 from heisenleib.scalars import (
     IncompatibleFieldError,
+    InexactDivisionError,
     Scalar,
     ScalarError,
     ScalarParseError,
+    clear_denominators,
+    common_field,
+    exact_div,
+    from_integer,
     is_squarefree,
+    quadratic_integers,
     rational_is_square,
     sqrt_as_scalar,
     squarefree_split,
@@ -134,3 +140,35 @@ def test_rational_is_square():
     assert rational_is_square(Fraction(4, 9))
     assert not rational_is_square(Fraction(2))
     assert not rational_is_square(Fraction(-4))
+
+
+def test_exact_div_in_z():
+    assert exact_div(-12, 4) == -3
+    with pytest.raises(InexactDivisionError):
+        exact_div(7, 2)
+
+
+@pytest.mark.parametrize("d", [-1, 2, 5, -3])
+def test_exact_div_in_quadratic_integers(d):
+    ring = quadratic_integers(d)
+    x, y = ring(3, -2), ring(1, 4)
+    product = x * y
+    assert exact_div(product, y) == x and exact_div(product, x) == y
+    assert exact_div(product * 5, 5 * ring(1, 0)) == product
+    with pytest.raises(InexactDivisionError):
+        exact_div(product + ring(1, 0), y)
+    # the rational 2 divides 2 + 2*sqrt(d) in Z[sqrt d], but not 2 + sqrt(d)
+    assert exact_div(ring(2, 2), ring(2, 0)) == ring(1, 1)
+    with pytest.raises(InexactDivisionError):
+        exact_div(ring(2, 1), ring(2, 0))
+
+
+def test_clear_denominators_and_back():
+    values = [Scalar.rational(1, 6), Scalar(Fraction(-3, 4), Fraction(2, 9), 2), Scalar.zero()]
+    d = common_field(values)
+    den, cleared = clear_denominators(values, d)
+    assert d == 2 and den == 36
+    assert [from_integer(x, den) for x in cleared] == values
+    assert [from_integer(x * 7, 7 * quadratic_integers(2)(den, 0)) for x in cleared] == values
+    with pytest.raises(IncompatibleFieldError):
+        common_field(values + [Scalar.sqrt_d(3)])
