@@ -350,15 +350,16 @@ def bracket_span(t: StructTensor, a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(vectors, t.dim)
 
 
-def _series(t: StructTensor, step) -> list[Subspace]:
-    """Shared shape of both series: iterate until zero or stabilization.
+def _series(t: StructTensor, w: Subspace, step=None) -> list[Subspace]:
+    """Shared shape of both series of the subalgebra w: iterate step, by
+    default the lower central step [w, -], until zero or stabilization.
 
-    The returned list starts at [L, L]; a stabilized nonzero term appears
+    The returned list starts at [w, w]; a stabilized nonzero term appears
     twice at the end, a vanishing series ends with the zero subspace.
     """
     t._require_scalar("series computation")
-    full = Subspace.full(t.dim)
-    current = bracket_span(t, full, full)
+    step = step or (lambda current: bracket_span(t, w, current))
+    current = bracket_span(t, w, w)
     terms = [current]
     while current.dim > 0:
         nxt = step(current)
@@ -371,13 +372,12 @@ def _series(t: StructTensor, step) -> list[Subspace]:
 
 def derived_series(t: StructTensor) -> list[Subspace]:
     """[L,L], [[L,L],[L,L]], ...; reaches zero iff the algebra is solvable."""
-    return _series(t, lambda w: bracket_span(t, w, w))
+    return _series(t, Subspace.full(t.dim), lambda w: bracket_span(t, w, w))
 
 
 def lower_central_series(t: StructTensor) -> list[Subspace]:
     """[L,L], [L,[L,L]], ...; reaches zero iff the algebra is nilpotent."""
-    full = Subspace.full(t.dim)
-    return _series(t, lambda w: bracket_span(t, full, w))
+    return _series(t, Subspace.full(t.dim))
 
 
 def is_solvable(t: StructTensor) -> bool:
@@ -454,19 +454,14 @@ def basis_rows_to_coordinate_map(rows) -> list:
 
 
 def subspace_closure_checks(t: StructTensor, w: Subspace) -> ClosureChecks:
-    """Subalgebra / left-ideal / two-sided-ideal membership checks."""
-    t._require_scalar("closure checks")
-    if w.ambient_dim != t.dim:
-        raise ShapeError("subspace ambient dimension != tensor dimension")
-    basis = w.basis_vectors()
-    full = [t.unit_vector(i) for i in range(t.dim)]
-    sub = all(w.contains(t.bracket(u, v)) for u in basis for v in basis)
-    left = all(w.contains(t.bracket(x, v)) for x in full for v in basis)
-    right = all(w.contains(t.bracket(v, x)) for v in basis for x in full)
+    """Subalgebra / left-ideal / two-sided-ideal membership checks: [w, w],
+    [L, w] and [w, L] lie in w."""
+    full = Subspace.full(t.dim)
+    left = bracket_span(t, full, w).is_contained_in(w)
     return ClosureChecks(
-        is_subalgebra=sub,
+        is_subalgebra=bracket_span(t, w, w).is_contained_in(w),
         is_left_ideal=left,
-        is_two_sided_ideal=left and right,
+        is_two_sided_ideal=left and bracket_span(t, w, full).is_contained_in(w),
     )
 
 

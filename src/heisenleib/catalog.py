@@ -483,8 +483,9 @@ def _compose_basis_rows(first_rows, then_rows):
 
 def _witness_rows(real_id: str, complex_id: str, params: dict):
     if real_id == complex_id:
-        dim = 4 if get_entry(real_id).f == 1 else 5
-        return linalg.identity(dim), complex_id, dict(params)
+        entry = get_entry(real_id)
+        rows = extension_basis_rows(linalg.identity(entry.f), 1, linalg.identity(2 * entry.n))
+        return rows, complex_id, dict(params)
     base = {
         ("H1a0R-r0", "H1a0C-r0"): _rows_H1a0R_to_H1a0C,
         ("H1a0R-r1", "H1a0C-r1"): _rows_H1a0R_to_H1a0C,

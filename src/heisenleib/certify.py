@@ -22,6 +22,7 @@ from . import linalg
 from .algebra import (
     StructTensor,
     Subspace,
+    _series,
     bracket_span,
     element_nilpotent,
     subspace_closure_checks,
@@ -166,18 +167,7 @@ def subspace_nilpotent(t: StructTensor, w: Subspace) -> bool:
     """Lower central series of the subalgebra w, computed inside t."""
     if not subspace_closure_checks(t, w).is_subalgebra:
         raise NotSubalgebraError("subspace is not closed under the bracket")
-    return _lower_central_vanishes(t, w)
-
-
-def _lower_central_vanishes(t: StructTensor, w: Subspace) -> bool:
-    """The lower central series of w, a subalgebra of t, reaches zero."""
-    current = bracket_span(t, w, w)
-    while current.dim > 0:
-        nxt = bracket_span(t, w, current)
-        if nxt == current:
-            return False
-        current = nxt
-    return True
+    return _series(t, w)[-1].dim == 0
 
 
 @dataclass(frozen=True)
@@ -248,7 +238,7 @@ def certify_nilradical(
 
     checks = subspace_closure_checks(t, n_subspace)
     ideal = checks.is_two_sided_ideal
-    nilpotent = checks.is_subalgebra and _lower_central_vanishes(t, n_subspace)
+    nilpotent = checks.is_subalgebra and _series(t, n_subspace)[-1].dim == 0
     full = Subspace.full(t.dim)
     contains_derived = bracket_span(t, full, full).is_contained_in(n_subspace)
 

@@ -342,6 +342,9 @@ def cmd_catalog_build(args, out: Output) -> int:
 
 def cmd_catalog_verify(args, out: Output) -> int:
     fields = [args.field] if args.field else ["C", "R"]
+    if args.id and not args.field:  # the entry's own fields; an unknown id is refused below
+        known = {e.id: e.fields for fd in fields for e in catalog.catalog_entries(fd)}
+        fields = [fd for fd in fields if fd in known.get(args.id, fields)]
     status = EXIT_OK
     for field in fields:
         entries = catalog.catalog_entries(field)

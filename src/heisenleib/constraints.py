@@ -21,11 +21,15 @@ Bilinear residuals (commutators of the X blocks, the eigenvector system
 X rho = a rho, the arar combination) are reported as side conditions,
 never solved; the side conditions are read off the X-commutator and
 eigenvector block forms directly.  Two normalizations the derivation
-states without displaying are applied as explicit named binding steps,
-justified by a symbolic change of basis that is performed and checked on
-the spot (_checked_shear): the a-vector normalization (a_1 in {0, 1},
-a_2 = ... = 0) and, in the a_1 = 1 branch, the H-shear that clears the
-leftover r_1b.
+states without displaying are applied as explicit named binding steps:
+the a-vector normalization (a_1 in {0, 1}, a_2 = ... = 0; a_normalize_basis
+gives its change of basis for a concrete a) and, in the a_1 = 1 branch,
+the H-shear that clears the leftover r_1b.  The H-shear, like the gamma
+elimination, is a change of basis S~ = S + v with v in the nilradical
+(heisenberg.extension_shear), performed and checked on the spot
+(_checked_shear).  No stage indexes the (S, H, P, B) layout: constants are
+read through heisenberg's display and block-form readers, and basis
+elements are found by the first letter of their labels.
 
 The Jacobi residual here is oriented as [[x,y],z] + [y,[x,z]] - [x,[y,z]]
 so that reported polynomials carry the signs of the worked derivation
@@ -34,13 +38,15 @@ so that reported polynomials carry the signs of the worked derivation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
-from .algebra import StructTensor, _change_basis_with_inverse
+from .algebra import StructTensor
 from .heisenberg import (
-    block_forms, eigenvector_residual, extension_basis_rows, extension_tensor,
+    block_forms, eigenvector_residual, extension_basis_rows, extension_shear,
+    extension_tensor, left_action_display,
 )
 from .poly import PolyQ, _substituter
 
@@ -242,6 +248,11 @@ def _label(pa: ParamAlgebra, i: int) -> str:
     return pa.tensor.basis_labels[i]
 
 
+def _of_kind(pa: ParamAlgebra, kind: str) -> list:
+    # the kind (S, H, P or B) of a basis element is the first letter of its label
+    return [i for i, label in enumerate(pa.tensor.basis_labels) if label[0] == kind]
+
+
 def triple_label(pa: ParamAlgebra, i: int, j: int, k: int) -> str:
     return "{" + ",".join(_label(pa, x) for x in (i, j, k)) + "}"
 
@@ -264,20 +275,16 @@ def _vector_report(pa: ParamAlgebra, source: str, vec) -> list:
 
 def jacobi_residual_system(pa: ParamAlgebra, triples=None) -> list:
     """Jacobi residual reports; all dim^3 basis triples by default."""
+    return list(_jacobi_reports(pa, triples))
+
+
+def _jacobi_reports(pa: ParamAlgebra, triples=None):
+    # one report at a time, so that a full pass need not hold every residual
     t = pa.tensor
-    if triples is None:
-        triples = [
-            (i, j, k)
-            for i in range(t.dim)
-            for j in range(t.dim)
-            for k in range(t.dim)
-        ]
-    reports = []
-    for (i, j, k) in triples:
-        reports += _vector_report(
+    for (i, j, k) in product(range(t.dim), repeat=3) if triples is None else triples:
+        yield from _vector_report(
             pa, "jacobi " + triple_label(pa, i, j, k), jacobi_vector(t, i, j, k)
         )
-    return reports
 
 
 _TABLE_ROWS = {
@@ -294,19 +301,12 @@ _TABLE_ROWS = {
 
 
 def table_row(pa: ParamAlgebra, i: int, j: int, k: int) -> str | None:
-    # the kind (S, H, P or B) of a basis element is the first letter of its label
     return _TABLE_ROWS.get(tuple(_label(pa, x)[0] for x in (i, j, k)))
 
 
 def table_triples(pa: ParamAlgebra) -> list:
-    dim = pa.tensor.dim
-    return [
-        (i, j, k)
-        for i in range(dim)
-        for j in range(dim)
-        for k in range(dim)
-        if table_row(pa, i, j, k) is not None
-    ]
+    triples = product(range(pa.tensor.dim), repeat=3)
+    return [ijk for ijk in triples if table_row(pa, *ijk) is not None]
 
 
 # -- extraction ---------------------------------------------------------------
@@ -366,13 +366,7 @@ def annotate_forced(reports, bindings) -> list:
             name for _, poly in report.residual_polys for name in poly.used_names()
         }
         forced = tuple(sorted((nm, bound[nm]) for nm in names if nm in bound))
-        out.append(
-            ConstraintReport(
-                source=report.source,
-                residual_polys=report.residual_polys,
-                forced=forced,
-            )
-        )
+        out.append(replace(report, forced=forced))
     return out
 
 
@@ -394,28 +388,17 @@ def _fixed_point(pa: ParamAlgebra, stage: str, residual_fn, reports):
     return pa, all_bindings
 
 
-def _checked_shear(pa: ParamAlgebra, entries: dict, cleared, bound, what: str) -> list:
-    """Change basis by the unipotent rows I + E, E given by entries
-    {(row, col): poly} with E^2 = 0 (so the inverse is I - E).  Checks that
-    the constants at the cleared (i, j, k) vanish in the new basis and that
-    binding the bound names to zero gives the same tensor in both bases, so
-    recording the bindings keeps the history replayable; returns them."""
+def _checked_shear(pa: ParamAlgebra, shifts, cleared, bound, what: str) -> list:
+    """Change basis to S~_al = S_al + shifts[al] . (H, P, B) by
+    extension_shear.  Checks that the constants cleared(tensor) reads vanish
+    in the new basis and that binding the bound names to zero gives the
+    same tensor in both bases, so recording the bindings keeps the history
+    replayable; returns them."""
     t = pa.tensor
-    zero = PolyQ.zero(pa.params)
-    one = PolyQ.const(pa.params, 1)
-
-    def rows_with(sign: int):
-        rows = [[one if i == j else zero for j in range(t.dim)] for i in range(t.dim)]
-        for (i, j), p in entries.items():
-            rows[i][j] = sign * p
-        return rows
-
-    changed = _change_basis_with_inverse(
-        t, linalg.transpose(rows_with(-1)), linalg.transpose(rows_with(+1))
-    )
-    if any(not changed.entry(i, j, k).is_zero() for i, j, k in cleared):
+    changed = extension_shear(t, pa.n, pa.f, shifts)
+    if any(not p.is_zero() for p in cleared(changed)):
         raise CascadeError(f"{what} failed to clear its target constants")
-    bindings = [(name, zero) for name in bound]
+    bindings = [(name, t.zero) for name in bound]
     zeros = dict(bindings)
     if substitute_tensor(t, zeros) != substitute_tensor(changed, zeros):
         raise CascadeError(f"{what} is not a pure reparameterization")
@@ -423,6 +406,12 @@ def _checked_shear(pa: ParamAlgebra, entries: dict, cleared, bound, what: str) -
 
 
 # -- gamma elimination --------------------------------------------------------
+
+
+def _gammas(t: StructTensor, n: int, f: int) -> list:
+    """Per generator, the H-components (gamma1, gamma2) of [S_al, P] and
+    [S_al, B]: column H of the left action display below its corner."""
+    return [[row[0] for row in left_action_display(t, n, f, al)[1:]] for al in range(f)]
 
 
 def gamma_eliminate(pa: ParamAlgebra) -> ParamAlgebra:
@@ -434,33 +423,22 @@ def gamma_eliminate(pa: ParamAlgebra) -> ParamAlgebra:
     so a second call is the identity transformation.
     """
     n, f = pa.n, pa.f
-    t = pa.tensor
-
-    current = {}
-    for al in range(1, f + 1):
-        for i in range(1, n + 1):
-            current[("gamma1", al, i)] = t.entry(al - 1, f + 1 + (i - 1), f)
-            current[("gamma2", al, i)] = t.entry(al - 1, f + 1 + n + (i - 1), f)
-    if all(p.is_zero() for p in current.values()):
+    gammas = _gammas(pa.tensor, n, f)
+    names = [f"{base}_{al}_{i}" for al in range(1, f + 1)
+             for base in ("gamma1", "gamma2") for i in range(1, n + 1)]
+    current = [p for gamma in gammas for p in gamma]
+    if all(p.is_zero() for p in current):
         return apply_bindings(pa, "gamma_eliminate", ())
-    for (base, al, i), p in current.items():
-        if p != PolyQ.var(pa.params, f"{base}_{al}_{i}"):
-            raise CascadeError(
-                "gamma elimination expects the generic tensor (H-components "
-                "must be the free gamma indeterminates or zero)"
-            )
-
-    entries = {}
-    for (base, al, i), p in current.items():
-        if base == "gamma1":
-            entries[(al - 1, f + n + i)] = p
-        else:
-            entries[(al - 1, f + i)] = -p
+    if any(p != PolyQ.var(pa.params, name) for p, name in zip(current, names)):
+        raise CascadeError(
+            "gamma elimination expects the generic tensor (H-components "
+            "must be the free gamma indeterminates or zero)"
+        )
     bindings = _checked_shear(
         pa,
-        entries,
-        cleared=[(al, f + 1 + u, f) for al in range(f) for u in range(2 * n)],
-        bound=[f"{base}_{al}_{i}" for base, al, i in current],
+        [[pa.tensor.zero] + [-p for p in gamma[n:]] + gamma[:n] for gamma in gammas],
+        cleared=lambda t: [p for gamma in _gammas(t, n, f) for p in gamma],
+        bound=names,
         what="gamma elimination",
     )
     return apply_bindings(pa, "gamma_eliminate", bindings)
@@ -476,10 +454,8 @@ def annihilator_residual_system(pa: ParamAlgebra) -> list:
     if "jacobi" not in pa.stage_names():
         raise OrderingError("annihilator stage requires the jacobi stage first")
     t = pa.tensor
-    f = pa.f
     reports = []
-    for al in range(f):
-        s = al
+    for s in _of_kind(pa, "S"):
         for y in range(t.dim):
             u = [t.entry(s, y, m) + t.entry(y, s, m) for m in range(t.dim)]
             support = [(m, um) for m, um in enumerate(u) if not um.is_zero()]
@@ -492,13 +468,10 @@ def annihilator_residual_system(pa: ParamAlgebra) -> list:
                     f"[{_label(pa, y)},{_label(pa, s)}],{_label(pa, z)}]"
                 )
                 reports += _vector_report(pa, source, vec)
-    for al in range(f):
-        s = al
-        for i in range(pa.n):
-            for j in range(pa.n):
-                p_i = f + 1 + i
-                b_j = f + 1 + pa.n + j
-                for (x, y) in ((p_i, b_j), (b_j, p_i)):
+    for s in _of_kind(pa, "S"):
+        for p in _of_kind(pa, "P"):
+            for b in _of_kind(pa, "B"):
+                for (x, y) in ((p, b), (b, p)):
                     reports += _vector_report(
                         pa,
                         "closure jacobi " + triple_label(pa, x, y, s),
@@ -543,8 +516,8 @@ def commutation_residual_system(pa: ParamAlgebra) -> list:
     f = pa.f
     a, x, rho, _ = block_forms(t, pa.n, f)
     reports = []
-    lmats = [t.left_mult_matrix(t.unit_vector(al)) for al in range(f)]
-    rmats = [t.right_mult_matrix(t.unit_vector(al)) for al in range(f)]
+    lmats = [t.left_mult_matrix(t.unit_vector(s)) for s in _of_kind(pa, "S")]
+    rmats = [t.right_mult_matrix(t.unit_vector(s)) for s in _of_kind(pa, "S")]
     for al in range(f):
         for be in range(al + 1, f):
             reports += _commutator_report(
@@ -591,13 +564,14 @@ def verify_arar(pa: ParamAlgebra) -> list:
         raise OrderingError("arar stage requires the annihilator stage first")
     t = pa.tensor
     a, _, _, r = block_forms(t, pa.n, pa.f)
+    s, h = _of_kind(pa, "S"), _of_kind(pa, "H")[0]
     reports = []
     for al in range(pa.f):
         for be in range(pa.f):
-            vec = jacobi_vector(t, 0, al, be)
-            raw = vec[pa.f]
+            vec = jacobi_vector(t, s[0], s[al], s[be])
+            raw = vec[h]
             for comp, p in enumerate(vec):
-                if comp != pa.f and not p.is_zero():
+                if comp != h and not p.is_zero():
                     raise CascadeError(
                         "unexpected non-H component in the (S1,S,S) residual"
                     )
@@ -623,14 +597,21 @@ def _h_shear(pa: ParamAlgebra) -> list:
 
     The shear only moves the [S_1, S_b] and [S_b, S_1] entries.
     """
-    r = block_forms(pa.tensor, pa.n, pa.f)[3]
-    todo = [be for be in range(1, pa.f) if not r[0][be].is_zero()]
+    n, f, zero = pa.n, pa.f, pa.tensor.zero
+    r = block_forms(pa.tensor, n, f)[3]
+    todo = [be for be in range(1, f) if not r[0][be].is_zero()]
     if not todo:
         return []
+
+    def cleared(t):
+        r = block_forms(t, n, f)[3]
+        return [p for be in todo for p in (r[0][be], r[be][0])]
+
     return _checked_shear(
         pa,
-        {(be, pa.f): r[0][be] * Fraction(-1, 2) for be in todo},
-        cleared=[ijk for be in todo for ijk in ((0, be, pa.f), (be, 0, pa.f))],
+        [[r[0][be] * Fraction(-1, 2) if be in todo else zero] + [zero] * (2 * n)
+         for be in range(f)],
+        cleared,
         bound=[f"r_1_{be + 1}" for be in todo],
         what="H-shear",
     )
@@ -687,34 +668,23 @@ def final_residual_audit(pa: ParamAlgebra, side_conditions) -> AuditResult:
     for label, p in side_conditions:
         if not p.is_zero():
             side[_monic(p)] = label
-    t = pa.tensor
     matched = []
     unmatched = []
-    zero_count = 0
-    checked = 0
-    for i in range(t.dim):
-        for j in range(t.dim):
-            for k in range(t.dim):
-                checked += 1
-                vec = jacobi_vector(t, i, j, k)
-                for comp, p in enumerate(vec):
-                    if p.is_zero():
-                        continue
-                    key = _monic(p)
-                    label = side.get(key)
-                    entry = (
-                        triple_label(pa, i, j, k) + "/" + _label(pa, comp),
-                        str(p),
-                    )
-                    if label is None:
-                        unmatched.append(entry)
-                    else:
-                        matched.append(entry + (label,))
-                if all(p.is_zero() for p in vec):
-                    zero_count += 1
+    reported = 0
+    for report in _jacobi_reports(pa):
+        reported += 1
+        triple = report.source.removeprefix("jacobi ")
+        for comp, p in report.residual_polys:
+            label = side.get(_monic(p))
+            entry = (f"{triple}/{comp}", str(p))
+            if label is None:
+                unmatched.append(entry)
+            else:
+                matched.append(entry + (label,))
+    checked = pa.tensor.dim ** 3
     return AuditResult(
         triples_checked=checked,
-        zero_residuals=zero_count,
+        zero_residuals=checked - reported,
         matched=tuple(matched),
         unmatched=tuple(unmatched),
     )

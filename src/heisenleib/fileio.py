@@ -10,6 +10,7 @@ as the text format's, |d| <= scalars.MAX_SQRT_D.
 Extension-spec files:
     {"n": n, "f": f, "a": [...], "X": [[4n^2 row-major entries], ...],
      "rho": [[2n entries], ...], "r": [[f x f rows]]}
+where an X matrix may also be given as 2n rows of 2n entries.
 """
 
 from __future__ import annotations
@@ -176,10 +177,12 @@ def extension_spec_from_doc(doc) -> ExtensionSpec:
         context = f"X[{al}]"
         if not isinstance(flat, list):
             raise FileFormatError("expected a list of entries", context)
-        if flat and isinstance(flat[0], list):
-            if not all(isinstance(row, list) for row in flat):
-                raise FileFormatError("nested rows must all be lists", context)
-            flat = [v for row in flat for v in row]  # accept nested rows too
+        if flat and isinstance(flat[0], list):  # accept nested rows too
+            if [len(row) if isinstance(row, list) else -1 for row in flat] != [2 * n] * (2 * n):
+                raise FileFormatError(
+                    f"nested rows must be {2 * n} lists of {2 * n} entries", context
+                )
+            flat = [v for row in flat for v in row]
         if len(flat) != 4 * n * n:
             raise FileFormatError(
                 f"expected {4 * n * n} row-major entries, got {len(flat)}", context

@@ -18,7 +18,10 @@ alone knows that layout.  extension_tensor is the one writer: it turns
 the left and right action display matrices and the [S, S] vectors into
 structure constants, for H(n), every spec tensor and the generic tensor
 of the symbolic constraint cascade alike; extension_basis_rows places a
-block-diagonal change of basis in the same order.  block_forms is the
+block-diagonal change of basis in the same order, and extension_shear
+rewrites a tensor, Scalar or PolyQ, in the sheared basis S~ = S + v with
+v in the nilradical (the cascade's gamma elimination and H-shear, each
+checked where it is used).  block_forms is the
 one reader of the block form: it reads (a, X, rho, r) back from a tensor
 with Scalar or PolyQ entries, for extract_extension_data and for the
 cascade alike.
@@ -32,7 +35,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import linalg
-from .algebra import StructTensor, Subspace
+from .algebra import StructTensor, Subspace, _change_basis_with_inverse
 from .linalg import ShapeError
 from .scalars import Scalar
 
@@ -123,6 +126,21 @@ def extension_basis_rows(s_rows, h, pb_rows) -> list:
         + [[0] * (f + 1) + list(row) for row in pb_rows]
     )
     return linalg.smat(rows)
+
+
+def extension_shear(t: StructTensor, n: int, f: int, shifts) -> StructTensor:
+    """t in the basis S~_al = S_al + shifts[al] . (H, P, B), every other basis
+    vector kept; shifts[al] is an (H, P, B)-vector of the tensor's entry
+    kind.  The new basis rows are I + E with E^2 = 0, so the inverse is
+    I - E: the same call with the shifts negated undoes the change."""
+    if t.dim != 2 * n + 1 + f or [len(v) for v in shifts] != [2 * n + 1] * f:
+        raise ShapeError("tensor dimension or shifts do not match (n, f)")
+    q = [t.unit_vector(i) for i in range(t.dim)]  # (I + E)^T: new basis in columns
+    p = [t.unit_vector(i) for i in range(t.dim)]  # (I - E)^T, its inverse
+    for al, shift in enumerate(shifts):
+        for k, v in enumerate(shift):
+            q[f + k][al], p[f + k][al] = v, -v
+    return _change_basis_with_inverse(t, p, q)
 
 
 def symplectic_check(x, n: int) -> bool:

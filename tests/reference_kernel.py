@@ -32,13 +32,27 @@ linalg ran before its elimination became fraction-free over Z and
 Z[sqrt d]; reference_contains is subspace membership as a rank test on
 the stacked rows, the way Subspace.contains read it before it read the
 stored RREF rows.
+
+reference_sheared is the unipotent change of basis of the cascade's
+checked shears with its rows I + E placed by (row, column) positions, the
+way constraints built them before heisenberg.extension_shear.
+reference_subspace_closure_checks tests every bracket of basis vectors
+for membership, and reference_lower_central_vanishes runs its own loop of
+bracket spans, the way algebra and certify did before both went through
+bracket_span.is_contained_in and algebra._series.
 """
 
 import warnings
 from fractions import Fraction
 
 from heisenleib import linalg
-from heisenleib.algebra import StructTensor, element_nilpotent
+from heisenleib.algebra import (
+    ClosureChecks,
+    StructTensor,
+    _change_basis_with_inverse,
+    bracket_span,
+    element_nilpotent,
+)
 from heisenleib.certify import (
     Maximality,
     _verified_refutation,
@@ -125,6 +139,47 @@ def reference_contains(w, v) -> bool:
         return True
     stacked = w.basis_vectors() + [list(v)]
     return len(reference_rref(stacked)[1]) == w.dim
+
+
+def reference_sheared(t, entries: dict):
+    """t in the basis given by the rows I + E, E given by entries
+    {(row, col): entry} with E^2 = 0 (so the inverse is I - E)."""
+    zero, one = t.zero, t.zero + 1
+
+    def rows_with(sign: int):
+        rows = [[one if i == j else zero for j in range(t.dim)] for i in range(t.dim)]
+        for (i, j), p in entries.items():
+            rows[i][j] = sign * p
+        return rows
+
+    return _change_basis_with_inverse(
+        t, linalg.transpose(rows_with(-1)), linalg.transpose(rows_with(+1))
+    )
+
+
+def reference_subspace_closure_checks(t, w) -> ClosureChecks:
+    """Subalgebra / left-ideal / two-sided-ideal membership checks."""
+    basis = w.basis_vectors()
+    full = [t.unit_vector(i) for i in range(t.dim)]
+    sub = all(w.contains(t.bracket(u, v)) for u in basis for v in basis)
+    left = all(w.contains(t.bracket(x, v)) for x in full for v in basis)
+    right = all(w.contains(t.bracket(v, x)) for v in basis for x in full)
+    return ClosureChecks(
+        is_subalgebra=sub,
+        is_left_ideal=left,
+        is_two_sided_ideal=left and right,
+    )
+
+
+def reference_lower_central_vanishes(t, w) -> bool:
+    """The lower central series of w, a subalgebra of t, reaches zero."""
+    current = bracket_span(t, w, w)
+    while current.dim > 0:
+        nxt = bracket_span(t, w, current)
+        if nxt == current:
+            return False
+        current = nxt
+    return True
 
 
 class DenseTensor:

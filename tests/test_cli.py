@@ -148,6 +148,19 @@ def test_catalog_verify_single_id(capsys):
     assert status == 0 and "H1a0R-rm1" in out
 
 
+def test_catalog_verify_id_over_its_own_fields(capsys):
+    status, out = run(capsys, "catalog", "verify", "--id", "H1a1R", "--format", "machine")
+    assert status == 0
+    lines = [line for line in out.splitlines() if line]
+    assert lines and all("field=R id=H1a1R" in line and "result=ok" in line for line in lines)
+    # an entry of both fields is verified over both, as with the two --field calls
+    status, out = run(capsys, "catalog", "verify", "--id", "H1a0C-r0")
+    both = [run(capsys, "catalog", "verify", "--field", fd, "--id", "H1a0C-r0") for fd in "CR"]
+    assert status == 0 and out == "".join(text for _, text in both)
+    status, out = run(capsys, "catalog", "verify", "--id", "H9")
+    assert status == 3 and "'H9' is not a C-entry" in out
+
+
 def test_nilradical_command(capsys, tmp_path):
     spec = ExtensionSpec.make(1, 1, [0], [[[1, 0], [0, -1]]], r=[[1]])
     path = tmp_path / "ext.json"
@@ -216,6 +229,16 @@ def test_malformed_shapes_exit_2(capsys, tmp_path, command, doc):
     status, out = run(capsys, command, str(path))
     assert status == 2
     assert "Traceback" not in out
+
+
+def test_nilradical_refuses_ragged_x_rows(capsys, tmp_path):
+    # 4 entries, so flattening them read as diag(1, -1); but not 2 rows of 2
+    path = tmp_path / "ragged.json"
+    save_json(str(path), {"n": 1, "f": 1, "a": ["0"], "X": [[["1", "0", "0"], ["-1"]]],
+                          "rho": [["0", "0"]], "r": [["0"]]})
+    status = main(["nilradical", str(path)])
+    captured = capsys.readouterr()
+    assert status == 2 and "X[0]: nested rows" in captured.out + captured.err
 
 
 def test_nilradical_undecided(capsys, tmp_path):

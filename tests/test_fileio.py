@@ -115,6 +115,10 @@ SPEC_N1F1 = {"n": 1, "f": 1, "a": ["0/1"], "X": [["1/1", "0/1", "0/1", "-1/1"]],
         ({"r": [5]}, "r"),
         ({"a": ["0.5"]}, "a[0]"),
         ({"r": [["1e9"]]}, "r[0][0]"),
+        # ragged nested rows whose entries add up to 2n x 2n
+        ({"X": [[["1", "0", "0"], ["-1"]]]}, "X[0]"),
+        ({"X": [[["1", "0", "0", "-1"]]]}, "X[0]"),
+        ({"X": [[["1", "0"], ["0", "-1"], []]]}, "X[0]"),
     ],
 )
 def test_extension_spec_shape_errors(changes, context):

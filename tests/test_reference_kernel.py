@@ -10,7 +10,11 @@ tensors, the generic cascade tensor and the condensation witnesses; the
 fraction-free rref, rank, nullspace, det and inverse against Scalar
 Gauss-Jordan elimination (and sympy's rank and det, where installed) over
 Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt -3); Subspace.contains against a
-rank test, and bracket_span on the integer view against Scalar brackets."""
+rank test, and bracket_span on the integer view against Scalar brackets;
+extension_shear against the position-placed rows I + E of the cascade's
+checked shears, on catalog tensors and the generic cascade tensor; and the
+closure checks and subalgebra nilpotency through bracket_span and _series
+against bracket-by-bracket membership and a loop of bracket spans."""
 
 import random
 import warnings
@@ -24,8 +28,12 @@ from heisenleib.algebra import (
     StructTensor,
     Subspace,
     bracket_span,
+    center,
     change_basis,
+    derived_series,
     element_nilpotent,
+    left_annihilator,
+    subspace_closure_checks,
 )
 from heisenleib.catalog import (
     DOCUMENTED_CONDENSATIONS,
@@ -35,13 +43,14 @@ from heisenleib.catalog import (
     entry_parameter_grid,
     get_entry,
 )
-from heisenleib.certify import _decide_maximality
+from heisenleib.certify import _decide_maximality, subspace_nilpotent
 from heisenleib.constraints import parametric_extension
 from heisenleib.heisenberg import (
     ExtensionSpec,
     ExtensionValidationError,
     assemble_extension,
     build_extension,
+    extension_shear,
     extension_tensor,
     heisenberg,
     heisenberg_subspace,
@@ -49,7 +58,8 @@ from heisenleib.heisenberg import (
     right_action_display,
     symplectic_check,
 )
-from heisenleib.linalg import SingularMatrixError
+from heisenleib.linalg import ShapeError, SingularMatrixError
+from heisenleib.poly import PolyQ
 from heisenleib.scalars import IncompatibleFieldError, Scalar
 
 from reference_kernel import (
@@ -60,8 +70,11 @@ from reference_kernel import (
     reference_decide_maximality,
     reference_det,
     reference_heisenberg,
+    reference_lower_central_vanishes,
     reference_parametric_extension,
     reference_rref,
+    reference_sheared,
+    reference_subspace_closure_checks,
     reference_validate_nilindependence,
     symplectic_check_by_products,
 )
@@ -562,3 +575,111 @@ def test_bracket_span_refuses_two_fields():
     w = Subspace.span([[Scalar.one(), Scalar.sqrt_d(3)]], 2)
     with pytest.raises(IncompatibleFieldError):
         bracket_span(t, w, w)
+
+
+def shear_entries(f, shifts):
+    # the rows I + E put S_al + shift . (H, P, B) in row al; H is column f
+    return {(al, f + k): v for al, shift in enumerate(shifts) for k, v in enumerate(shift)}
+
+
+def negated(shifts):
+    return [[-v for v in shift] for shift in shifts]
+
+
+@pytest.mark.parametrize("entry_id", CATALOG_IDS)
+def test_extension_shear_matches_reference(entry_id):
+    entry, t = get_entry(entry_id), build_entry(entry_id)
+    rng = random.Random(f"shear {entry_id}")
+    for d in (None, -1, 2):
+        shifts = [[random_scalar(rng, d) for _ in range(2 * entry.n + 1)] for _ in range(entry.f)]
+        moved = extension_shear(t, entry.n, entry.f, shifts)
+        assert moved == reference_sheared(t, shear_entries(entry.f, shifts))
+        assert extension_shear(moved, entry.n, entry.f, negated(shifts)) == t
+
+
+@pytest.mark.parametrize("n,f", [(n, f) for n in (1, 2) for f in range(1, n + 2)])
+def test_extension_shear_matches_reference_on_the_generic_tensor(n, f):
+    t = parametric_extension(n, f).tensor
+    names = t.zero.names
+    rng = random.Random(f"generic shear {n} {f}")
+    shifts = [
+        [rng.randint(-2, 2) * PolyQ.var(names, rng.choice(names))
+         + PolyQ.const(names, rng.randint(-1, 1)) for _ in range(2 * n + 1)]
+        for _ in range(f)
+    ]
+    moved = extension_shear(t, n, f, shifts)
+    assert moved == reference_sheared(t, shear_entries(f, shifts))
+    assert extension_shear(moved, n, f, negated(shifts)) == t
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_extension_shear_round_trip(n, data):
+    # an extension tensor plus a few constants off the block form, some of
+    # them with S-components, which only the inverse rows read
+    f, m = data.draw(st.integers(1, n + 1)), 2 * n + 1
+
+    def rows(k):
+        return [[data.draw(scalars(-1)) for _ in range(m)] for _ in range(k)]
+
+    left, right, ss = ([rows(k) for _ in range(f)] for k in (m, m, f))
+    index = st.integers(0, m + f - 1)
+    extra = data.draw(st.dictionaries(st.tuples(index, index, index), scalars(-1), max_size=4))
+    t = extension_tensor(n, f, left, right, ss)
+    t = StructTensor(t.dim, {**t.constants_dict(), **extra}, basis_labels=t.basis_labels)
+    shifts = rows(f)
+    moved = extension_shear(t, n, f, shifts)
+    assert moved == reference_sheared(t, shear_entries(f, shifts))
+    assert extension_shear(moved, n, f, negated(shifts)) == t
+
+
+def test_closure_checks_tell_left_from_two_sided_ideals():
+    # [e0, e1] = e1 and nothing else is Leibniz; span(e0) is a left ideal
+    # ([L, e0] = 0) but not a right one ([e0, e1] = e1)
+    t = StructTensor(2, {(0, 1, 1): Scalar.one()})
+    w = Subspace.span([[Scalar.one(), Scalar.zero()]], 2)
+    checks = subspace_closure_checks(t, w)
+    assert t.is_leibniz() and checks == reference_subspace_closure_checks(t, w)
+    assert checks.is_subalgebra and checks.is_left_ideal and not checks.is_two_sided_ideal
+
+
+def test_extension_shear_refuses_wrong_shapes():
+    t, zero = build_entry("H1a0C-r1"), Scalar.zero()
+    for n, f, shifts in [(1, 1, [[zero] * 2]), (1, 1, [[zero] * 3] * 2), (2, 1, [[zero] * 5])]:
+        with pytest.raises(ShapeError):
+            extension_shear(t, n, f, shifts)
+
+
+@pytest.mark.parametrize("entry_id", CATALOG_IDS)
+@pytest.mark.parametrize("d", [None, -1])
+def test_closure_checks_and_nilpotency_match_reference(entry_id, d):
+    t = build_entry(entry_id)
+    rng = random.Random(f"closure {entry_id} {d}")
+    p = random_invertible(rng, t.dim, d)
+    moved = change_basis(t, p)
+    e = dict(zip(t.basis_labels, linalg.identity(t.dim)))
+    spans = [
+        [e["H"]] + [e[label] for label in t.basis_labels if label[0] in "PB"],  # the ideal
+        [e["S1"], e["H"]],  # a subalgebra, not an ideal
+        [e["S1"]],  # a subalgebra iff [S1, S1] = 0
+        [e["P1"]],
+        [e["P1"], e["B1"]],  # [P1, B1] = H: no subalgebra
+    ] + [random_matrix(rng, d, k, t.dim) for k in (1, 2, 3)]
+    spaces = [Subspace.span([linalg.mat_vec(p, v) for v in vs], t.dim) for vs in spans]
+    spaces += derived_series(moved) + [center(moved), left_annihilator(moved)]
+    spaces += [Subspace.full(t.dim), Subspace.zero(t.dim)]
+    kinds = set()
+    for w in spaces:
+        checks = subspace_closure_checks(moved, w)
+        assert checks == reference_subspace_closure_checks(moved, w)
+        if checks.is_subalgebra:
+            assert subspace_nilpotent(moved, w) == reference_lower_central_vanishes(moved, w)
+        kinds.add((checks.is_subalgebra, checks.is_two_sided_ideal))
+    assert {(True, True), (True, False), (False, False)} <= kinds
+
+
+@pytest.mark.parametrize("entry_id", CATALOG_IDS)
+def test_identity_witness_rows(entry_id):
+    rows = condensation_witness(entry_id, entry_id).basis_rows
+    assert rows == tuple(map(tuple, linalg.identity(build_entry(entry_id).dim)))
