@@ -20,11 +20,13 @@ The defect list is computed once per tensor and memoized.
 
 bracket_span, behind both series, contracts on the same view: [u, v]
 with u, v and the constants cleared is a nonzero multiple of [u, v], so
-it spans the same line.  Subspaces are kept in reduced row echelon form,
-built by linalg.rref (a fraction-free elimination over the same integer
-rings that normalises to Scalars once), so that equality of subspaces is
-structural equality, membership is read off the rows, and the
-series/annihilator operations return canonical objects.
+it spans the same line, and hands the cleared brackets to the
+fraction-free elimination of linalg.cleared_rref, which normalises to
+Scalars once.  change_basis contracts there too, with both matrices
+cleared, and divides each new constant once by the scale factors.
+Subspaces are kept in reduced row echelon form, so that equality of
+subspaces is structural equality, membership is read off the rows, and
+the series/annihilator operations return canonical objects.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ class StructTensor:
         order.  Scalar tensors are checked on their integer view; the answer
         is computed once per tensor and each call returns a fresh list."""
         if self._defects is None:
-            view = self._integer_view() if self.is_scalar() else self
+            view = self._integer_view()[2] if self.is_scalar() else self
             n, zero = self.dim, view.zero
             defects = tuple(
                 (i, j, k)
@@ -176,22 +178,32 @@ class StructTensor:
             object.__setattr__(self, "_defects", defects)
         return list(self._defects)
 
-    def _integer_view(self) -> StructTensor:
-        """The tensor with every constant times the lcm of all denominators,
-        as an int over Q or a Z[sqrt d] pair over Q(sqrt d); built on first
-        use.  Only contract and leibniz_residual may run on it."""
+    def _integer_view(self, *others) -> tuple:
+        """(d, D, view): the field Q(sqrt d) of the constants and the Scalars
+        in the iterables others (d None for Q), and the tensor with every
+        constant times D, the lcm of its denominators, in Z or Z[sqrt d].
+        The view is kept; a rational tensor that meets a quadratic d gets a
+        fresh one in Z[sqrt d], as an int and a ring element do not add.
+        Only contract and leibniz_residual may run on a view."""
         if self._view is None:
-            values = [v for row in self._c.values() for v in row.values()]
-            d = common_field(values)
-            cleared = iter(clear_denominators(values, d)[1])
-            zero = 0 if d is None else quadratic_integers(d)(0, 0)
-            view = object.__new__(StructTensor)
-            view._fill(
-                self.dim, self.basis_labels, zero,
-                {ij: {k: next(cleared) for k in row} for ij, row in self._c.items()},
-            )
-            object.__setattr__(self, "_view", view)
-        return self._view
+            object.__setattr__(self, "_view", self._cleared_view())
+        den, view = self._view
+        d = common_field(chain((view.zero,), *others))
+        if d is None or view.zero.__class__ is not int:
+            return d, den, view
+        return (d, *self._cleared_view(d))
+
+    def _cleared_view(self, d=None) -> tuple:
+        values = [v for row in self._c.values() for v in row.values()]
+        d = d or common_field(values)
+        den, cleared = clear_denominators(values, d)
+        cleared = iter(cleared)
+        view = object.__new__(StructTensor)
+        view._fill(
+            self.dim, self.basis_labels, 0 if d is None else quadratic_integers(d)(0, 0),
+            {ij: {k: next(cleared) for k in row} for ij, row in self._c.items()},
+        )
+        return den, view
 
     def is_leibniz(self) -> bool:
         return not self.leibniz_defects()
@@ -331,23 +343,19 @@ def bracket_span(t: StructTensor, a: Subspace, b: Subspace) -> Subspace:
 
     Each bracket is contracted on the integer view with the denominators of
     u and v cleared, so it is a nonzero multiple of [u, v] and spans the
-    same line."""
+    same line; the cleared brackets go to the elimination as they are."""
     t._require_scalar("bracket span")
     if a.ambient_dim != t.dim or b.ambient_dim != t.dim:
         raise ShapeError("subspace ambient dimension != tensor dimension")
-    view = t._integer_view()
-    d = common_field(chain((view.zero,), *a.rows, *b.rows))
+    d, _, view = t._integer_view(*a.rows, *b.rows)
     us = [clear_denominators(u, d)[1] for u in a.rows]
     vs = [clear_denominators(v, d)[1] for v in b.rows]
-    vectors = []
-    for u in us:
-        for v in vs:
-            w = view.contract(
-                (x * y, i, j) for i, x in enumerate(u) if x for j, y in enumerate(v) if y
-            )
-            if any(w):
-                vectors.append([from_integer(x) for x in w])
-    return Subspace.span(vectors, t.dim)
+    vectors = [
+        view.contract((x * y, i, j) for i, x in enumerate(u) if x for j, y in enumerate(v) if y)
+        for u in us
+        for v in vs
+    ]
+    return Subspace(t.dim, tuple(map(tuple, linalg.cleared_rref(vectors, t.dim)[0])))
 
 
 def _series(t: StructTensor, w: Subspace, step=None) -> list[Subspace]:
@@ -432,16 +440,30 @@ def change_basis(t: StructTensor, p, basis_labels=None) -> StructTensor:
 
 
 def _change_basis_with_inverse(t: StructTensor, p, q, basis_labels=None) -> StructTensor:
-    n = t.dim
+    """c'(m,l)^k = sum P(k,a) c(i,j)^a Q(i,m) Q(j,l) for Q = P^{-1}: on the
+    integer view with P and Q cleared, each entry divided once by the
+    product of the scale factors, for Scalar tensors; on the tensor itself
+    for PolyQ."""
+    n, view, den = t.dim, t, None
     if linalg.shape(p) != (n, n) or linalg.shape(q) != (n, n):
         raise ShapeError("change of basis matrix has wrong shape")
-    cols = [[q[i][m] for i in range(n)] for m in range(n)]
+    if t.is_scalar():
+        d, den, view = t._integer_view(*p, *q)
+        den_p, p = linalg.cleared_matrix(p, d)
+        den_q, q = linalg.cleared_matrix(q, d)
+        den *= den_p * den_q * den_q
+    zero = view.zero
+    cols = [[(i, row[m]) for i, row in enumerate(q) if row[m] != zero] for m in range(n)]
+    rows = [[(a, x) for a, x in enumerate(row) if x != zero] for row in p]
     constants = {}
-    for m in range(n):
-        for l in range(n):
-            w = linalg.mat_vec(p, t.bracket(cols[m], cols[l]))
-            for k, value in enumerate(w):
-                constants[(m, l, k)] = value
+    for m, col_m in enumerate(cols):
+        for l, col_l in enumerate(cols):
+            w = view.contract((x * y, i, j) for i, x in col_m for j, y in col_l)
+            for k, row in enumerate(rows):
+                terms = [x * w[a] for a, x in row if w[a] != zero]
+                if terms:
+                    value = sum(terms[1:], terms[0])
+                    constants[(m, l, k)] = value if den is None else from_integer(value, den)
     return StructTensor(
         n, constants, basis_labels=basis_labels or t.basis_labels, zero=t.zero
     )

@@ -433,14 +433,6 @@ def heisenberg_rescale_rows(n: int, f: int, mu: Scalar) -> list:
     )
 
 
-def s_scale_rows(n: int, f: int, al: int, lam: Scalar) -> list:
-    """Basis rows of S~_al = (1/lam) S_al: divides X_al by lam and r_alal
-    by lam^2."""
-    s_rows = linalg.identity(f)
-    s_rows[al][al] = lam.inv()
-    return extension_basis_rows(s_rows, 1, linalg.identity(2 * n))
-
-
 # P~ = P + iB, B~ = -(i/2) P - (1/2) B: diagonalizes the rotation to
 # diag(1, -1) while preserving the Heisenberg product up to H~ = -H
 _ROTATION_TO_DIAG = [[1, _I], [-_HALF_I, Fraction(-1, 2)]]

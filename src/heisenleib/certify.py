@@ -1,6 +1,8 @@
 """Exact nilpotency decisions and nilradical certificates.
 
-A square matrix M over an exact field is nilpotent iff M^dim = 0.  For
+A square matrix M over an exact field is nilpotent iff M^dim = 0, and
+since scaling keeps nilpotency, matrix_nilpotent decides it on M cleared
+of its denominators into Z or Z[sqrt d], squaring there.  For
 traceless 2x2 matrices (the sp(2) case) nilpotency is equivalent to a zero
 determinant, which turns linear nilindependence of a pair into a root
 decision for the binary quadratic det(c1 X1 + c2 X2).
@@ -17,6 +19,7 @@ is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -32,7 +35,7 @@ from .heisenberg import (
 )
 from .linalg import ShapeError
 from .poly import PolyQ, quadratic_real_root_exists, quadratic_roots
-from .scalars import Scalar
+from .scalars import Scalar, common_field
 
 
 class CertifyError(ValueError):
@@ -44,13 +47,22 @@ class NotSubalgebraError(CertifyError):
 
 
 def matrix_nilpotent(m) -> bool:
-    """True iff M^dim = 0 exactly (equivalently, char poly = lambda^dim)."""
+    """True iff M^dim = 0 exactly (equivalently, char poly = lambda^dim).
+
+    Scaling does not change nilpotency, so M is cleared once into Z or
+    Z[sqrt d] and squared there until the power reaches dim or vanishes."""
     r, c = linalg.shape(m)
     if r != c:
         raise ShapeError("nilpotency needs a square matrix")
     if r == 0:
         return True
-    return linalg.is_zero_matrix(linalg.mat_pow(m, r))
+    power = linalg.cleared_matrix(m, common_field(x for row in m for x in row))[1]
+    k, zero = 1, power[0][0] * 0
+    while k < r and any(map(any, power)):
+        cols = list(zip(*power))
+        power = [[sum(map(mul, row, col), zero) for col in cols] for row in power]
+        k *= 2
+    return not any(map(any, power))
 
 
 def _require_sp2(x, what: str):
@@ -90,18 +102,11 @@ def sp2_nilpotency_locus(x1, x2) -> LocusResult:
     gamma = linalg.det(x2).as_fraction()
     mixed = linalg.det(linalg.mat_add(x1, x2)).as_fraction()
     beta = mixed - alpha - gamma
-    names = ("c1", "c2")
-    q = PolyQ(
-        names,
-        {(2, 0): alpha, (1, 1): beta, (0, 2): gamma},
-    )
-    witness: tuple | None = None
-    witness_field: str | None = None
+    q = PolyQ(("c1", "c2"), {(2, 0): alpha, (1, 1): beta, (0, 2): gamma})
     over_r = False
     if alpha == 0:
         witness = (Scalar.one(), Scalar.zero())
         witness_field = "R"
-        over_r = False
     elif gamma == 0:
         witness = (Scalar.zero(), Scalar.one())
         witness_field = "R"
@@ -141,25 +146,22 @@ class ProportionalityResult:
 def commuting_sp2_proportionality(x1, x2) -> ProportionalityResult:
     """Check commutation and scalar proportionality of nonzero sp(2) pairs.
 
-    Proportionality is read through the 2x2 cross products of (A, C, D)
-    rows so that zero denominators never appear.
+    Both are read off the 2x2 minors ac, ad, cd of the (a, c, d) rows of
+    X = ((a, c), (d, -a)), with no zero denominator and no matrix product:
+    [X1, X2] = ((cd, 2 ac), (-2 ad, -cd)), so commuting is proportionality.
     """
     _require_sp2(x1, "X1")
     _require_sp2(x2, "X2")
     if linalg.is_zero_matrix(x1) or linalg.is_zero_matrix(x2):
         raise CertifyError("proportionality needs nonzero matrices")
-    comm = linalg.mat_sub(linalg.mat_mul(x1, x2), linalg.mat_mul(x2, x1))
     a1, c1, d1 = x1[0][0], x1[0][1], x1[1][0]
     a2, c2, d2 = x2[0][0], x2[0][1], x2[1][0]
-    proportional = (
-        (a1 * c2 - a2 * c1).is_zero()
-        and (a1 * d2 - a2 * d1).is_zero()
-        and (c1 * d2 - c2 * d1).is_zero()
-    )
+    ac, ad, cd = a1 * c2 - a2 * c1, a1 * d2 - a2 * d1, c1 * d2 - c2 * d1
+    proportional = ac.is_zero() and ad.is_zero() and cd.is_zero()
     return ProportionalityResult(
-        commute=linalg.is_zero_matrix(comm),
+        commute=proportional,
         proportional=proportional,
-        commutator=tuple(tuple(row) for row in comm),
+        commutator=((cd, 2 * ac), (-2 * ad, -cd)),
     )
 
 

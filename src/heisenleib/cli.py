@@ -10,6 +10,7 @@ trivial.  Exit status: 0 all checks pass, 1 check failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -414,6 +415,7 @@ def cmd_witness(args, out: Output) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+@functools.cache  # parse_args keeps no state in it: one per process
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

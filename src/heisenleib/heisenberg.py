@@ -334,7 +334,8 @@ class ExtensionSpec:
                     "linearly nilindependent and the nilradical would grow"
                 )
             raise NilindependenceViolation(
-                f"{', '.join(names)} admit the nilpotent combination {c}"
+                f"{', '.join(names)} admit the nilpotent combination "
+                f"({', '.join(map(str, c))})"
             )
 
 

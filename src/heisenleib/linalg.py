@@ -5,22 +5,23 @@ are duck-typed and also work on PolyQ entries; anything that divides
 (rref, rank, nullspace, inverse, det) requires Scalar entries, which form
 a field.
 
-All of those run one private kernel, _fraction_free: Bareiss's
-fraction-free Gauss-Jordan elimination on the rows cleared of their
-denominators into Z, or into Z[sqrt d] over Q(sqrt d) (the integer view
-of scalars.py).  It is exact, not approximate: each division by the
-previous pivot has a remainder of zero (Sylvester's identity makes every
-entry a minor of the cleared matrix), and exact_div raises if one does
-not.  Entries over two different d raise IncompatibleFieldError up front.
-rref divides the pivot rows by the last pivot once, so its output is the
-canonical Scalar RREF; rank counts pivots and det reads the last pivot,
-and neither builds a Scalar along the way.
+All of those clear each row of its denominators into Z, or into
+Z[sqrt d] over Q(sqrt d) (the integer view of scalars.py; two different d
+raise IncompatibleFieldError up front), and run one private kernel on the
+cleared rows, _fraction_free: Bareiss's fraction-free Gauss-Jordan
+elimination.  It is exact, not approximate: each division by the previous
+pivot has a remainder of zero (Sylvester's identity makes every entry a
+minor of the cleared matrix), and exact_div raises if one does not.
+cleared_rref divides the pivot rows by the last pivot once, giving the
+canonical Scalar RREF; algebra's series brackets, which hold cleared rows
+already, call it directly.  rank counts pivots and det reads the last
+pivot.  There is no matrix power: certify decides nilpotency on the
+cleared matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 from .scalars import Scalar, clear_denominators, common_field, exact_div, from_integer
 
@@ -135,56 +136,33 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def is_zero_vector(v: Vector) -> bool:
-    return all(x.is_zero() for x in v)
+def _cleared(rows: Matrix) -> list:
+    """Each row times the lcm of its denominators, in one ring."""
+    d = common_field(x for row in rows for x in row)
+    return [clear_denominators(row, d)[1] for row in rows]
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ShapeError("vector length mismatch")
-    return [x + y for x, y in zip(u, v)]
+def cleared_matrix(a: Matrix, d: int | None) -> tuple[int, list]:
+    """(D, D*a) for a Scalar matrix over Q or Q(sqrt d), with D the lcm of
+    all its denominators: one scale factor for the whole matrix."""
+    ncols = shape(a)[1]
+    den, flat = clear_denominators([x for row in a for x in row], d)
+    return den, [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
 
 
-def mat_pow(a: Matrix, n: int) -> Matrix:
-    r, c = shape(a)
-    if r != c:
-        raise ShapeError("matrix power needs a square matrix")
-    if n < 0:
-        raise ValueError(f"matrix power needs a nonnegative exponent, got {n}")
-    result = identity(r)
-    base = [row[:] for row in a]
-    while n > 0:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
-
-
-def _fraction_free(rows: Matrix) -> tuple[list, list[int], object, int, list[int]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of Scalar rows.
-
-    Each row is cleared of its denominators into Z, or into Z[sqrt d] when
-    its entries lie in Q(sqrt d); entries from two different d raise
-    IncompatibleFieldError before any work.  Zero rows are dropped.  For
-    each pivot p in row r, every other row becomes
-    (p*row_i - m_i*row_r) / prev, with m_i its entry in the pivot column
-    and prev the previous pivot.  By Sylvester's identity every entry is
-    then a minor of the cleared matrix, so the division is exact in the
-    ring; exact_div raises if it is not.  Afterwards every pivot entry
-    equals the last pivot.
+def _fraction_free(m: list, ncols: int) -> tuple[list, list[int], object, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of rows cleared
+    into one ring, Z or Z[sqrt d].  Zero rows are dropped.  For each pivot p in row r, every other row
+    becomes (p*row_i - m_i*row_r) / prev, with m_i its entry in the pivot
+    column and prev the previous pivot.  By Sylvester's identity every
+    entry is then a minor of the cleared matrix, so the division is exact
+    in the ring; exact_div raises if it is not.  Afterwards every pivot
+    entry equals the last pivot.
 
     Returns (eliminated rows, pivot columns, last pivot, sign of the row
-    swaps, per-row scale factors).
+    swaps).
     """
-    ncols = shape(rows)[1]
-    d = common_field(x for row in rows for x in row)
-    scales, m = [], []
-    for row in rows:
-        den, cleared = clear_denominators(row, d)
-        scales.append(den)
-        if any(cleared):
-            m.append(cleared)
+    m = [row for row in m if any(row)]
     pivots: list[int] = []
     prev, sign, r = None, 1, 0
     for col in range(ncols):
@@ -208,7 +186,14 @@ def _fraction_free(rows: Matrix) -> tuple[list, list[int], object, int, list[int
         r += 1
         if r == len(m):
             break
-    return m, pivots, prev, sign, scales
+    return m, pivots, prev, sign
+
+
+def cleared_rref(cleared: list, ncols: int) -> tuple[Matrix, list[int]]:
+    """(nonzero rows of the RREF, pivot columns) of rows cleared into one
+    ring: the pivot rows divided by the last pivot, as Scalars."""
+    m, pivots, last, _ = _fraction_free(cleared, ncols)
+    return [[from_integer(x, last) for x in m[i]] for i in range(len(pivots))], pivots
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
@@ -217,23 +202,18 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     Zero rows are kept at the bottom; callers building canonical subspace
     bases drop them.
     """
-    if not rows:
-        return [], []
-    m, pivots, last, _, _ = _fraction_free(rows)
-    nrows, ncols = len(rows), len(rows[0])
-    red = [[from_integer(x, last) for x in m[i]] for i in range(len(pivots))]
+    nrows, ncols = shape(rows)
+    red, pivots = cleared_rref(_cleared(rows), ncols)
     zero = Scalar.zero()
     return red + [[zero] * ncols for _ in range(nrows - len(pivots))], pivots
 
 
 def rank(rows: Matrix) -> int:
-    return len(_fraction_free(rows)[1])
+    return len(_fraction_free(_cleared(rows), shape(rows)[1])[1])
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Canonical basis of {x : a @ x = 0}, one vector per free column."""
-    if not a:
-        return []
     c = shape(a)[1]
     red, pivots = rref(a)
     pivot_set = set(pivots)
@@ -250,18 +230,18 @@ def nullspace(a: Matrix) -> list[Vector]:
 
 
 def det(a: Matrix) -> Scalar:
-    """sign * last pivot / product of the row scale factors: the last
-    fraction-free pivot is the determinant of the row-swapped, cleared
-    matrix."""
+    """sign * last pivot / D^dim: the last fraction-free pivot is the
+    determinant of the row-swapped matrix cleared by D."""
     r, c = shape(a)
     if r != c:
         raise ShapeError("determinant needs a square matrix")
     if not a:
         return Scalar.one()
-    _, pivots, last, sign, scales = _fraction_free(a)
+    den, m = cleared_matrix(a, common_field(x for row in a for x in row))
+    _, pivots, last, sign = _fraction_free(m, c)
     if len(pivots) < r:
         return Scalar.zero()
-    return from_integer(sign * last, prod(scales))
+    return from_integer(sign * last, den**r)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -40,6 +40,16 @@ reference_subspace_closure_checks tests every bracket of basis vectors
 for membership, and reference_lower_central_vanishes runs its own loop of
 bracket spans, the way algebra and certify did before both went through
 bracket_span.is_contained_in and algebra._series.
+
+reference_change_basis_with_inverse is the change of basis as one Scalar
+(or PolyQ) bracket of two columns of Q and one matrix-vector product with
+P per pair of new basis vectors; mat_pow and reference_matrix_nilpotent
+are nilpotency as the Scalar power M^dim by repeated squaring; and
+reference_commuting_sp2_proportionality forms the commutator by two
+matrix products.  That is how algebra and certify ran before all three
+moved onto matrices cleared into Z or Z[sqrt d] (or, for the commutator,
+onto the 2x2 minors).  vec_add, is_zero_vector and s_scale_rows are
+small helpers that only the tests use.
 """
 
 import warnings
@@ -49,12 +59,14 @@ from heisenleib import linalg
 from heisenleib.algebra import (
     ClosureChecks,
     StructTensor,
-    _change_basis_with_inverse,
     bracket_span,
     element_nilpotent,
 )
 from heisenleib.certify import (
+    CertifyError,
     Maximality,
+    ProportionalityResult,
+    _require_sp2,
     _verified_refutation,
     matrix_nilpotent,
     sp2_nilpotency_locus,
@@ -64,11 +76,91 @@ from heisenleib.heisenberg import (
     NilindependenceUndecidedWarning,
     NilindependenceViolation,
     extension_basis_labels,
+    extension_basis_rows,
     extract_extension_data,
 )
 from heisenleib.linalg import ShapeError
 from heisenleib.poly import PolyError, PolyQ, UnknownIndeterminateError
 from heisenleib.scalars import Scalar
+
+
+def is_zero_vector(v) -> bool:
+    return all(x.is_zero() for x in v)
+
+
+def vec_add(u, v) -> list:
+    if len(u) != len(v):
+        raise ShapeError("vector length mismatch")
+    return [x + y for x, y in zip(u, v)]
+
+
+def s_scale_rows(n: int, f: int, al: int, lam: Scalar) -> list:
+    """Basis rows of S~_al = (1/lam) S_al: divides X_al by lam and r_alal
+    by lam^2."""
+    s_rows = linalg.identity(f)
+    s_rows[al][al] = lam.inv()
+    return extension_basis_rows(s_rows, 1, linalg.identity(2 * n))
+
+
+def mat_pow(a, n: int):
+    r, c = linalg.shape(a)
+    if r != c:
+        raise ShapeError("matrix power needs a square matrix")
+    if n < 0:
+        raise ValueError(f"matrix power needs a nonnegative exponent, got {n}")
+    result = linalg.identity(r)
+    base = [row[:] for row in a]
+    while n > 0:
+        if n & 1:
+            result = linalg.mat_mul(result, base)
+        base = linalg.mat_mul(base, base)
+        n >>= 1
+    return result
+
+
+def reference_matrix_nilpotent(m) -> bool:
+    r, c = linalg.shape(m)
+    if r != c:
+        raise ShapeError("nilpotency needs a square matrix")
+    if r == 0:
+        return True
+    return linalg.is_zero_matrix(mat_pow(m, r))
+
+
+def reference_change_basis_with_inverse(t, p, q, basis_labels=None):
+    n = t.dim
+    if linalg.shape(p) != (n, n) or linalg.shape(q) != (n, n):
+        raise ShapeError("change of basis matrix has wrong shape")
+    cols = [[q[i][m] for i in range(n)] for m in range(n)]
+    constants = {}
+    for m in range(n):
+        for l in range(n):
+            w = linalg.mat_vec(p, t.bracket(cols[m], cols[l]))
+            for k, value in enumerate(w):
+                constants[(m, l, k)] = value
+    return StructTensor(
+        n, constants, basis_labels=basis_labels or t.basis_labels, zero=t.zero
+    )
+
+
+def reference_commuting_sp2_proportionality(x1, x2):
+    _require_sp2(x1, "X1")
+    _require_sp2(x2, "X2")
+    if linalg.is_zero_matrix(x1) or linalg.is_zero_matrix(x2):
+        raise CertifyError("proportionality needs nonzero matrices")
+    comm = linalg.mat_sub(linalg.mat_mul(x1, x2), linalg.mat_mul(x2, x1))
+    a1, c1, d1 = x1[0][0], x1[0][1], x1[1][0]
+    a2, c2, d2 = x2[0][0], x2[0][1], x2[1][0]
+    proportional = (
+        (a1 * c2 - a2 * c1).is_zero()
+        and (a1 * d2 - a2 * d1).is_zero()
+        and (c1 * d2 - c2 * d1).is_zero()
+    )
+    return ProportionalityResult(
+        commute=linalg.is_zero_matrix(comm),
+        proportional=proportional,
+        commutator=tuple(tuple(row) for row in comm),
+    )
 
 
 def reference_rref(rows):
@@ -135,7 +227,7 @@ def reference_contains(w, v) -> bool:
     """v in W iff stacking v under W's rows leaves the rank at dim W."""
     if len(v) != w.ambient_dim:
         raise ShapeError("vector length != ambient dimension")
-    if linalg.is_zero_vector(list(v)):
+    if is_zero_vector(v):
         return True
     stacked = w.basis_vectors() + [list(v)]
     return len(reference_rref(stacked)[1]) == w.dim
@@ -152,7 +244,7 @@ def reference_sheared(t, entries: dict):
             rows[i][j] = sign * p
         return rows
 
-    return _change_basis_with_inverse(
+    return reference_change_basis_with_inverse(
         t, linalg.transpose(rows_with(-1)), linalg.transpose(rows_with(+1))
     )
 
@@ -329,7 +421,7 @@ def reference_validate_nilindependence(spec) -> None:
         if not locus.nilindependent_over_R:
             raise NilindependenceViolation(
                 f"{names[0]}, {names[1]} admit the nilpotent combination "
-                f"{locus.witness}"
+                f"({', '.join(map(str, locus.witness))})"
             )
         return
     warnings.warn(

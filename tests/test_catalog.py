@@ -16,13 +16,14 @@ from heisenleib.catalog import (
     get_entry,
     heisenberg_rescale_rows,
     jordan_block_rank,
-    s_scale_rows,
     verify_entry,
     verify_field,
 )
 from heisenleib.heisenberg import ExtensionSpec, build_extension
 from heisenleib.linalg import svec
 from heisenleib.scalars import Scalar
+
+from reference_kernel import s_scale_rows
 
 
 class TestEntries:

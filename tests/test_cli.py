@@ -347,3 +347,25 @@ def test_max_dim_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HEISENLEIB_MAX_DIM", "16")
     status, _ = run(capsys, "verify", str(path))
     assert status == 0
+
+
+def test_parser_is_shared_without_leaking_options(capsys):
+    from heisenleib import cli
+
+    cli.build_parser.cache_clear()
+    fresh = run(capsys, "catalog", "build", "H1a1C-diag")
+    with_param = run(capsys, "catalog", "build", "H1a1C-diag", "--param", "A=1/2")
+    again = run(capsys, "catalog", "build", "H1a1C-diag")
+    assert with_param != fresh and again == fresh
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_nilpotent_combination_prints_scalars_as_text(capsys, tmp_path, fmt):
+    spec = ExtensionSpec.make(1, 2, [0, 0], [[[1, 0], [0, -1]], [[2, 0], [0, -2]]])
+    path = tmp_path / "bad.json"
+    save_json(str(path), extension_spec_to_doc(spec))
+    status, out = run(capsys, "nilradical", str(path), "--format", fmt)
+    assert status == 3
+    assert "Scalar(" not in out
+    assert "combination (-2/1, 1/1)" in out.replace("_", " ")

@@ -37,6 +37,8 @@ from heisenleib.heisenberg import (
 from heisenleib.linalg import smat, svec
 from heisenleib.scalars import Scalar
 
+from reference_kernel import is_zero_vector
+
 DIAG = [[1, 0], [0, -1]]
 ROT = [[0, 1], [-1, 0]]
 
@@ -53,7 +55,7 @@ class TestHeisenberg:
         t = heisenberg(2)
         assert t.dim == 5
         p1, b2 = t.unit_vector(1), t.unit_vector(4)
-        assert linalg.is_zero_vector(t.bracket(p1, b2))
+        assert is_zero_vector(t.bracket(p1, b2))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lower_central_dims(self, n):

@@ -14,7 +14,11 @@ rank test, and bracket_span on the integer view against Scalar brackets;
 extension_shear against the position-placed rows I + E of the cascade's
 checked shears, on catalog tensors and the generic cascade tensor; and the
 closure checks and subalgebra nilpotency through bracket_span and _series
-against bracket-by-bracket membership and a loop of bracket spans."""
+against bracket-by-bracket membership and a loop of bracket spans; and
+the change of basis, matrix nilpotency and the sp(2) commutator on
+cleared integer matrices against their Scalar matrix-product forms, over
+Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt -3) with denominators past 10^6
+and with a rational tensor moved by a quadratic matrix."""
 
 import random
 import warnings
@@ -27,6 +31,7 @@ from heisenleib import linalg
 from heisenleib.algebra import (
     StructTensor,
     Subspace,
+    _change_basis_with_inverse,
     bracket_span,
     center,
     change_basis,
@@ -43,7 +48,12 @@ from heisenleib.catalog import (
     entry_parameter_grid,
     get_entry,
 )
-from heisenleib.certify import _decide_maximality, subspace_nilpotent
+from heisenleib.certify import (
+    _decide_maximality,
+    commuting_sp2_proportionality,
+    matrix_nilpotent,
+    subspace_nilpotent,
+)
 from heisenleib.constraints import parametric_extension
 from heisenleib.heisenberg import (
     ExtensionSpec,
@@ -64,19 +74,24 @@ from heisenleib.scalars import IncompatibleFieldError, Scalar
 
 from reference_kernel import (
     DenseTensor,
+    is_zero_vector,
     reference_assemble_extension,
+    reference_change_basis_with_inverse,
+    reference_commuting_sp2_proportionality,
     reference_condensation_rows,
     reference_contains,
     reference_decide_maximality,
     reference_det,
     reference_heisenberg,
     reference_lower_central_vanishes,
+    reference_matrix_nilpotent,
     reference_parametric_extension,
     reference_rref,
     reference_sheared,
     reference_subspace_closure_checks,
     reference_validate_nilindependence,
     symplectic_check_by_products,
+    vec_add,
 )
 
 FIELDS = [None, -1, 2, 5]  # d of Q(sqrt d); None is Q
@@ -438,7 +453,7 @@ def random_matrix(rng, d, nrows, ncols):
         elif kind < 0.2 and i:
             m.append(list(rng.choice(m)))
         elif kind < 0.3 and i:
-            m.append(linalg.vec_add(rng.choice(m), rng.choice(m)))
+            m.append(vec_add(rng.choice(m), rng.choice(m)))
         else:
             m.append([entry() for _ in range(ncols)])
     if rng.random() < 0.3:
@@ -466,7 +481,7 @@ def assert_elimination_matches_reference(m):
     assert linalg.rank(m) == len(pivots)
     null = linalg.nullspace(m)
     assert null == expected_nullspace(red, pivots, ncols)
-    assert all(linalg.is_zero_vector(linalg.mat_vec(m, v)) for v in null)
+    assert all(is_zero_vector(linalg.mat_vec(m, v)) for v in null)
     n = len(m)
     if n != ncols:
         return
@@ -497,7 +512,7 @@ def test_elimination_keeps_large_denominators_exact():
         p = large_denominator_basis(rng, 5, d)
         m = linalg.mat_mul(p, linalg.transpose(p))
         assert_elimination_matches_reference(m)
-        assert_elimination_matches_reference(m + [linalg.vec_add(m[0], m[3])])
+        assert_elimination_matches_reference(m + [vec_add(m[0], m[3])])
 
 
 @pytest.mark.parametrize("d", ELIMINATION_FIELDS)
@@ -534,7 +549,7 @@ def test_contains_matches_rank_test(d):
         if basis:
             combo = [Scalar.zero()] * n
             for row in basis:
-                combo = linalg.vec_add(combo, [x * random_scalar(rng, d) for x in row])
+                combo = vec_add(combo, [x * random_scalar(rng, d) for x in row])
             candidates.append(combo)
         for v in candidates:
             assert w.contains(v) == reference_contains(w, v)
@@ -683,3 +698,157 @@ def test_closure_checks_and_nilpotency_match_reference(entry_id, d):
 def test_identity_witness_rows(entry_id):
     rows = condensation_witness(entry_id, entry_id).basis_rows
     assert rows == tuple(map(tuple, linalg.identity(build_entry(entry_id).dim)))
+
+
+def count_scalar_products(monkeypatch):
+    calls = []
+    original = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    return calls
+
+
+def test_change_basis_makes_no_scalar_products(monkeypatch):
+    t, p = h2n2f_diag(), random_invertible(random.Random(8), 7, -1)
+    calls = count_scalar_products(monkeypatch)
+    moved = change_basis(t, p)
+    assert calls == []
+    monkeypatch.undo()
+    assert moved == reference_change_basis_with_inverse(t, p, linalg.inverse(p))
+
+
+def test_matrix_nilpotent_makes_no_scalar_products(monkeypatch):
+    t, p = h2n2f_diag(), random_invertible(random.Random(9), 7, -1)
+    moved = change_basis(t, p)
+    # the old basis vectors in new coordinates: S1 acts on H by 2, the
+    # nilradical (H, P, B) acts nilpotently
+    matrices = [moved.left_mult_matrix(linalg.mat_vec(p, e)) for e in linalg.identity(7)]
+    calls = count_scalar_products(monkeypatch)
+    verdicts = [matrix_nilpotent(m) for m in matrices]
+    assert calls == []
+    monkeypatch.undo()
+    assert verdicts == [reference_matrix_nilpotent(m) for m in matrices]
+    assert True in verdicts and False in verdicts
+
+
+def assert_change_basis_matches_reference(t, p):
+    q = linalg.inverse(p)
+    moved = _change_basis_with_inverse(t, p, q)
+    assert moved == reference_change_basis_with_inverse(t, p, q)
+    assert change_basis(t, p) == moved
+    return moved
+
+
+@pytest.mark.parametrize("d", ELIMINATION_FIELDS)
+def test_change_basis_matches_reference(d):
+    rng = random.Random(f"change of basis over {d}")
+    for entry_id in ("H1a0C-r1", "H1a1C-jordan", "H2a1R"):
+        t = build_entry(entry_id)
+        moved = assert_change_basis_matches_reference(t, large_denominator_basis(rng, t.dim, d))
+        assert max(v.a.denominator for v in moved.constants_dict().values()) > 10**6
+        # and back: the inverse map restores the catalog tensor exactly
+        back = linalg.inverse(large_denominator_basis(random.Random(0), t.dim, None))
+        assert change_basis(change_basis(t, linalg.inverse(back)), back) == t
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        t = StructTensor(n, {
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n)): random_scalar(rng, d)
+            for _ in range(8)
+        })
+        assert_change_basis_matches_reference(t, random_invertible(rng, n, d))
+
+
+@pytest.mark.parametrize(
+    "tensor_d, matrix_d", [(None, -1), (None, 2), (-1, None), (5, None), (-3, -3)]
+)
+def test_change_basis_mixes_a_field_and_q(tensor_d, matrix_d):
+    # a rational tensor moved by a quadratic matrix (the condensation
+    # witnesses move Q tensors by Q(i) matrices), and the other way round
+    rng = random.Random(f"mixed {tensor_d} {matrix_d}")
+    for entry_id in ("H1a0R-r0", "H2a1R", "H1a0C-r0"):
+        t = build_entry(entry_id)
+        if tensor_d is not None:
+            t = change_basis(t, random_invertible(rng, t.dim, tensor_d))
+        assert_change_basis_matches_reference(t, large_denominator_basis(rng, t.dim, matrix_d))
+
+
+def test_change_basis_refuses_two_fields():
+    t = change_basis(build_entry("H2a1R"), random_invertible(random.Random(3), 5, 2))
+    p = [[Scalar.sqrt_d(3) if i == j else Scalar.zero() for j in range(5)] for i in range(5)]
+    for moving in (change_basis, lambda t, p: reference_change_basis_with_inverse(t, p, p)):
+        with pytest.raises(IncompatibleFieldError):
+            moving(t, p)
+
+
+def nilpotent_conjugate(rng, n, d):
+    """P N P^{-1} for a strictly upper triangular N with some zero
+    superdiagonal entries and P with denominators up to 10^6."""
+    nil = [[random_scalar(rng, d) if j > i else Scalar.zero() for j in range(n)] for i in range(n)]
+    p = large_denominator_basis(rng, n, d)
+    return linalg.mat_mul(linalg.mat_mul(p, nil), linalg.inverse(p))
+
+
+@pytest.mark.parametrize("d", ELIMINATION_FIELDS)
+def test_matrix_nilpotent_matches_reference(d):
+    rng = random.Random(f"nilpotency over {d}")
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        for m in (nilpotent_conjugate(rng, n, d), random_matrix(rng, d, n, n)):
+            verdict = matrix_nilpotent(m)
+            assert verdict == reference_matrix_nilpotent(m)
+            seen.add(verdict)
+    assert seen == {True, False}
+    assert matrix_nilpotent([]) and reference_matrix_nilpotent([])
+
+
+def sp2_entries():
+    return st.integers(-3, 3) | st.builds(
+        Fraction, st.integers(-(10**7), 10**7), st.integers(1, 10**7)
+    )
+
+
+@given(x=st.tuples(sp2_entries(), sp2_entries(), sp2_entries()),
+       y=st.tuples(sp2_entries(), sp2_entries(), sp2_entries()),
+       scale=st.none() | sp2_entries())
+@settings(max_examples=200, deadline=None)
+def test_commuting_sp2_proportionality_matches_reference(x, y, scale):
+    if scale is not None:
+        y = tuple(scale * v for v in x)  # a proportional pair
+    x1, x2 = (linalg.smat([[a, c], [d, -a]]) for a, c, d in (x, y))
+    if linalg.is_zero_matrix(x1) or linalg.is_zero_matrix(x2):
+        return
+    result = commuting_sp2_proportionality(x1, x2)
+    assert result == reference_commuting_sp2_proportionality(x1, x2)
+    assert result.commute == result.proportional
+
+
+@pytest.mark.parametrize("n,f", [(1, 1), (1, 2), (2, 1)])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_extension_shear_round_trip_on_the_generic_tensor(n, f, data):
+    # the cascade's PolyQ shear runs no Scalar code at all
+    t = parametric_extension(n, f).tensor
+    names = t.zero.names
+    coeff = st.integers(-2, 2)
+    shifts = [
+        [data.draw(coeff) * PolyQ.var(names, data.draw(st.sampled_from(names)))
+         + PolyQ.const(names, data.draw(coeff)) for _ in range(2 * n + 1)]
+        for _ in range(f)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Scalar code in the PolyQ shear")
+
+    with pytest.MonkeyPatch.context() as patched:
+        for name in ("rref", "inverse", "det", "cleared_matrix"):
+            patched.setattr(linalg, name, refuse)
+        patched.setattr(Scalar, "__init__", refuse)
+        moved = extension_shear(t, n, f, shifts)
+        assert extension_shear(moved, n, f, negated(shifts)) == t
+    assert moved == reference_sheared(t, shear_entries(f, shifts))
