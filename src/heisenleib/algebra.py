@@ -3,8 +3,10 @@
 A StructTensor holds the nonzero constants of a bilinear product
 [e_i, e_j] = sum_k c_{ij}^k e_k in a sparse store that no other module
 sees: they read constants through entry() and constants_dict(), and every
-product goes through contract().  Entries are either Scalar (exact field
-elements) or PolyQ (symbolic parameters); one entry kind per tensor.
+product goes through contract(), the one loop that multiplies stored
+constants; for PolyQ entries it hands each coordinate's products to poly's
+one sum of products.  Entries are either Scalar (exact field elements) or
+PolyQ (symbolic parameters); one entry kind per tensor.
 Whether the product satisfies the Leibniz identity is checked, never
 assumed: leibniz_residual exposes the defect of each basis triple.
 
@@ -36,6 +38,7 @@ from itertools import chain
 
 from . import linalg
 from .linalg import ShapeError
+from .poly import PolyQ, _sum_of_products
 from .scalars import Scalar, clear_denominators, common_field, from_integer, quadratic_integers
 
 _NO_PRODUCT: dict = {}
@@ -126,7 +129,15 @@ class StructTensor:
 
     def contract(self, terms) -> list:
         """Sum of coeff * [e_i, e_j] over (coeff, i, j) terms, as a coordinate
-        vector.  This is the one loop that multiplies stored constants."""
+        vector.  This is the one loop that multiplies stored constants; PolyQ
+        factors are gathered per coordinate and summed by poly's kernel."""
+        if type(self.zero) is PolyQ:
+            pairs: dict = {}
+            for coeff, i, j in terms:
+                for k, ck in self._c.get((i, j), _NO_PRODUCT).items():
+                    pairs.setdefault(k, []).append((coeff, ck))
+            return [_sum_of_products(self.zero, pairs[k]) if k in pairs else self.zero
+                    for k in range(self.dim)]
         acc: dict = {}
         for coeff, i, j in terms:
             for k, ck in self._c.get((i, j), _NO_PRODUCT).items():

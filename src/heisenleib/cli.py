@@ -267,20 +267,21 @@ def cmd_derive(args, out: Output) -> int:
             bindings=str(len(stage.bindings)),
         )
         for name, rhs in stage.bindings:
-            out.record(f"  {name} := {rhs}", bind=name, to=str(rhs))
+            rhs = str(rhs)  # each polynomial is rendered once, for either format
+            out.record(f"  {name} := {rhs}", bind=name, to=rhs)
         if args.residuals:
             for report in stage.reports:
                 for comp, poly in report.residual_polys:
+                    poly = str(poly)
                     out.record(
                         f"  residual {report.source} [{comp}]: {poly}",
                         residual=report.source,
                         component=comp,
-                        poly=str(poly),
+                        poly=poly,
                     )
     for label, poly in result.side_conditions:
-        out.record(
-            f"side condition {label}: {poly} = 0", side_condition=label, poly=str(poly)
-        )
+        poly = str(poly)
+        out.record(f"side condition {label}: {poly} = 0", side_condition=label, poly=poly)
     free = result.pa.free_params()
     out.record(
         f"free parameters: {' '.join(free)}",

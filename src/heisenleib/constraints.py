@@ -322,12 +322,13 @@ def extract_forced_bindings(reports) -> list:
     InconsistencyError.  Nonlinear residuals pass through untouched.
     """
     found: dict[str, PolyQ] = {}
+    reduce = None
     for report in reports:
         for _, raw in report.residual_polys:
             # reduce by the bindings already found in this pass, so that a
             # name determined twice through different routes refines the
             # system instead of reporting a spurious contradiction
-            poly = raw.substitute(found) if found else raw
+            poly = reduce(raw) if found else raw
             if poly.is_zero():
                 continue
             lin = poly.as_linear()
@@ -346,6 +347,7 @@ def extract_forced_bindings(reports) -> list:
             if not poly.substitute({name: rhs}).is_zero():
                 raise InconsistencyError(f"binding {name} failed re-substitution")
             found[name] = rhs
+            reduce = _substituter(raw, found)  # rebuilt only when found grows
     return sorted(found.items())
 
 
@@ -655,8 +657,8 @@ class CascadeResult:
 
 
 def _monic(p: PolyQ) -> PolyQ:
-    lead = p.sorted_terms()[0][1]
-    return p * (1 / lead)
+    # the largest packed key is the leading term
+    return p * (1 / Fraction(p.terms[max(p.terms)]))
 
 
 def final_residual_audit(pa: ParamAlgebra, side_conditions) -> AuditResult:

@@ -1,7 +1,8 @@
 """Exact linear algebra over Scalar entries.
 
 Matrices are lists of row lists.  Ring operations (mat_mul, mat_add, ...)
-are duck-typed and also work on PolyQ entries; anything that divides
+are duck-typed and also work on PolyQ entries (mat_mul hands each PolyQ
+entry's products to poly's one sum of products); anything that divides
 (rref, rank, nullspace, inverse, det) requires Scalar entries, which form
 a field.
 
@@ -22,7 +23,9 @@ cleared matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
+from .poly import PolyQ, _sum_of_products
 from .scalars import Scalar, clear_denominators, common_field, exact_div, from_integer
 
 Matrix = list  # list[list[entry]]
@@ -96,16 +99,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, ca):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    if ra and ca and type(a[0][0]) is PolyQ:
+        return [[_sum_of_products(a[0][0], zip(row, col)) for col in cols] for row in a]
+    # a[i][0] * b[0][j] + a[i][1] * b[1][j] + ..., summed left to right
+    return [[sum(map(mul, row[1:], col[1:]), row[0] * col[0]) for col in cols] for row in a]
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

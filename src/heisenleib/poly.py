@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials over Q with named indeterminates.
 
 A PolyQ lives in a declared universe, an ordered tuple of distinct names.
-Its terms map packed monomial keys to nonzero Fraction coefficients, so
-equality is structural and the zero polynomial is the empty term map.
+Its terms map packed monomial keys to nonzero int or Fraction coefficients
+(a Fraction only where a denominator appears), so equality is structural
+and the zero polynomial is the empty term map.  The readers sorted_terms,
+as_linear, constant_value and univariate_coefficients return Fractions.
 
 Packed keys follow Monagan & Pearce (CASC 2007): the exponent vector of a
 width-w universe is one int of w + 1 fields of FIELD_BITS = 8 bits, the
@@ -92,7 +94,7 @@ def _layout(names: tuple[str, ...]) -> _Layout:
     return _Layout(names)
 
 
-def _poly(layout: _Layout, terms: dict[int, Fraction]) -> PolyQ:
+def _poly(layout: _Layout, terms: dict) -> PolyQ:
     # private constructor: the keys are valid packed monomials of layout
     p = object.__new__(PolyQ)
     _set_names(p, layout.names)
@@ -101,7 +103,12 @@ def _poly(layout: _Layout, terms: dict[int, Fraction]) -> PolyQ:
     return p
 
 
-def _add_into(out: dict[int, Fraction], items) -> None:
+def _normal(c):
+    """An int when the coefficient is integral, else the Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _add_into(out: dict, items) -> None:
     for key, coeff in items:
         s = out.get(key)
         if s is None:
@@ -109,16 +116,37 @@ def _add_into(out: dict[int, Fraction], items) -> None:
         else:
             s += coeff
             if s:
-                out[key] = s
+                out[key] = _normal(s)
             else:
                 del out[key]
 
 
-def _mul_terms(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for k1, c1 in a.items():
-        _add_into(out, [(k1 + k2, c1 * c2) for k2, c2 in b.items()])
-    return out
+def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
+    """Sum of a * b over (a, b) pairs in one term map, in the universe of
+    `like`; every pair is checked for its universe (ints and Fractions are
+    constants) and the degree bound, and a zero factor adds nothing."""
+    layout = like._layout
+    shift = layout.shift
+    out: dict = {}
+    get = out.get
+    for a, b in pairs:
+        if type(a) is not PolyQ or a._layout is not layout:
+            a = like._coerce(a)
+        if type(b) is not PolyQ or b._layout is not layout:
+            b = like._coerce(b)
+        if a is None or b is None:
+            raise TypeError("a polynomial factor must be a PolyQ, an int or a Fraction")
+        ta, tb = a.terms, b.terms
+        if not ta or not tb:
+            continue
+        if (max(ta) + max(tb)) >> shift > MAX_DEGREE:
+            raise PolyError(f"product degree exceeds the bound {MAX_DEGREE}")
+        for k1, c1 in ta.items():
+            for k2, c2 in tb.items():
+                k = k1 + k2
+                s = get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+    return _poly(layout, {k: _normal(c) for k, c in out.items() if c})
 
 
 class PolyQ:
@@ -132,7 +160,7 @@ class PolyQ:
         for exp, coeff in (terms or {}).items():
             key, coeff = layout.pack(exp), Fraction(coeff)
             if coeff:
-                clean[key] = coeff
+                clean[key] = _normal(coeff)
         _set_names(self, layout.names)
         _set_terms(self, clean)
         _set_layout(self, layout)
@@ -154,7 +182,7 @@ class PolyQ:
     def var(cls, names: tuple[str, ...], name: str) -> PolyQ:
         layout = _layout(tuple(names))
         field = FIELD_BITS * (layout.width - 1 - layout.position(name))
-        return _poly(layout, {(1 << layout.shift) | (1 << field): Fraction(1)})
+        return _poly(layout, {(1 << layout.shift) | (1 << field): 1})
 
     # -- predicates and views ----------------------------------------------
 
@@ -169,7 +197,7 @@ class PolyQ:
             return Fraction(0)
         if not self.is_constant():
             raise PolyError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -190,10 +218,10 @@ class PolyQ:
         for key, coeff in self.terms.items():
             deg = key >> layout.shift
             if deg == 0:
-                const = coeff
+                const = Fraction(coeff)
             elif deg == 1:
                 ((i, _),) = layout.fields(key)
-                coeffs[self.names[i]] = coeff
+                coeffs[self.names[i]] = Fraction(coeff)
             else:
                 return None
         return const, coeffs
@@ -238,9 +266,7 @@ class PolyQ:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.terms and other.terms and self.degree() + other.degree() > MAX_DEGREE:
-            raise PolyError(f"product degree exceeds the bound {MAX_DEGREE}")
-        return _poly(self._layout, _mul_terms(self.terms, other.terms))
+        return _sum_of_products(self, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -301,7 +327,7 @@ class PolyQ:
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """(exponent tuple, coefficient) in descending graded-lexicographic order."""
         unpack = self._layout.unpack
-        return [(unpack(key), c) for key, c in sorted(self.terms.items(), reverse=True)]
+        return [(unpack(key), Fraction(c)) for key, c in sorted(self.terms.items(), reverse=True)]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -366,7 +392,7 @@ def _substituter(like: PolyQ, bindings: dict):
 
 
 def _const(layout: _Layout, value) -> PolyQ:
-    value = Fraction(value)
+    value = _normal(Fraction(value))
     return _poly(layout, {0: value} if value else {})
 
 
@@ -385,7 +411,7 @@ def univariate_coefficients(p: PolyQ) -> tuple[str | None, list[Fraction]]:
     # with one indeterminate, a key's degree field is its exponent
     coeffs = [Fraction(0)] * (p.degree() + 1)
     for key, coeff in p.terms.items():
-        coeffs[key >> p._layout.shift] = coeff
+        coeffs[key >> p._layout.shift] = Fraction(coeff)
     return used[0], coeffs
 
 

@@ -50,6 +50,12 @@ matrix products.  That is how algebra and certify ran before all three
 moved onto matrices cleared into Z or Z[sqrt d] (or, for the commutator,
 onto the 2x2 minors).  vec_add, is_zero_vector and s_scale_rows are
 small helpers that only the tests use.
+
+reference_contract and reference_mat_mul form one product and one
+running sum per pair of factors, the way StructTensor.contract and
+linalg.mat_mul ran for PolyQ entries before both handed their products to
+poly's one sum of products.  They are duck-typed, so they also run on
+TuplePoly entries, which share no arithmetic with PolyQ.
 """
 
 import warnings
@@ -116,6 +122,34 @@ def mat_pow(a, n: int):
         base = linalg.mat_mul(base, base)
         n >>= 1
     return result
+
+
+def reference_contract(constants: dict, dim: int, zero, terms) -> list:
+    """Sum of coeff * [e_i, e_j] over (coeff, i, j) terms for the sparse
+    constants {(i, j, k): entry}, one product and one sum at a time."""
+    rows: dict = {}
+    for (i, j, k), c in constants.items():
+        rows.setdefault((i, j), {})[k] = c
+    acc: dict = {}
+    for coeff, i, j in terms:
+        for k, ck in rows.get((i, j), {}).items():
+            p = coeff * ck
+            acc[k] = acc[k] + p if k in acc else p
+    return [acc.get(k, zero) for k in range(dim)]
+
+
+def reference_mat_mul(a, b):
+    """a b with one product and one running sum per entry pair."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def reference_matrix_nilpotent(m) -> bool:

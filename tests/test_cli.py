@@ -291,6 +291,9 @@ def test_derive_machine(capsys):
         (2, 3, "0", "a50c6acb6ca67b3560b9aa327310ffec4c55600ad72abbb9fb3a6f34d69b02c9"),
         (2, 3, "1", "17c6d772a5c26aa2c0e0b4dfbe043fbbdaf255d32e29f6e7415cd66247d283da"),
         (2, 3, "free", "0e8bb84a655a4e206f597c0ad58ca315a7361c3d897072753305a8aa41de88cf"),
+        # the 504-wide universe, where int and Fraction coefficients mix most
+        (3, 4, "0", "0da836e5d42c21eb87814c00bc535a167129eb4dc5085a092d60d8105e184683"),
+        (3, 4, "1", "a3f9551f3834776e2dc0b061477233d6c06246e10d317110f006f130ccdfde80"),
     ],
 )
 def test_derive_transcript_digest(capsys, n, f, a1, digest):
