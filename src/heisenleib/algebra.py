@@ -10,15 +10,21 @@ PolyQ (symbolic parameters); one entry kind per tensor.
 Whether the product satisfies the Leibniz identity is checked, never
 assumed: leibniz_residual exposes the defect of each basis triple.
 
-For Scalar entries leibniz_defects runs that residual over integers.  The
-tensor's private integer view holds every constant times the lcm D of all
-denominators: an int over Q, and over Q(sqrt d) an element of the ring
-Z[sqrt d] from scalars.py, which holds d once (constants with two
-different d raise IncompatibleFieldError).  The check is exact, not a
-tolerance: each residual component is a homogeneous quadratic in the
-constants, so scaling them by D scales it by D^2 and keeps its zero set;
-and since d is squarefree and not 0 or 1, a + b*sqrt(d) = 0 iff a = b = 0.
-The defect list is computed once per tensor and memoized.
+For Scalar entries leibniz_defects decides the same residuals over
+integers.  The tensor's private integer view holds every constant times
+the lcm D of all denominators: an int over Q, and over Q(sqrt d) an
+element of the ring Z[sqrt d] from scalars.py, which holds d once
+(constants with two different d raise IncompatibleFieldError).  Each
+residual component is quadratic in the constants, so scaling by D keeps
+its zero set, and a + b*sqrt(d) = 0 iff a = b = 0.  The packed kernel
+holds each product row as ints with one w-bit slot per coordinate
+(Kronecker substitution).  It is exact: for M the largest absolute
+integer part in the view (d = 0 over Q), a residual component sums at
+most 3*dim products of size at most (1 + |d|)*M^2, so
+w = bitlength(3*dim*(1 + |d|)*M^2) + 1 keeps it inside (-2^(w-1), 2^(w-1));
+base-2^w digits that small are unique, so the packed residual is 0 iff
+every component is.  The defects are memoized per tensor; is_lie reads
+antisymmetry off the view and bracket contracts there with x, y cleared.
 
 bracket_span, behind both series, contracts on the same view: [u, v]
 with u, v and the constants cleared is a nonzero multiple of [u, v], so
@@ -34,7 +40,8 @@ the series/annihilator operations return canonical objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
+from operator import mul
 
 from . import linalg
 from .linalg import ShapeError
@@ -146,18 +153,20 @@ class StructTensor:
         return [acc.get(k, self.zero) for k in range(self.dim)]
 
     def bracket(self, x, y) -> list:
-        """[x, y] for coordinate vectors x, y; bilinear in both arguments."""
+        """[x, y] for coordinate vectors x, y; bilinear in both arguments.
+        Scalar tensors contract on the integer view and divide once."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError(
                 f"coordinate vectors must have length {self.dim}, got {len(x)}, {len(y)}"
             )
-        return self.contract(
-            (xi * yj, i, j)
-            for i, xi in enumerate(x)
-            if not xi.is_zero()
-            for j, yj in enumerate(y)
-            if not yj.is_zero()
-        )
+        xs = [i for i, v in enumerate(x) if not v.is_zero()]
+        ys = [j for j, v in enumerate(y) if not v.is_zero()]
+        if not self.is_scalar():
+            return self.contract((x[i] * y[j], i, j) for i in xs for j in ys)
+        d, den, view = self._integer_view(x, y)
+        (den_x, x), (den_y, y) = clear_denominators(x, d), clear_denominators(y, d)
+        w = view.contract((x[i] * y[j], i, j) for i in xs for j in ys)
+        return [from_integer(v, den * den_x * den_y) for v in w]
 
     def leibniz_residual(self, i: int, j: int, k: int) -> list:
         """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]; zero iff the
@@ -174,17 +183,14 @@ class StructTensor:
 
     def leibniz_defects(self) -> list[tuple[int, int, int]]:
         """Triples whose residual is nonzero (empty iff Leibniz), in (i, j, k)
-        order.  Scalar tensors are checked on their integer view; the answer
-        is computed once per tensor and each call returns a fresh list."""
+        order.  Scalar tensors are checked by the packed kernel on their
+        integer view; the answer is computed once per tensor and each call
+        returns a fresh list."""
         if self._defects is None:
-            view = self._integer_view()[2] if self.is_scalar() else self
-            n, zero = self.dim, view.zero
-            defects = tuple(
-                (i, j, k)
-                for i in range(n)
-                for j in range(n)
-                for k in range(n)
-                if any(e != zero for e in view.leibniz_residual(i, j, k))
+            n = self.dim
+            defects = _packed_defects(n, self._integer_view()[2]) if self.is_scalar() else tuple(
+                ijk for ijk in product(range(n), repeat=3)
+                if any(e != self.zero for e in self.leibniz_residual(*ijk))
             )
             object.__setattr__(self, "_defects", defects)
         return list(self._defects)
@@ -195,7 +201,7 @@ class StructTensor:
         constant times D, the lcm of its denominators, in Z or Z[sqrt d].
         The view is kept; a rational tensor that meets a quadratic d gets a
         fresh one in Z[sqrt d], as an int and a ring element do not add.
-        Only contract and leibniz_residual may run on a view."""
+        Only contract, leibniz_residual, is_lie and _packed_defects read a view."""
         if self._view is None:
             object.__setattr__(self, "_view", self._cleared_view())
         den, view = self._view
@@ -220,12 +226,14 @@ class StructTensor:
         return not self.leibniz_defects()
 
     def is_lie(self) -> bool:
-        """Leibniz plus antisymmetry of the structure constants."""
+        """Leibniz plus antisymmetry of the constants (Scalars on the integer view)."""
         if not self.is_leibniz():
             return False
+        view = self._integer_view()[2] if self.is_scalar() else self
+        zero, rows = view.zero, view._c
         return all(
-            (value + self.entry(j, i, k)).is_zero()
-            for (i, j), row in self._c.items()
+            value + rows.get((j, i), _NO_PRODUCT).get(k, zero) == zero
+            for (i, j), row in rows.items()
             for k, value in row.items()
         )
 
@@ -268,6 +276,37 @@ class StructTensor:
     def __repr__(self):
         kind = "Scalar" if self.is_scalar() else "PolyQ"
         return f"StructTensor(dim={self.dim}, entries={kind})"
+
+
+def _packed_defects(n: int, view: StructTensor) -> tuple:
+    """Leibniz defects of an integer view.  Row (a, b), c_ab^l = x_l + y_l*sqrt(d),
+    is held as P = X + Y*2^(w*n) and P' = d*Y + X*2^(w*n) for X = sum_l x_l 2^(w*l)
+    and Y likewise (Y = 0 over Q), so (x + y*sqrt(d)) times the row is x*P + y*P',
+    rational parts in the low half and sqrt parts in the high one."""
+    d = getattr(view.zero, "d", 0)
+    rows = {ab: [(l, c, 0) if d == 0 else (l, c.a, c.b) for l, c in row.items()]
+            for ab, row in view._c.items()}
+    top = max((abs(v) for row in rows.values() for _, x, y in row for v in (x, y)), default=0)
+    w = (3 * n * (1 + abs(d)) * top * top).bit_length() + 1
+    left = [[0] * (2 * n) for _ in range(n)]  # left[a][b] = P(a, b), left[a][n + b] = P'(a, b)
+    terms = [[((), ())] * n for _ in range(n)]  # the columns and factors of row (a, b)
+    for (a, b), row in rows.items():
+        px = sum(x << w * l for l, x, _ in row)
+        py = sum(y << w * l for l, _, y in row)
+        left[a][b], left[a][n + b] = px + (py << w * n), d * py + (px << w * n)
+        nonzero = [(l, x) for l, x, _ in row if x] + [(n + l, y) for l, _, y in row if y]
+        terms[a][b] = tuple(zip(*nonzero))
+    right = [[left[m][k + n * h] for h in (0, 1) for m in range(n)] for k in range(n)]
+    return tuple(
+        (i, j, k)
+        for i, j, k in product(range(n), repeat=3)
+        if _dot(terms[j][k], left[i]) != _dot(terms[i][j], right[k]) + _dot(terms[i][k], left[j])
+    )
+
+
+def _dot(terms, packed) -> int:
+    columns, factors = terms
+    return sum(map(mul, factors, map(packed.__getitem__, columns)))
 
 
 @dataclass(frozen=True)

@@ -624,6 +624,8 @@ def _h_shear(pa: ParamAlgebra) -> list:
 
 @dataclass(frozen=True)
 class AuditResult:
+    """matched: (component, side label), the residual being a rational multiple
+    of that side condition; unmatched: (component, residual PolyQ)."""
     triples_checked: int
     zero_residuals: int
     matched: tuple
@@ -678,11 +680,10 @@ def final_residual_audit(pa: ParamAlgebra, side_conditions) -> AuditResult:
         triple = report.source.removeprefix("jacobi ")
         for comp, p in report.residual_polys:
             label = side.get(_monic(p))
-            entry = (f"{triple}/{comp}", str(p))
             if label is None:
-                unmatched.append(entry)
+                unmatched.append((f"{triple}/{comp}", p))
             else:
-                matched.append(entry + (label,))
+                matched.append((f"{triple}/{comp}", label))
     checked = pa.tensor.dim ** 3
     return AuditResult(
         triples_checked=checked,

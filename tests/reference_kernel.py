@@ -56,6 +56,11 @@ running sum per pair of factors, the way StructTensor.contract and
 linalg.mat_mul ran for PolyQ entries before both handed their products to
 poly's one sum of products.  They are duck-typed, so they also run on
 TuplePoly entries, which share no arithmetic with PolyQ.
+
+reference_integer_defects is the Leibniz check on the integer view as it
+ran before the packed kernel: the three-term leibniz_residual of every
+triple contracted on the view, one ring product at a time, and a triple
+is a defect when some coordinate is not the view's zero.
 """
 
 import warnings
@@ -122,6 +127,20 @@ def mat_pow(a, n: int):
         base = linalg.mat_mul(base, base)
         n >>= 1
     return result
+
+
+def reference_integer_defects(t) -> list:
+    """Triples (i, j, k), in order, whose residual on the integer view of the
+    Scalar tensor t has a nonzero coordinate."""
+    view = t._integer_view()[2]
+    n, zero = t.dim, view.zero
+    return [
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if any(e != zero for e in view.leibniz_residual(i, j, k))
+    ]
 
 
 def reference_contract(constants: dict, dim: int, zero, terms) -> list:

@@ -281,6 +281,18 @@ class TestCascade:
         result = run_cascade(1, 1, branch=1)
         assert result.audit.all_zero()
 
+    def test_audit_entries(self):
+        # matched residuals are named by their side condition, unmatched
+        # ones kept as polynomials, never rendered to text
+        result = run_cascade(2, 2, branch=1)
+        labels = {label for label, _ in result.side_conditions}
+        assert result.audit.matched and not result.audit.unmatched
+        assert all(label in labels for _, label in result.audit.matched)
+        bare = constraints.final_residual_audit(result.pa, [])
+        assert not bare.matched
+        assert [comp for comp, _ in bare.unmatched] == [comp for comp, _ in result.audit.matched]
+        assert all(isinstance(p, PolyQ) and not p.is_zero() for _, p in bare.unmatched)
+
     def test_maximal_extension_n2_f3(self):
         # f = n + 1 = 3: the largest case the bound admits
         result = run_cascade(2, 3, branch=1)
