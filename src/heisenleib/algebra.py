@@ -470,9 +470,7 @@ def center(t: StructTensor) -> Subspace:
 def element_nilpotent(t: StructTensor, x) -> bool:
     """True iff both multiplication operators L_x and R_x are nilpotent."""
     t._require_scalar("element nilpotency")
-    from .certify import matrix_nilpotent
-
-    return matrix_nilpotent(t.left_mult_matrix(x)) and matrix_nilpotent(
+    return linalg.matrix_nilpotent(t.left_mult_matrix(x)) and linalg.matrix_nilpotent(
         t.right_mult_matrix(x)
     )
 

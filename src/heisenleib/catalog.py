@@ -22,7 +22,7 @@ change-of-basis matrices over Q(i) that map tensors to tensors exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -239,8 +239,6 @@ def get_entry(entry_id: str) -> CatalogEntry:
 
 def entry_parameter_grid(entry: CatalogEntry) -> list:
     """The documented boundary/sample parameter values of an entry."""
-    if not entry.param_slots:
-        return [{}]
     grid = [{}]
     for slot in entry.param_slots:
         grid = [
@@ -249,6 +247,10 @@ def entry_parameter_grid(entry: CatalogEntry) -> list:
             for value in PARAMETER_SAMPLES[slot.name]
         ]
     return grid
+
+
+def _param_view(params: dict) -> tuple:
+    return tuple(sorted((k, str(v)) for k, v in params.items()))
 
 
 def build_entry(entry_id: str, params: dict | None = None) -> StructTensor:
@@ -306,7 +308,7 @@ def verify_entry(
     expected_lie = entry.r_value == 0
     return VerificationReport(
         entry_id=entry_id,
-        params=tuple(sorted((k, str(v)) for k, v in clean.items())),
+        params=_param_view(clean),
         field=field,
         dim=tensor.dim,
         expected_dim=2 * entry.n + 1 + entry.f,
@@ -366,20 +368,8 @@ class DistinctnessReport:
         return [p for p in self.pairs if p.separated_by is None]
 
 
-_FINGERPRINT_FIELDS = (
-    "dim",
-    "derived_dims",
-    "lower_central_dims",
-    "ann_left_dim",
-    "center_dim",
-    "is_lie",
-    "is_solvable",
-    "is_nilpotent",
-)
-
-
 def _separator(a: DistinctnessItem, b: DistinctnessItem) -> str | None:
-    for name in _FINGERPRINT_FIELDS:
+    for name in (f.name for f in fields(Fingerprint)):
         if getattr(a.fingerprint, name) != getattr(b.fingerprint, name):
             return name
     if a.aux_rank != b.aux_rank:
@@ -397,7 +387,7 @@ def distinctness_report(field: str) -> DistinctnessReport:
             items.append(
                 DistinctnessItem(
                     entry_id=entry.id,
-                    params=tuple(sorted((k, str(v)) for k, v in point.items())),
+                    params=_param_view(point),
                     fingerprint=fingerprint(tensor),
                     aux_rank=jordan_block_rank(tensor, entry.n, entry.f),
                 )
@@ -467,12 +457,6 @@ class CondensationWitness:
     verified: bool
 
 
-def _compose_basis_rows(first_rows, then_rows):
-    """Rows of the composite change of basis: apply first_rows, then
-    then_rows expressed in the intermediate basis."""
-    return linalg.mat_mul(then_rows, first_rows)
-
-
 def _witness_rows(real_id: str, complex_id: str, params: dict):
     if real_id == complex_id:
         entry = get_entry(real_id)
@@ -491,9 +475,8 @@ def _witness_rows(real_id: str, complex_id: str, params: dict):
         # mu^2 = r = -1: rescale H(1) by mu = i
         return heisenberg_rescale_rows(1, 1, _I), complex_id, dict(params)
     if key == ("H1a0R-rm1", "H1a0C-r1"):
-        rows = _compose_basis_rows(
-            _rows_H1a0R_to_H1a0C(), heisenberg_rescale_rows(1, 1, _I)
-        )
+        # first _rows_H1a0R_to_H1a0C, then the rescaling written in the intermediate basis
+        rows = linalg.mat_mul(heisenberg_rescale_rows(1, 1, _I), _rows_H1a0R_to_H1a0C())
         return rows, complex_id, dict(params)
     if key == ("H1a1R", "H1a1C-diag"):
         return _rows_H1a1R_to_diag(), complex_id, {"A*": params["C"]}
@@ -521,12 +504,10 @@ def condensation_witness(
             1, 1, [Scalar.one()], [[[a_star, Scalar.zero()], [Scalar.zero(), -a_star]]]
         )
         target = build_extension(spec)
-        target_param_view = (("A*", str(a_star)),)
+        target_param_view = _param_view({"A*": a_star})
     else:
         target = build_entry(target_id, target_params or None)
-        target_param_view = tuple(
-            sorted((k, str(v)) for k, v in target_params.items())
-        )
+        target_param_view = _param_view(target_params)
     p = basis_rows_to_coordinate_map(basis_rows)
     moved = change_basis(source, p, basis_labels=target.basis_labels)
     verified = moved == target
@@ -538,7 +519,7 @@ def condensation_witness(
     return CondensationWitness(
         real_id=real_id,
         complex_id=complex_id,
-        params=tuple(sorted((k, str(v)) for k, v in params.items())),
+        params=_param_view(params),
         matrix=tuple(tuple(row) for row in p),
         basis_rows=tuple(tuple(row) for row in basis_rows),
         target_tensor=target,

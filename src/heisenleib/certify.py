@@ -1,11 +1,10 @@
 """Exact nilpotency decisions and nilradical certificates.
 
-A square matrix M over an exact field is nilpotent iff M^dim = 0, and
-since scaling keeps nilpotency, matrix_nilpotent decides it on M cleared
-of its denominators into Z or Z[sqrt d], squaring there.  For
-traceless 2x2 matrices (the sp(2) case) nilpotency is equivalent to a zero
-determinant, which turns linear nilindependence of a pair into a root
-decision for the binary quadratic det(c1 X1 + c2 X2).
+Matrix nilpotency (M^dim = 0) is decided by linalg.matrix_nilpotent,
+beside det, and re-exported here.  For traceless 2x2 matrices (the sp(2)
+case) nilpotency is equivalent to a zero determinant, which turns linear
+nilindependence of a pair into a root decision for the binary quadratic
+det(c1 X1 + c2 X2).
 
 certify_nilradical is the trust anchor of the catalog: it re-checks that
 the Heisenberg subspace of a built extension is a nilpotent two-sided
@@ -19,7 +18,6 @@ is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -33,9 +31,9 @@ from .algebra import (
 from .heisenberg import (
     UNDECIDED, extract_extension_data, heisenberg_subspace, symplectic_check,
 )
-from .linalg import ShapeError
+from .linalg import matrix_nilpotent
 from .poly import PolyQ, quadratic_real_root_exists, quadratic_roots
-from .scalars import Scalar, common_field
+from .scalars import Scalar
 
 
 class CertifyError(ValueError):
@@ -44,25 +42,6 @@ class CertifyError(ValueError):
 
 class NotSubalgebraError(CertifyError):
     """Subspace nilpotency asked for a subspace not closed under the bracket."""
-
-
-def matrix_nilpotent(m) -> bool:
-    """True iff M^dim = 0 exactly (equivalently, char poly = lambda^dim).
-
-    Scaling does not change nilpotency, so M is cleared once into Z or
-    Z[sqrt d] and squared there until the power reaches dim or vanishes."""
-    r, c = linalg.shape(m)
-    if r != c:
-        raise ShapeError("nilpotency needs a square matrix")
-    if r == 0:
-        return True
-    power = linalg.cleared_matrix(m, common_field(x for row in m for x in row))[1]
-    k, zero = 1, power[0][0] * 0
-    while k < r and any(map(any, power)):
-        cols = list(zip(*power))
-        power = [[sum(map(mul, row, col), zero) for col in cols] for row in power]
-        k *= 2
-    return not any(map(any, power))
 
 
 def _require_sp2(x, what: str):
@@ -244,17 +223,13 @@ def certify_nilradical(
     full = Subspace.full(t.dim)
     contains_derived = bracket_span(t, full, full).is_contained_in(n_subspace)
 
-    standard = heisenberg_subspace(n, f)
-    if n_subspace != standard or not (ideal and nilpotent and contains_derived):
+    if n_subspace == heisenberg_subspace(n, f) and ideal and nilpotent and contains_derived:
+        maximality = _decide_maximality(t, n_subspace, n, f, field)
+    else:
         maximality = Maximality(
             status="undecided",
             note="base checks failed or nonstandard subspace; maximality skipped",
         )
-        return NilradicalCertificate(
-            algebra_id, n_subspace, ideal, nilpotent, contains_derived, maximality
-        )
-
-    maximality = _decide_maximality(t, n_subspace, n, f, field)
     return NilradicalCertificate(
         algebra_id, n_subspace, ideal, nilpotent, contains_derived, maximality
     )

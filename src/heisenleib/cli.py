@@ -50,6 +50,13 @@ def max_dim() -> int:
     return value
 
 
+def _check_dim(dim: int) -> None:
+    if dim > max_dim():
+        raise CliError(
+            f"dimension {dim} exceeds the configured cap {max_dim()}", EXIT_VALIDATION_ERROR
+        )
+
+
 class Output:
     """Collects report lines; text is human-oriented, machine is one
     key=value record per line."""
@@ -81,14 +88,17 @@ def _emit(out: Output, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_algebra(path: str) -> algebra.StructTensor:
+def _load(path: str, from_doc):
     try:
-        doc = fileio.load_json(path)
-        return fileio.algebra_from_doc(doc, max_dim=max_dim())
+        return from_doc(fileio.load_json(path))
     except fileio.DimensionCapError as exc:
         raise CliError(f"{path}: {exc}", EXIT_VALIDATION_ERROR) from None
     except fileio.FileFormatError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE_ERROR) from None
+
+
+def _load_algebra(path: str) -> algebra.StructTensor:
+    return _load(path, lambda doc: fileio.algebra_from_doc(doc, max_dim=max_dim()))
 
 
 def _parse_params(items) -> dict:
@@ -205,16 +215,8 @@ def cmd_fingerprint(args, out: Output) -> int:
 
 
 def cmd_nilradical(args, out: Output) -> int:
-    try:
-        doc = fileio.load_json(args.input)
-        spec = fileio.extension_spec_from_doc(doc)
-    except fileio.FileFormatError as exc:
-        raise CliError(f"{args.input}: {exc}", EXIT_PARSE_ERROR) from None
-    if spec.dim() > max_dim():
-        raise CliError(
-            f"dimension {spec.dim()} exceeds the configured cap {max_dim()}",
-            EXIT_VALIDATION_ERROR,
-        )
+    spec = _load(args.input, fileio.extension_spec_from_doc)
+    _check_dim(spec.dim())
     try:
         tensor = build_extension(spec)
     except ValueError as exc:
@@ -250,12 +252,7 @@ def cmd_nilradical(args, out: Output) -> int:
 
 def cmd_derive(args, out: Output) -> int:
     branch = None if args.a1 == "free" else int(args.a1)
-    dim = 2 * args.n + 1 + args.f
-    if dim > max_dim():
-        raise CliError(
-            f"dimension {dim} exceeds the configured cap {max_dim()}",
-            EXIT_VALIDATION_ERROR,
-        )
+    _check_dim(2 * args.n + 1 + args.f)
     try:
         result = constraints.run_cascade(args.n, args.f, branch)
     except constraints.CascadeError as exc:
@@ -494,12 +491,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = Output(args.format)
     try:
-        status = args.handler(args, out)
-    except CliError as exc:
-        out.record(f"error: {exc}", error=str(exc))
+        try:
+            status = args.handler(args, out)
+        except CliError as exc:
+            out.record(f"error: {exc}", error=str(exc))
+            status = exc.status
         _emit(out, args.output)
-        return exc.status
-    _emit(out, args.output)
+    except OSError as exc:  # -o PATH is the only file written; inputs go through load_json
+        message = f"{args.output}: {exc.strerror}"
+        out = Output(args.format)
+        out.record(f"error: {message}", error=message)
+        _emit(out, None)
+        return EXIT_PARSE_ERROR
     return status
 
 

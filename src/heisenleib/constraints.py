@@ -218,18 +218,11 @@ def _reduce_binding_map(raw: dict) -> dict:
 
 
 def apply_bindings(pa: ParamAlgebra, stage: str, bindings) -> ParamAlgebra:
-    bindings = tuple(bindings)
-    if not bindings:
-        return ParamAlgebra(
-            n=pa.n, f=pa.f, params=pa.params, tensor=pa.tensor,
-            applied=pa.applied + ((stage, ()),),
-        )
     reduced = _reduce_binding_map(dict(bindings))
-    bindings = tuple(sorted(reduced.items()))
-    tensor = substitute_tensor(pa.tensor, reduced)
+    tensor = substitute_tensor(pa.tensor, reduced) if reduced else pa.tensor
     return ParamAlgebra(
         n=pa.n, f=pa.f, params=pa.params, tensor=tensor,
-        applied=pa.applied + ((stage, bindings),),
+        applied=pa.applied + ((stage, tuple(sorted(reduced.items()))),),
     )
 
 

@@ -211,13 +211,14 @@ def load_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
-        raise FileFormatError(str(exc), path) from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             path,
         ) from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8, nested too deep, or an integer past the digit limit
+        raise FileFormatError(str(exc), path) from None
 
 
 def save_json(path: str, doc: dict) -> None:

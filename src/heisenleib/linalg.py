@@ -16,8 +16,8 @@ minor of the cleared matrix), and exact_div raises if one does not.
 cleared_rref divides the pivot rows by the last pivot once, giving the
 canonical Scalar RREF; algebra's series brackets, which hold cleared rows
 already, call it directly.  rank counts pivots and det reads the last
-pivot.  There is no matrix power: certify decides nilpotency on the
-cleared matrix.
+pivot.  Beside det, matrix_nilpotent squares the matrix cleared once by
+its denominators with mat_mul until the power reaches dim.
 """
 
 from __future__ import annotations
@@ -240,6 +240,24 @@ def det(a: Matrix) -> Scalar:
     if len(pivots) < r:
         return Scalar.zero()
     return from_integer(sign * last, den**r)
+
+
+def matrix_nilpotent(m: Matrix) -> bool:
+    """True iff M^dim = 0 exactly (equivalently, char poly = lambda^dim).
+
+    Scaling does not change nilpotency, so M is cleared once into Z or
+    Z[sqrt d] and squared there until the power reaches dim or vanishes."""
+    r, c = shape(m)
+    if r != c:
+        raise ShapeError("nilpotency needs a square matrix")
+    if r == 0:
+        return True
+    power = cleared_matrix(m, common_field(x for row in m for x in row))[1]
+    k = 1
+    while k < r and any(map(any, power)):
+        power = mat_mul(power, power)
+        k *= 2
+    return not any(map(any, power))
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -59,17 +59,7 @@ class InexactDivisionError(ScalarError):
 @lru_cache(maxsize=64)
 def is_squarefree(d: int) -> bool:
     """True iff the integer d is squarefree (no repeated prime factor)."""
-    n = abs(d)
-    if n == 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1
-    return True
+    return d != 0 and squarefree_split(d)[1] == 1
 
 
 def _check_d(d: int) -> None:

@@ -52,6 +52,26 @@ def test_verify_malformed(capsys, tmp_path):
     assert "malformed JSON" in out
 
 
+UNDECODABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+    "long-integer": b'{"dim": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "series", "annihilator", "fingerprint",
+                                     "nilradical"])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_input_exit_2(capsys, tmp_path, name, command):
+    # a UnicodeDecodeError, RecursionError or int-digit ValueError from the
+    # decoder is a parse error with one error line, not a traceback
+    path = tmp_path / "input.json"
+    path.write_bytes(UNDECODABLE[name])
+    status, out = run(capsys, command, str(path))
+    assert status == 2
+    assert out.startswith(f"error: {path}: ") and out.count("\n") == 1
+
+
 def test_series_and_fingerprint(capsys, h1_file):
     status, out = run(capsys, "series", h1_file)
     assert status == 0 and "derived dims: [1,0]" in out
@@ -331,6 +351,26 @@ def test_output_to_file(capsys, tmp_path, h1_file):
     status, out = run(capsys, "verify", h1_file, "-o", str(report))
     assert status == 0 and out == ""
     assert "leibniz: ok" in report.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ("catalog", "list"),
+    ("catalog", "build", "H1a0C-r1"),
+    ("verify", "{h1}"),
+    ("witness", "H9", "H1a0C-r1"),  # an exit 3 whose error record cannot be written either
+], ids=["catalog-list", "catalog-build", "verify", "witness-error"])
+def test_unwritable_output_exit_2(capsys, tmp_path, h1_file, argv, where, fmt):
+    target = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+    argv = [a.format(h1=h1_file) for a in argv]
+    status, out = run(capsys, *argv, "-o", str(target), "--format", fmt)
+    assert status == 2
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    if fmt == "text":
+        assert out == f"error: {target}: {reason}\n"
+    else:
+        assert out == "error=" + f"{target}: {reason}".replace(" ", "_") + "\n"
 
 
 def test_output_determinism(capsys):
