@@ -334,7 +334,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls.span(linalg.identity(ambient_dim), ambient_dim)
+        return cls(ambient_dim, tuple(map(tuple, linalg.identity(ambient_dim))))  # already RREF
 
     @property
     def dim(self) -> int:

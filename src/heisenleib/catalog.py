@@ -106,10 +106,6 @@ class CatalogEntry:
         clean = self.check_params(params or self.default_params())
         return self.build_spec(clean)
 
-    def displays(self, params: dict | None = None) -> list:
-        clean = self.check_params(params or self.default_params())
-        return self.build_displays(clean)
-
 
 def _diag_spec(a1, x_diag, r_value):
     def build(params):
@@ -270,7 +266,6 @@ class VerificationReport:
     lie_flag: bool
     expected_lie: bool
     display_ok: bool
-    fingerprint: Fingerprint
     certificate: NilradicalCertificate
     mubar_ok: bool
 
@@ -295,8 +290,8 @@ def verify_entry(
     if field not in entry.fields:
         raise CatalogError(f"{entry_id} is not a {field}-entry")
     clean = entry.check_params(params or entry.default_params())
-    tensor = build_entry(entry_id, clean)
-    displays = entry.displays(clean)
+    tensor = build_extension(entry.build_spec(clean))
+    displays = entry.build_displays(clean)
     display_ok = all(
         linalg.mat_eq(left_action_display(tensor, entry.n, entry.f, al), displays[al])
         for al in range(entry.f)
@@ -316,7 +311,6 @@ def verify_entry(
         lie_flag=tensor.is_lie(),
         expected_lie=expected_lie,
         display_ok=display_ok,
-        fingerprint=fingerprint(tensor),
         certificate=certificate,
         mubar_ok=mubar_bound_check(tensor, nilradical),
     )
@@ -496,7 +490,7 @@ def condensation_witness(
     """
     real_entry = get_entry(real_id)
     params = real_entry.check_params(params or real_entry.default_params())
-    source = build_entry(real_id, params)
+    source = build_extension(real_entry.build_spec(params))
     basis_rows, target_id, target_params = _witness_rows(real_id, complex_id, params)
     if "A*" in target_params:
         a_star = _I * Scalar(target_params["A*"])

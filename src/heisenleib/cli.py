@@ -318,22 +318,24 @@ def cmd_catalog_list(args, out: Output) -> int:
 
 
 def cmd_catalog_build(args, out: Output) -> int:
+    path, args.output = args.output, None  # -o names the built algebra; reports go to stdout
     params = _parse_params(args.param)
     try:
         tensor = catalog.build_entry(args.id, params or None)
     except catalog.CatalogError as exc:
         raise CliError(str(exc), EXIT_VALIDATION_ERROR) from None
     doc = fileio.algebra_to_doc(tensor)
-    if args.output:
-        # -o names the built algebra file here; the report goes to stdout
-        fileio.save_json(args.output, doc)
+    if path:
+        try:
+            fileio.save_json(path, doc)
+        except OSError as exc:
+            raise CliError(f"{path}: {exc.strerror}", EXIT_PARSE_ERROR) from None
         out.record(
-            f"wrote {args.id} ({tensor.dim}-dimensional) to {args.output}",
+            f"wrote {args.id} ({tensor.dim}-dimensional) to {path}",
             built=args.id,
             dim=str(tensor.dim),
-            path=args.output,
+            path=path,
         )
-        args.output = None
     else:
         out.record(json.dumps(doc, indent=1, sort_keys=True), built=args.id)
     return EXIT_OK
@@ -341,19 +343,17 @@ def cmd_catalog_build(args, out: Output) -> int:
 
 def cmd_catalog_verify(args, out: Output) -> int:
     fields = [args.field] if args.field else ["C", "R"]
-    if args.id and not args.field:  # the entry's own fields; an unknown id is refused below
-        known = {e.id: e.fields for fd in fields for e in catalog.catalog_entries(fd)}
-        fields = [fd for fd in fields if fd in known.get(args.id, fields)]
+    if args.id:
+        try:
+            selected = [catalog.get_entry(args.id)]
+        except catalog.CatalogError as exc:
+            raise CliError(str(exc), EXIT_VALIDATION_ERROR) from None
+        fields = [fd for fd in fields if fd in selected[0].fields]
+        if not fields:  # only a --field the entry is not in leaves none
+            raise CliError(f"{args.id!r} is not a {args.field}-entry", EXIT_VALIDATION_ERROR)
     status = EXIT_OK
     for field in fields:
-        entries = catalog.catalog_entries(field)
-        if args.id:
-            entries = [e for e in entries if e.id == args.id]
-            if not entries:
-                raise CliError(
-                    f"{args.id!r} is not a {field}-entry", EXIT_VALIDATION_ERROR
-                )
-        for entry in entries:
+        for entry in selected if args.id else catalog.catalog_entries(field):
             for point in catalog.entry_parameter_grid(entry):
                 report = catalog.verify_entry(entry.id, point, field=field)
                 params = (
@@ -497,7 +497,7 @@ def main(argv=None) -> int:
             out.record(f"error: {exc}", error=str(exc))
             status = exc.status
         _emit(out, args.output)
-    except OSError as exc:  # -o PATH is the only file written; inputs go through load_json
+    except OSError as exc:  # writing the -o report; inputs go through load_json
         message = f"{args.output}: {exc.strerror}"
         out = Output(args.format)
         out.record(f"error: {message}", error=message)

@@ -213,12 +213,13 @@ def load_json(path: str) -> object:
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            path,
+            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    except (OSError, ValueError, RecursionError) as exc:
-        # unreadable, not UTF-8, nested too deep, or an integer past the digit limit
-        raise FileFormatError(str(exc), path) from None
+    except OSError as exc:  # missing, a directory or unreadable
+        raise FileFormatError(exc.strerror) from None
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested too deep, or an integer past the digit limit
+        raise FileFormatError(str(exc)) from None
 
 
 def save_json(path: str, doc: dict) -> None:

@@ -367,8 +367,7 @@ def build_extension(spec: ExtensionSpec) -> StructTensor:
 def heisenberg_subspace(n: int, f: int) -> Subspace:
     """The H(n) subspace (span of H, P, B) inside a built extension."""
     dim = 2 * n + 1 + f
-    rows = [linalg.identity(dim)[i] for i in range(f, dim)]
-    return Subspace.span(rows, dim)
+    return Subspace(dim, tuple(map(tuple, linalg.identity(dim)[f:])))  # already RREF
 
 
 def left_action_display(t: StructTensor, n: int, f: int, al: int):

@@ -275,6 +275,15 @@ class TestSubspace:
         b = Subspace.span([svec([0, 1, 0])], 3)
         assert a.sum(b).dim == 2
 
+    def test_full_needs_no_elimination(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("the identity is already in reduced echelon form")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "rref", refuse)
+            full = [Subspace.full(n) for n in range(9)]
+        assert full == [Subspace.span(linalg.identity(n), n) for n in range(9)]
+
 
 def test_center_of_h1(h1):
     assert center(h1).dim == 1

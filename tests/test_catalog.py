@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from heisenleib import linalg
+from heisenleib import catalog, linalg
 from heisenleib.algebra import change_basis, basis_rows_to_coordinate_map
 from heisenleib.catalog import (
     DOCUMENTED_CONDENSATIONS,
+    CatalogEntry,
     CatalogError,
     NoWitnessError,
     build_entry,
@@ -143,6 +144,34 @@ class TestVerifyEntry:
         for field in ("C", "R"):
             for report in verify_field(field):
                 assert report.certificate.maximality.status == "proved"
+
+    def test_verification_computes_no_fingerprint(self, monkeypatch):
+        def refuse(tensor):
+            raise AssertionError("no verification result reads a fingerprint")
+
+        monkeypatch.setattr(catalog, "fingerprint", refuse)
+        for field in ("C", "R"):
+            assert all(report.ok() for report in verify_field(field))
+
+    def test_parameters_checked_once(self, monkeypatch):
+        checked = []
+        original = CatalogEntry.check_params
+
+        def counting(self, params):
+            checked.append(self.id)
+            return original(self, params)
+
+        monkeypatch.setattr(CatalogEntry, "check_params", counting)
+        verify_entry("H1a1C-diag", {"A": Fraction(1, 2)}, field="C")
+        assert checked == ["H1a1C-diag"]
+        for real_id, complex_id in DOCUMENTED_CONDENSATIONS:
+            checked.clear()
+            condensation_witness(real_id, complex_id)
+            # a catalog target is built from its own entry, which checks its own copy
+            assert checked.count(real_id) == 1, (real_id, complex_id)
+        checked.clear()
+        condensation_witness("H1a1R", "H1a1C-diag", {"C": Fraction(2)})
+        assert checked == ["H1a1R"]
 
 
 class TestParameterGrid:

@@ -72,6 +72,24 @@ def test_undecodable_input_exit_2(capsys, tmp_path, name, command):
     assert out.startswith(f"error: {path}: ") and out.count("\n") == 1
 
 
+@pytest.mark.parametrize("name,content", [
+    ("malformed", b"{\n"),
+    ("missing", None),
+    ("not-utf8", UNDECODABLE["not-utf8"]),
+    ("document", b'{"dim": 0, "basis": [], "field": "Q", "constants": []}'),
+], ids=["malformed", "missing", "not-utf8", "document"])
+def test_input_error_names_path_once(capsys, tmp_path, name, content):
+    path = tmp_path / f"{name}.json"
+    if content is not None:
+        path.write_bytes(content)
+    status, out = run(capsys, "verify", str(path))
+    assert status == 2 and out.startswith(f"error: {path}: ") and out.count(str(path)) == 1
+    if name == "missing":
+        assert out == f"error: {path}: No such file or directory\n"
+    if name == "document":
+        assert out.startswith(f"error: {path}: dim: ")
+
+
 def test_series_and_fingerprint(capsys, h1_file):
     status, out = run(capsys, "series", h1_file)
     assert status == 0 and "derived dims: [1,0]" in out
@@ -178,7 +196,9 @@ def test_catalog_verify_id_over_its_own_fields(capsys):
     both = [run(capsys, "catalog", "verify", "--field", fd, "--id", "H1a0C-r0") for fd in "CR"]
     assert status == 0 and out == "".join(text for _, text in both)
     status, out = run(capsys, "catalog", "verify", "--id", "H9")
-    assert status == 3 and "'H9' is not a C-entry" in out
+    assert status == 3 and "unknown entry 'H9'; known ids: " in out
+    status, out = run(capsys, "catalog", "verify", "--field", "C", "--id", "H1a1R")
+    assert status == 3 and out == "error: 'H1a1R' is not a C-entry\n"
 
 
 def test_nilradical_command(capsys, tmp_path):
@@ -371,6 +391,19 @@ def test_unwritable_output_exit_2(capsys, tmp_path, h1_file, argv, where, fmt):
         assert out == f"error: {target}: {reason}\n"
     else:
         assert out == "error=" + f"{target}: {reason}".replace(" ", "_") + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("argv,status", [
+    (("H9",), 3),
+    (("H1a1C-diag", "--param", "A"), 2),
+], ids=["unknown-id", "bad-param"])
+def test_catalog_build_error_goes_to_stdout(capsys, tmp_path, argv, status, fmt):
+    # -o names the algebra file; a refused build leaves it uncreated
+    target = tmp_path / "entry.json"
+    code, out = run(capsys, "catalog", "build", *argv, "-o", str(target), "--format", fmt)
+    assert code == status and not target.exists()
+    assert out.startswith("error: " if fmt == "text" else "error=") and out.count("\n") == 1
 
 
 def test_output_determinism(capsys):

@@ -3,7 +3,7 @@ import warnings
 import pytest
 
 from heisenleib import linalg
-from heisenleib.algebra import StructTensor, lower_central_series
+from heisenleib.algebra import StructTensor, Subspace, lower_central_series
 from heisenleib.catalog import (
     build_entry,
     catalog_entries,
@@ -370,6 +370,18 @@ class TestBuildExtension:
         assert w.ambient_dim == 4 and w.dim == 3
         assert w.contains(svec([0, 1, 0, 0]))
         assert not w.contains(svec([1, 0, 0, 0]))
+
+    def test_heisenberg_subspace_needs_no_elimination(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("identity rows are already in reduced echelon form")
+
+        points = [(n, f) for n in range(1, 4) for f in range(1, n + 2)]
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "rref", refuse)
+            built = [heisenberg_subspace(n, f) for n, f in points]
+        for (n, f), subspace in zip(points, built):
+            dim = 2 * n + 1 + f
+            assert subspace == Subspace.span(linalg.identity(dim)[f:], dim)
 
 
 def _with_strays(spec, strays):
