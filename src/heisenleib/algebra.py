@@ -30,7 +30,10 @@ bracket_span, behind both series, contracts on the same view: [u, v]
 with u, v and the constants cleared is a nonzero multiple of [u, v], so
 it spans the same line, and hands the cleared brackets to the
 fraction-free elimination of linalg.cleared_rref, which normalises to
-Scalars once.  change_basis contracts there too, with both matrices
+Scalars once.  fingerprint spans [L, L] once for both series, and finds
+the center inside the left annihilator: one elimination, on the view, of
+the rows ([e_0, b], ..., [e_(n-1), b] | b) over its rows b.
+change_basis contracts there too, with both matrices
 cleared, and divides each new constant once by the scale factors.
 Subspaces are kept in reduced row echelon form, so that equality of
 subspaces is structural equality, membership is read off the rows, and
@@ -408,16 +411,16 @@ def bracket_span(t: StructTensor, a: Subspace, b: Subspace) -> Subspace:
     return Subspace(t.dim, tuple(map(tuple, linalg.cleared_rref(vectors, t.dim)[0])))
 
 
-def _series(t: StructTensor, w: Subspace, step=None) -> list[Subspace]:
+def _series(t: StructTensor, w: Subspace, step=None, first=None) -> list[Subspace]:
     """Shared shape of both series of the subalgebra w: iterate step, by
     default the lower central step [w, -], until zero or stabilization.
 
-    The returned list starts at [w, w]; a stabilized nonzero term appears
-    twice at the end, a vanishing series ends with the zero subspace.
+    The returned list starts at [w, w] (first, if given); a stabilized nonzero
+    term appears twice at the end, a vanishing series ends with the zero subspace.
     """
     t._require_scalar("series computation")
     step = step or (lambda current: bracket_span(t, w, current))
-    current = bracket_span(t, w, w)
+    current = bracket_span(t, w, w) if first is None else first
     terms = [current]
     while current.dim > 0:
         nxt = step(current)
@@ -436,6 +439,12 @@ def derived_series(t: StructTensor) -> list[Subspace]:
 def lower_central_series(t: StructTensor) -> list[Subspace]:
     """[L,L], [L,[L,L]], ...; reaches zero iff the algebra is nilpotent."""
     return _series(t, Subspace.full(t.dim))
+
+
+def _both_series(t: StructTensor) -> tuple[list[Subspace], list[Subspace]]:
+    """(derived_series(t), lower_central_series(t)) from one [L, L]."""
+    derived = derived_series(t)
+    return derived, _series(t, Subspace.full(t.dim), first=derived[0])
 
 
 def is_solvable(t: StructTensor) -> bool:
@@ -459,12 +468,22 @@ def left_annihilator(t: StructTensor) -> Subspace:
 def center(t: StructTensor) -> Subspace:
     """{x : [x, y] = 0 = [y, x] for all y}."""
     t._require_scalar("center")
-    rows = []
-    for j in range(t.dim):
-        for k in range(t.dim):
-            rows.append([t.entry(i, j, k) for i in range(t.dim)])
-            rows.append([t.entry(j, i, k) for i in range(t.dim)])
-    return Subspace.span(linalg.nullspace(rows), t.dim)
+    return _center_in(t, left_annihilator(t))
+
+
+def _center_in(t: StructTensor, ann: Subspace) -> Subspace:
+    """The center inside ann = left_annihilator(t): reducing the rows ([e_0, b],
+    ..., [e_(n-1), b] | b), one per row b of ann, each cleared and bracketed on
+    the integer view, solves sum_b a_b [e_j, b] = 0 for all j; the reduced rows
+    whose bracket part vanishes end in the RREF rows of the sum_b a_b b."""
+    n = t.dim
+    d, _, view = t._integer_view(*ann.rows)
+    rows = [
+        [x for j in range(n) for x in view.contract((y, j, i) for i, y in enumerate(b) if y)] + b
+        for b in (clear_denominators(b, d)[1] for b in ann.rows)
+    ]
+    red, pivots = linalg.cleared_rref(rows, n * n + n)
+    return Subspace(n, tuple(tuple(row[n * n:]) for row, p in zip(red, pivots) if p >= n * n))
 
 
 def element_nilpotent(t: StructTensor, x) -> bool:
@@ -526,25 +545,30 @@ def basis_rows_to_coordinate_map(rows) -> list:
 def subspace_closure_checks(t: StructTensor, w: Subspace) -> ClosureChecks:
     """Subalgebra / left-ideal / two-sided-ideal membership checks: [w, w],
     [L, w] and [w, L] lie in w."""
-    full = Subspace.full(t.dim)
+    return _closure_checks(t, w)[0]
+
+
+def _closure_checks(t: StructTensor, w: Subspace) -> tuple[ClosureChecks, Subspace]:
+    """subspace_closure_checks(t, w) and its [w, w], where w's series starts."""
+    full, ww = Subspace.full(t.dim), bracket_span(t, w, w)
     left = bracket_span(t, full, w).is_contained_in(w)
     return ClosureChecks(
-        is_subalgebra=bracket_span(t, w, w).is_contained_in(w),
+        is_subalgebra=ww.is_contained_in(w),
         is_left_ideal=left,
         is_two_sided_ideal=left and bracket_span(t, w, full).is_contained_in(w),
-    )
+    ), ww
 
 
 def fingerprint(t: StructTensor) -> Fingerprint:
     """Invariant record; equal algebras in different bases get equal records."""
-    derived = derived_series(t)
-    lower = lower_central_series(t)
+    derived, lower = _both_series(t)
+    ann = left_annihilator(t)
     return Fingerprint(
         dim=t.dim,
         derived_dims=tuple(s.dim for s in derived),
         lower_central_dims=tuple(s.dim for s in lower),
-        ann_left_dim=left_annihilator(t).dim,
-        center_dim=center(t).dim,
+        ann_left_dim=ann.dim,
+        center_dim=_center_in(t, ann).dim,
         is_lie=t.is_lie(),
         is_solvable=derived[-1].dim == 0,
         is_nilpotent=lower[-1].dim == 0,

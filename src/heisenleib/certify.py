@@ -23,10 +23,10 @@ from . import linalg
 from .algebra import (
     StructTensor,
     Subspace,
+    _closure_checks,
     _series,
     bracket_span,
     element_nilpotent,
-    subspace_closure_checks,
 )
 from .heisenberg import (
     UNDECIDED, extract_extension_data, heisenberg_subspace, symplectic_check,
@@ -146,9 +146,10 @@ def commuting_sp2_proportionality(x1, x2) -> ProportionalityResult:
 
 def subspace_nilpotent(t: StructTensor, w: Subspace) -> bool:
     """Lower central series of the subalgebra w, computed inside t."""
-    if not subspace_closure_checks(t, w).is_subalgebra:
+    checks, ww = _closure_checks(t, w)
+    if not checks.is_subalgebra:
         raise NotSubalgebraError("subspace is not closed under the bracket")
-    return _series(t, w)[-1].dim == 0
+    return _series(t, w, first=ww)[-1].dim == 0
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,9 @@ def certify_nilradical(
     if f < 1:
         raise CertifyError("no appended generators: nothing to certify")
 
-    checks = subspace_closure_checks(t, n_subspace)
+    checks, ww = _closure_checks(t, n_subspace)
     ideal = checks.is_two_sided_ideal
-    nilpotent = checks.is_subalgebra and _series(t, n_subspace)[-1].dim == 0
+    nilpotent = checks.is_subalgebra and _series(t, n_subspace, first=ww)[-1].dim == 0
     full = Subspace.full(t.dim)
     contains_derived = bracket_span(t, full, full).is_contained_in(n_subspace)
 

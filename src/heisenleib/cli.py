@@ -157,8 +157,7 @@ def cmd_series(args, out: Output) -> int:
     if not t.is_leibniz():
         out.record("not a Leibniz algebra", check="series", status="failed")
         return EXIT_CHECK_FAILED
-    derived = algebra.derived_series(t)
-    lower = algebra.lower_central_series(t)
+    derived, lower = algebra._both_series(t)
     ddims = ",".join(str(s.dim) for s in derived)
     ldims = ",".join(str(s.dim) for s in lower)
     solvable = derived[-1].dim == 0

@@ -39,7 +39,9 @@ way constraints built them before heisenberg.extension_shear.
 reference_subspace_closure_checks tests every bracket of basis vectors
 for membership, and reference_lower_central_vanishes runs its own loop of
 bracket spans, the way algebra and certify did before both went through
-bracket_span.is_contained_in and algebra._series.
+bracket_span.is_contained_in and algebra._series.  reference_center is
+the center as one Scalar nullspace of 2*dim^2 rows, the way algebra
+found it before it solved for the center inside the left annihilator.
 
 reference_change_basis_with_inverse is the change of basis as one Scalar
 (or PolyQ) bracket of two columns of Q and one matrix-vector product with
@@ -70,6 +72,7 @@ from heisenleib import linalg
 from heisenleib.algebra import (
     ClosureChecks,
     StructTensor,
+    Subspace,
     bracket_span,
     element_nilpotent,
 )
@@ -325,6 +328,17 @@ def reference_lower_central_vanishes(t, w) -> bool:
             return False
         current = nxt
     return True
+
+
+def reference_center(t):
+    """{x : [x, y] = 0 = [y, x] for all y} as the Scalar nullspace of the
+    2*dim^2 rows of both products, without the left annihilator."""
+    rows = []
+    for j in range(t.dim):
+        for k in range(t.dim):
+            rows.append([t.entry(i, j, k) for i in range(t.dim)])
+            rows.append([t.entry(j, i, k) for i in range(t.dim)])
+    return Subspace.span(linalg.nullspace(rows), t.dim)
 
 
 class DenseTensor:

@@ -1,7 +1,7 @@
 import pytest
 
 from heisenleib import linalg
-from heisenleib.algebra import Subspace, subspace_closure_checks
+from heisenleib.algebra import Subspace, _closure_checks, subspace_closure_checks
 from heisenleib.catalog import build_entry
 from heisenleib.certify import (
     CertifyError,
@@ -228,9 +228,9 @@ class TestCertifyNilradical:
 
         def counted(t, w):
             calls.append(w)
-            return subspace_closure_checks(t, w)
+            return _closure_checks(t, w)
 
-        monkeypatch.setattr(certify, "subspace_closure_checks", counted)
+        monkeypatch.setattr(certify, "_closure_checks", counted)
         cert = certify_nilradical(
             build_entry("H1a0C-r1"), heisenberg_subspace(1, 1), field="C"
         )

@@ -459,3 +459,32 @@ def test_a_normalize_basis():
     # an all-zero a-vector is left alone
     rows = a_normalize_basis([0, 0], 1)
     assert linalg.mat_eq(rows, linalg.identity(2 * 1 + 1 + 2))
+
+
+class TestReduceBindingMapOnCycles:
+    """What _reduce_binding_map returns when bindings refer to each other in
+    a cycle; a binding's own name is never substituted into its right-hand
+    side, which decides these answers."""
+
+    names = ("x", "y", "z")
+
+    def v(self, name):
+        return PolyQ.var(self.names, name)
+
+    def test_two_cycle_collapses_onto_the_first_name(self):
+        x, y = self.v("x"), self.v("y")
+        assert constraints._reduce_binding_map({"x": y, "y": x}) == {"x": x, "y": x}
+
+    def test_two_cycle_with_an_offset_is_inconsistent(self):
+        x, y = self.v("x"), self.v("y")
+        with pytest.raises(constraints.InconsistencyError):
+            constraints._reduce_binding_map({"x": y + 1, "y": x})
+
+    def test_self_reference_is_kept(self):
+        rhs = self.v("x") + self.v("y")
+        assert constraints._reduce_binding_map({"x": rhs}) == {"x": rhs}
+
+    def test_three_cycle_collapses_onto_the_last_name(self):
+        x, y, z = self.v("x"), self.v("y"), self.v("z")
+        reduced = constraints._reduce_binding_map({"x": y, "y": z, "z": x})
+        assert reduced == {"x": z, "y": z, "z": z}

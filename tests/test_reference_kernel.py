@@ -14,7 +14,10 @@ rank test, and bracket_span on the integer view against Scalar brackets;
 extension_shear against the position-placed rows I + E of the cascade's
 checked shears, on catalog tensors and the generic cascade tensor; and the
 closure checks and subalgebra nilpotency through bracket_span and _series
-against bracket-by-bracket membership and a loop of bracket spans; and
+against bracket-by-bracket membership and a loop of bracket spans; the
+center solved inside the left annihilator against the nullspace of both
+products, with counts of the bracket spans behind fingerprint, series and
+certify_nilradical; and
 the change of basis, matrix nilpotency and the sp(2) commutator on
 cleared integer matrices against their Scalar matrix-product forms, over
 Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt -3) with denominators past 10^6
@@ -27,8 +30,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisenleib import linalg
+from heisenleib import algebra, certify, linalg
 from heisenleib.algebra import (
+    Fingerprint,
     StructTensor,
     Subspace,
     _change_basis_with_inverse,
@@ -37,7 +41,9 @@ from heisenleib.algebra import (
     change_basis,
     derived_series,
     element_nilpotent,
+    fingerprint,
     left_annihilator,
+    lower_central_series,
     subspace_closure_checks,
 )
 from heisenleib.catalog import (
@@ -50,11 +56,14 @@ from heisenleib.catalog import (
 )
 from heisenleib.certify import (
     _decide_maximality,
+    certify_nilradical,
     commuting_sp2_proportionality,
     matrix_nilpotent,
     subspace_nilpotent,
 )
+from heisenleib.cli import main
 from heisenleib.constraints import parametric_extension
+from heisenleib.fileio import algebra_to_doc, save_json
 from heisenleib.heisenberg import (
     ExtensionSpec,
     ExtensionValidationError,
@@ -76,6 +85,7 @@ from reference_kernel import (
     DenseTensor,
     is_zero_vector,
     reference_assemble_extension,
+    reference_center,
     reference_change_basis_with_inverse,
     reference_commuting_sp2_proportionality,
     reference_condensation_rows,
@@ -852,3 +862,104 @@ def test_extension_shear_round_trip_on_the_generic_tensor(n, f, data):
         moved = extension_shear(t, n, f, shifts)
         assert extension_shear(moved, n, f, negated(shifts)) == t
     assert moved == reference_sheared(t, shear_entries(f, shifts))
+
+
+def assert_center_matches_reference(t):
+    expected = reference_center(t)
+    assert center(t) == expected
+    assert expected.is_contained_in(left_annihilator(t))
+    return expected
+
+
+@pytest.mark.parametrize("entry_id", CATALOG_IDS)
+def test_center_matches_reference_on_catalog(entry_id):
+    for seed, point in enumerate(entry_parameter_grid(get_entry(entry_id))):
+        t = build_entry(entry_id, point)
+        rng = random.Random(f"center {entry_id} {seed}")
+        assert_center_matches_reference(t)
+        assert_center_matches_reference(change_basis(t, random_invertible(rng, t.dim, -1)))
+
+
+@pytest.mark.parametrize("d", FIELDS)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+@settings(max_examples=12, deadline=None)
+def test_center_matches_reference_in_random_bases(d, data, seed):
+    rng = random.Random(seed)
+    t = data.draw(tensors(d))
+    moved = change_basis(t, random_invertible(rng, t.dim, d))
+    assert_center_matches_reference(t)
+    expected = assert_center_matches_reference(moved)
+    assert fingerprint(moved) == Fingerprint(
+        dim=moved.dim,
+        derived_dims=tuple(w.dim for w in derived_series(moved)),
+        lower_central_dims=tuple(w.dim for w in lower_central_series(moved)),
+        ann_left_dim=left_annihilator(moved).dim,
+        center_dim=expected.dim,
+        is_lie=moved.is_lie(),
+        is_solvable=derived_series(moved)[-1].dim == 0,
+        is_nilpotent=lower_central_series(moved)[-1].dim == 0,
+    )
+
+
+def test_center_at_the_edges_of_the_annihilator():
+    one = Scalar.one()
+    cases = [
+        # [e0, e0] = e0: the left annihilator is zero, so is the center
+        (StructTensor(1, {(0, 0, 0): one}), 0, 0),
+        # no product at all: annihilator and center are the whole space
+        (StructTensor(3, {}), 3, 3),
+        # [e0, e1] = e1 only, Leibniz and not Lie: e1 annihilates from the
+        # left, but [e0, e1] != 0 keeps it out of the center
+        (StructTensor(2, {(0, 1, 1): one}), 1, 0),
+        # [e0, e0] = e1, Leibniz and not Lie: e1 is central
+        (StructTensor(2, {(0, 0, 1): one}), 1, 1),
+        # [e0, e1] = e2 = -[e1, e0] plus [e2, e2] = e2, not Leibniz
+        (StructTensor(3, {(0, 1, 2): one, (1, 0, 2): -one, (2, 2, 2): one}), 0, 0),
+    ]
+    for t, ann_dim, center_dim in cases:
+        assert left_annihilator(t).dim == ann_dim
+        assert assert_center_matches_reference(t).dim == center_dim
+    assert not cases[2][0].is_lie() and cases[2][0].is_leibniz()
+    assert not cases[4][0].is_leibniz()
+
+
+def count_bracket_spans(monkeypatch):
+    spans = []
+    original = algebra.bracket_span
+
+    def counting(t, a, b):
+        spans.append((a, b))
+        return original(t, a, b)
+
+    monkeypatch.setattr(algebra, "bracket_span", counting)
+    monkeypatch.setattr(certify, "bracket_span", counting)
+    return spans
+
+
+def test_one_derived_algebra_per_fingerprint(monkeypatch, tmp_path):
+    spans = count_bracket_spans(monkeypatch)
+    for entry_id in CATALOG_IDS:
+        t = build_entry(entry_id)
+        full = Subspace.full(t.dim)
+        spans.clear()
+        fingerprint(t)
+        assert spans.count((full, full)) == 1
+        path = tmp_path / f"{entry_id}.json"
+        save_json(path, algebra_to_doc(t))
+        spans.clear()
+        assert main(["series", str(path)]) == 0
+        assert spans.count((full, full)) == 1
+
+
+def test_certify_spans_each_pair_once(monkeypatch):
+    spans = count_bracket_spans(monkeypatch)
+    for entry_id in CATALOG_IDS:
+        entry = get_entry(entry_id)
+        t, w = build_entry(entry_id), heisenberg_subspace(entry.n, entry.f)
+        spans.clear()
+        assert certify_nilradical(t, w).nilpotent
+        assert spans.count((w, w)) == 1
+        assert len(set(spans)) == len(spans)
+        spans.clear()
+        assert subspace_nilpotent(t, w)
+        assert spans.count((w, w)) == 1
