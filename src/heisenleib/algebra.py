@@ -174,13 +174,17 @@ class StructTensor:
     def leibniz_residual(self, i: int, j: int, k: int) -> list:
         """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]; zero iff the
         triple satisfies the Leibniz identity."""
+        return self._residual(i, j, k, negated=False)
+
+    def _residual(self, i: int, j: int, k: int, negated: bool) -> list:
+        """leibniz_residual, or its negation with the sign in the chains' coefficients."""
         self._check_indices(i, j, k)
         row = self._c.get
         return self.contract(
             chain(
-                ((c, i, m) for m, c in row((j, k), _NO_PRODUCT).items()),
-                ((-c, m, k) for m, c in row((i, j), _NO_PRODUCT).items()),
-                ((-c, j, m) for m, c in row((i, k), _NO_PRODUCT).items()),
+                ((-c if negated else c, i, m) for m, c in row((j, k), _NO_PRODUCT).items()),
+                ((c if negated else -c, m, k) for m, c in row((i, j), _NO_PRODUCT).items()),
+                ((c if negated else -c, j, m) for m, c in row((i, k), _NO_PRODUCT).items()),
             )
         )
 

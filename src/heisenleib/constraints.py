@@ -48,7 +48,7 @@ from .heisenberg import (
     block_forms, eigenvector_residual, extension_basis_rows, extension_shear,
     extension_tensor, left_action_display,
 )
-from .poly import PolyQ, _substituter
+from .poly import PolyQ, _Substituter, _used_names
 
 
 class CascadeError(ValueError):
@@ -199,18 +199,26 @@ def parametric_extension(n: int, f: int) -> ParamAlgebra:
 def substitute_tensor(t: StructTensor, bindings: dict) -> StructTensor:
     """Every entry substituted with one mask and one set of coerced values;
     entries that mention no bound name are kept as they are."""
-    return t.map_entries(_substituter(t.zero, bindings))
+    return t.map_entries(_Substituter(t.zero, bindings))
 
 
 def _reduce_binding_map(raw: dict) -> dict:
     """Substitute the bindings into each other's right-hand sides until no
-    bound name remains on a right-hand side (the system is triangular)."""
+    bound name remains on a right-hand side (the system is triangular).
+    One substituter holds every binding and is rebound as right-hand sides
+    change; one that mentions its own name is reduced by the others alone,
+    which decides what cyclic input returns."""
+    reduce = _Substituter(next(iter(raw.values())), raw) if raw else None
     for _ in range(len(raw) + 1):
         changed = False
         for name, rhs in raw.items():
-            reduced = rhs.substitute({k: v for k, v in raw.items() if k != name})
+            if name in rhs.used_names():
+                reduced = rhs.substitute({k: v for k, v in raw.items() if k != name})
+            else:
+                reduced = reduce(rhs)
             if reduced != rhs:
                 raw[name] = reduced
+                reduce.bind(name, reduced)
                 changed = True
         if not changed:
             return raw
@@ -252,8 +260,8 @@ def triple_label(pa: ParamAlgebra, i: int, j: int, k: int) -> str:
 
 def jacobi_vector(t: StructTensor, i: int, j: int, k: int) -> list:
     """[[e_i,e_j],e_k] + [e_j,[e_i,e_k]] - [e_i,[e_j,e_k]] componentwise: the
-    Leibniz residual with the derivation's sign."""
-    return [p if p.is_zero() else -p for p in t.leibniz_residual(i, j, k)]
+    Leibniz residual with the derivation's sign, folded into its contraction."""
+    return t._residual(i, j, k, negated=True)
 
 
 def _nonzero_report(source: str, labelled) -> list:
@@ -321,7 +329,7 @@ def extract_forced_bindings(reports) -> list:
             # reduce by the bindings already found in this pass, so that a
             # name determined twice through different routes refines the
             # system instead of reporting a spurious contradiction
-            poly = reduce(raw) if found else raw
+            poly = reduce(raw) if reduce else raw
             if poly.is_zero():
                 continue
             lin = poly.as_linear()
@@ -340,7 +348,8 @@ def extract_forced_bindings(reports) -> list:
             if not poly.substitute({name: rhs}).is_zero():
                 raise InconsistencyError(f"binding {name} failed re-substitution")
             found[name] = rhs
-            reduce = _substituter(raw, found)  # rebuilt only when found grows
+            reduce = reduce or _Substituter(raw, {})
+            reduce.bind(name, rhs)
     return sorted(found.items())
 
 
@@ -357,9 +366,7 @@ def annotate_forced(reports, bindings) -> list:
     bound = dict(bindings)
     out = []
     for report in reports:
-        names = {
-            name for _, poly in report.residual_polys for name in poly.used_names()
-        }
+        names = _used_names(poly for _, poly in report.residual_polys)
         forced = tuple(sorted((nm, bound[nm]) for nm in names if nm in bound))
         out.append(replace(report, forced=forced))
     return out
@@ -653,7 +660,8 @@ class CascadeResult:
 
 def _monic(p: PolyQ) -> PolyQ:
     # the largest packed key is the leading term
-    return p * (1 / Fraction(p.terms[max(p.terms)]))
+    lead = p.terms[max(p.terms)]
+    return p if lead == 1 else p * (1 / Fraction(lead))
 
 
 def final_residual_audit(pa: ParamAlgebra, side_conditions) -> AuditResult:

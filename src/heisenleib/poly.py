@@ -124,7 +124,8 @@ def _add_into(out: dict, items) -> None:
 def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
     """Sum of a * b over (a, b) pairs in one term map, in the universe of
     `like`; every pair is checked for its universe (ints and Fractions are
-    constants) and the degree bound, and a zero factor adds nothing."""
+    constants) and the degree bound, and a zero factor adds nothing.  Only
+    cancelled and Fraction entries are then fixed in place (a rehash each)."""
     layout = like._layout
     shift = layout.shift
     out: dict = {}
@@ -146,7 +147,12 @@ def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
                 k = k1 + k2
                 s = get(k)
                 out[k] = c1 * c2 if s is None else s + c1 * c2
-    return _poly(layout, {k: _normal(c) for k, c in out.items() if c})
+    for k in [k for k, c in out.items() if not c or type(c) is not int]:
+        if out[k]:
+            out[k] = _normal(out[k])
+        else:
+            del out[k]
+    return _poly(layout, out)
 
 
 class PolyQ:
@@ -205,10 +211,7 @@ class PolyQ:
         return max(self.terms) >> self._layout.shift if self.terms else -1
 
     def used_names(self) -> tuple[str, ...]:
-        union = 0
-        for key in self.terms:
-            union |= key
-        return tuple(self.names[i] for i, _ in self._layout.fields(union))
+        return _used_names((self,))
 
     def as_linear(self) -> tuple[Fraction, dict[str, Fraction]] | None:
         """Return (constant, {name: coeff}) when total degree <= 1, else None."""
@@ -290,7 +293,7 @@ class PolyQ:
         """
         if not bindings:
             return self
-        return _substituter(self, bindings)(self)
+        return _Substituter(self, bindings)(self)
 
     def evaluate(self, bindings: dict[str, Scalar]) -> Scalar:
         """Full evaluation to an exact Scalar; every used name must be bound."""
@@ -356,23 +359,29 @@ class PolyQ:
 _set_names, _set_terms, _set_layout = (PolyQ.__dict__[slot].__set__ for slot in PolyQ.__slots__)
 
 
-def _substituter(like: PolyQ, bindings: dict):
+class _Substituter:
     """PolyQ.substitute(bindings) as a function of the polynomial, for
-    polynomials in the universe of `like`: the bound-field mask and the
-    coerced values are built once, here, however many polynomials follow.
-    A polynomial with no term in the mask is returned as is."""
-    layout = like._layout
-    values: dict[int, PolyQ] = {}
-    mask = bytearray(layout.width + 1)  # all ones in the bound fields
-    for name, value in bindings.items():
-        i = layout.position(name)
-        values[i] = like._coerce(value) if isinstance(value, PolyQ) else _const(layout, value)
-        mask[i + 1] = MAX_DEGREE
-    mask = int.from_bytes(mask, "big")
-    powers: dict[tuple[int, int], PolyQ] = {}
+    polynomials in the universe of `like`.  The bound-field mask, the coerced
+    values and their powers (powers[i][e], formed on first use) are kept
+    here, however many polynomials follow, and bind grows them in place.  A
+    polynomial with no term in the mask is returned as is."""
 
-    def substitute(p: PolyQ) -> PolyQ:
-        like._check_universe(p)
+    def __init__(self, like: PolyQ, bindings: dict):
+        self.like, self.layout, self.values, self.mask, self.powers = like, like._layout, {}, 0, {}
+        for name, value in bindings.items():
+            self.bind(name, value)
+
+    def bind(self, name: str, value) -> None:
+        """Bind or rebind name; only a rebound name's cached powers are dropped."""
+        like, layout = self.like, self.layout
+        i = layout.position(name)
+        self.values[i] = like._coerce(value) if isinstance(value, PolyQ) else _const(layout, value)
+        self.mask |= MAX_DEGREE << FIELD_BITS * (layout.width - 1 - i)
+        self.powers.pop(i, None)
+
+    def __call__(self, p: PolyQ) -> PolyQ:
+        layout, mask, values = self.layout, self.mask, self.values
+        self.like._check_universe(p)
         hit = [(key, coeff) for key, coeff in p.terms.items() if key & mask]
         if not hit:
             return p
@@ -382,13 +391,22 @@ def _substituter(like: PolyQ, bindings: dict):
             fields = layout.fields(bound)
             part = _poly(layout, {key - bound - (sum(e for _, e in fields) << layout.shift): coeff})
             for i, e in fields:
-                if (i, e) not in powers:
-                    powers[i, e] = values[i] ** e
-                part = part * powers[i, e]
+                powers = self.powers.setdefault(i, {})
+                if e not in powers:
+                    powers[e] = values[i] ** e
+                part = part * powers[e]
             _add_into(out, part.terms.items())
         return _poly(layout, out)
 
-    return substitute
+
+def _used_names(polys) -> tuple[str, ...]:
+    """The names that any of polys (one universe) mentions, in universe
+    order: the union of all their keys, decoded once."""
+    union = 0
+    for p in polys:
+        for key in p.terms:
+            union |= key
+    return tuple(p.names[i] for i, _ in p._layout.fields(union)) if union else ()
 
 
 def _const(layout: _Layout, value) -> PolyQ:

@@ -63,6 +63,13 @@ reference_integer_defects is the Leibniz check on the integer view as it
 ran before the packed kernel: the three-term leibniz_residual of every
 triple contracted on the view, one ring product at a time, and a triple
 is a defect when some coordinate is not the view's zero.
+
+reference_substituter is PolyQ substitution as one closure over a fixed
+binding map, its mask and coerced values built once from the whole map,
+and reference_reduce_binding_map reduces the cascade's bindings with a
+fresh substitution of every other binding per right-hand side and round.
+That is how poly and constraints ran before one substituter grew by bind
+and was rebound as right-hand sides changed.
 """
 
 import warnings
@@ -85,7 +92,7 @@ from heisenleib.certify import (
     matrix_nilpotent,
     sp2_nilpotency_locus,
 )
-from heisenleib.constraints import _param_names
+from heisenleib.constraints import InconsistencyError, _param_names
 from heisenleib.heisenberg import (
     NilindependenceUndecidedWarning,
     NilindependenceViolation,
@@ -94,7 +101,15 @@ from heisenleib.heisenberg import (
     extract_extension_data,
 )
 from heisenleib.linalg import ShapeError
-from heisenleib.poly import PolyError, PolyQ, UnknownIndeterminateError
+from heisenleib.poly import (
+    MAX_DEGREE,
+    PolyError,
+    PolyQ,
+    UnknownIndeterminateError,
+    _add_into,
+    _const,
+    _poly,
+)
 from heisenleib.scalars import Scalar
 
 
@@ -902,3 +917,47 @@ class TuplePoly:
         for exp, coeff in self.terms.items():
             coeffs[exp[i]] = coeff
         return used[0], coeffs
+
+
+def reference_substituter(like: PolyQ, bindings: dict):
+    layout = like._layout
+    values: dict = {}
+    mask = bytearray(layout.width + 1)  # all ones in the bound fields
+    for name, value in bindings.items():
+        i = layout.position(name)
+        values[i] = like._coerce(value) if isinstance(value, PolyQ) else _const(layout, value)
+        mask[i + 1] = MAX_DEGREE
+    mask = int.from_bytes(mask, "big")
+    powers: dict = {}
+
+    def substitute(p: PolyQ) -> PolyQ:
+        like._check_universe(p)
+        hit = [(key, coeff) for key, coeff in p.terms.items() if key & mask]
+        if not hit:
+            return p
+        out = {key: coeff for key, coeff in p.terms.items() if not key & mask}
+        for key, coeff in hit:
+            bound = key & mask
+            fields = layout.fields(bound)
+            part = _poly(layout, {key - bound - (sum(e for _, e in fields) << layout.shift): coeff})
+            for i, e in fields:
+                if (i, e) not in powers:
+                    powers[i, e] = values[i] ** e
+                part = part * powers[i, e]
+            _add_into(out, part.terms.items())
+        return _poly(layout, out)
+
+    return substitute
+
+
+def reference_reduce_binding_map(raw: dict) -> dict:
+    for _ in range(len(raw) + 1):
+        changed = False
+        for name, rhs in raw.items():
+            reduced = reference_substituter(rhs, {k: v for k, v in raw.items() if k != name})(rhs)
+            if reduced != rhs:
+                raw[name] = reduced
+                changed = True
+        if not changed:
+            return raw
+    raise InconsistencyError("cyclic bindings did not reduce")

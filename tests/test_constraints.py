@@ -24,6 +24,8 @@ from heisenleib.constraints import (
 )
 from heisenleib.poly import PolyQ
 
+from reference_kernel import reference_reduce_binding_map
+
 
 def names_of(n, f):
     return parametric_extension(n, f).params
@@ -488,3 +490,47 @@ class TestReduceBindingMapOnCycles:
         x, y, z = self.v("x"), self.v("y"), self.v("z")
         reduced = constraints._reduce_binding_map({"x": y, "y": z, "z": x})
         assert reduced == {"x": z, "y": z, "z": z}
+
+    def test_self_mention_among_other_bindings(self):
+        # x's right-hand side mentions x, so it is reduced by y alone
+        x, y, z = self.v("x"), self.v("y"), self.v("z")
+        raw = {"x": x + y, "y": z}
+        want = reference_reduce_binding_map(dict(raw))
+        assert constraints._reduce_binding_map(raw) == want == {"x": x + z, "y": z}
+
+    @pytest.mark.parametrize("make", [
+        lambda x, y, z: {"x": y, "y": x},
+        lambda x, y, z: {"x": y + 1, "y": x},
+        lambda x, y, z: {"x": x + y},
+        lambda x, y, z: {"x": y, "y": z, "z": x},
+    ], ids=["two_cycle", "offset", "self", "three_cycle"])
+    def test_cycles_match_the_per_rhs_reducer(self, make):
+        raw = make(*(self.v(name) for name in self.names))
+        try:
+            want = reference_reduce_binding_map(dict(raw))
+        except constraints.InconsistencyError:
+            with pytest.raises(constraints.InconsistencyError):
+                constraints._reduce_binding_map(dict(raw))
+        else:
+            assert constraints._reduce_binding_map(dict(raw)) == want
+
+
+@pytest.mark.parametrize("n,f", [(1, 1), (1, 2), (2, 2), (2, 3)])
+@pytest.mark.parametrize("branch", [1, 0])
+def test_reduce_binding_map_matches_the_per_rhs_reducer(monkeypatch, n, f, branch):
+    """Every raw binding map that apply_bindings reduces in the cascade
+    reduces as the fresh per-right-hand-side substitution did."""
+    seen = []
+    reduce = constraints._reduce_binding_map
+
+    def recording(raw):
+        seen.append(dict(raw))
+        return reduce(raw)
+
+    monkeypatch.setattr(constraints, "_reduce_binding_map", recording)
+    run_cascade(n, f, branch=branch)
+    assert any(len(raw) > 1 for raw in seen)
+    for raw in seen:
+        got, want = reduce(dict(raw)), reference_reduce_binding_map(dict(raw))
+        assert got == want and list(got) == list(want)
+        assert [str(p) for p in got.values()] == [str(p) for p in want.values()]

@@ -5,10 +5,13 @@ entries to poly's fused kernel.  Both are compared with the per-product
 loops they replaced (tests/reference_kernel.py), run once on PolyQ and
 once on TuplePoly, which shares no arithmetic with PolyQ.  Integral
 coefficients are stored as ints, while the public readers return
-Fractions.
+Fractions.  The kernel normalises its term map in place, and the
+cascade's Jacobi residual is the Leibniz residual with its sign folded in.
 """
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,12 @@ from hypothesis import strategies as st
 
 from heisenleib import linalg
 from heisenleib.algebra import StructTensor
-from heisenleib.constraints import jacobi_residual_system, parametric_extension
+from heisenleib.constraints import (
+    gamma_eliminate,
+    jacobi_residual_system,
+    jacobi_vector,
+    parametric_extension,
+)
 from heisenleib.poly import MAX_DEGREE, PolyError, PolyQ, univariate_coefficients
 
 from reference_kernel import TuplePoly, reference_contract, reference_mat_mul
@@ -172,3 +180,49 @@ def test_jacobi_pass_makes_no_fraction_products(monkeypatch):
         monkeypatch.setattr(Fraction, method, counting)
     assert jacobi_residual_system(pa)
     assert calls == []
+
+
+class TestInPlaceNormalisation:
+    u, v = PolyQ.var(NARROW, "u"), PolyQ.var(NARROW, "v")
+
+    def test_integral_fractions_come_back_as_ints(self):
+        half = Fraction(1, 2)
+        for got in (
+            (self.u * half) * (self.v * 2),
+            linalg.mat_mul([[self.u * half, self.u * half]], [[self.v], [self.v]])[0][0],
+        ):
+            assert got == self.u * self.v and type(got.terms[next(iter(got.terms))]) is int
+
+    def test_cancelled_terms_are_dropped(self):
+        got = linalg.mat_mul([[self.u, self.u, 1]], [[self.v], [-self.v], [self.u]])[0][0]
+        assert got == self.u and len(got.terms) == 1
+        zero = linalg.mat_mul([[self.u * Fraction(1, 3), self.u]], [[self.v], [-self.v * Fraction(1, 3)]])
+        assert zero[0][0].is_zero() and zero[0][0].terms == {}
+
+    def test_a_sum_that_stays_fractional_keeps_its_fraction(self):
+        got = linalg.mat_mul([[self.u * Fraction(1, 2), self.u * Fraction(1, 3)]], [[self.v], [self.v]])
+        (coeff,) = got[0][0].terms.values()
+        assert coeff == Fraction(5, 6) and type(coeff) is Fraction and normalised(got[0][0])
+
+
+def random_poly_tensor(seed: int, dim: int = 3) -> StructTensor:
+    rng = random.Random(seed)
+    constants = {}
+    for ijk in product(range(dim), repeat=3):
+        if rng.random() < 0.6:
+            terms = {
+                tuple(rng.randint(0, 2) for _ in NARROW): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            }
+            constants[ijk] = PolyQ(NARROW, terms)
+    return StructTensor(dim, constants, zero=PolyQ.zero(NARROW))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gamma_eliminate(parametric_extension(1, 2)).tensor, lambda: random_poly_tensor(17),
+], ids=["cascade_1_2", "random"])
+def test_jacobi_vector_is_the_negated_leibniz_residual(make):
+    t = make()
+    for ijk in product(range(t.dim), repeat=3):
+        got, want = jacobi_vector(t, *ijk), [-p for p in t.leibniz_residual(*ijk)]
+        assert got == want and all(normalised(p) for p in got)

@@ -4,7 +4,8 @@ Every operation is compared with tests/reference_kernel.TuplePoly on
 hypothesis polynomials over a 3-name universe and a 72-name one (whose
 packed keys span many machine words), with exponents up to near the field
 bound.  sympy, where installed, is an independent oracle for products and
-substitution.
+substitution.  The substituter that grows by bind is compared with the
+closure over a fixed binding map that it replaced.
 """
 
 from fractions import Fraction
@@ -18,11 +19,12 @@ from heisenleib.poly import (
     PolyError,
     PolyQ,
     UnknownIndeterminateError,
+    _Substituter,
     univariate_coefficients,
 )
 from heisenleib.scalars import Scalar
 
-from reference_kernel import TuplePoly
+from reference_kernel import TuplePoly, reference_substituter
 
 NARROW = ("u", "v", "w")
 WIDE = tuple(f"x{i}" for i in range(72))
@@ -134,6 +136,50 @@ def test_substitute_polynomial_matches(names, data):
     for name in bound:
         values[name], ref_values[name] = pair(names, data.draw(term_maps(names, 15, max_terms=3)))
     assert_same(p.substitute(values), ref.substitute(ref_values))
+
+
+def bind_values(names):
+    """A bound value: a PolyQ, an int or a Fraction."""
+    return st.one_of(
+        term_maps(names, 6, max_terms=3).map(lambda terms: PolyQ(names, terms)),
+        st.integers(-3, 3),
+        st.fractions(-3, 3, max_denominator=3),
+    )
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_growing_substituter_matches_a_fresh_one(names, data):
+    polys = [PolyQ(names, data.draw(term_maps(names, 12))) for _ in range(3)]
+    pool = names[:4]  # few names, so that rebinding is common
+    sub, bound = _Substituter(polys[0], {}), {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        name = data.draw(st.sampled_from(pool))
+        bound[name] = data.draw(bind_values(names))
+        sub.bind(name, bound[name])
+        # substituting between binds fills the power cache that bind must drop
+        for p in polys:
+            assert sub(p) == reference_substituter(polys[0], bound)(p)
+    fresh = reference_substituter(polys[0], bound)
+    for p in polys:
+        assert_same(sub(p), fresh(p))
+
+
+def test_rebinding_drops_the_cached_powers():
+    u, v = PolyQ.var(NARROW, "u"), PolyQ.var(NARROW, "v")
+    sub = _Substituter(u, {"u": v + 1, "v": 2})
+    assert sub(u**2 * v) == 2 * (v + 1) ** 2
+    sub.bind("u", 3)
+    assert sub(u**2 * v) == 18
+    sub.bind("u", Fraction(1, 2))
+    got = sub(u**2 + v**2)
+    assert got == Fraction(17, 4) and type(got.terms[0]) is Fraction
+    sub.bind("u", Fraction(4, 2))
+    got = sub(u**2 * v)
+    assert got == 8 and type(got.terms[0]) is int
+    # the other name's cached power is kept and still right
+    assert sub(v**2) == 4
 
 
 @UNIVERSES
