@@ -24,7 +24,7 @@ most 3*dim products of size at most (1 + |d|)*M^2, so
 w = bitlength(3*dim*(1 + |d|)*M^2) + 1 keeps it inside (-2^(w-1), 2^(w-1));
 base-2^w digits that small are unique, so the packed residual is 0 iff
 every component is.  The defects are memoized per tensor; is_lie reads
-antisymmetry off the view and bracket contracts there with x, y cleared.
+antisymmetry off the view, which the public bracket does not read.
 
 bracket_span, behind both series, contracts on the same view: [u, v]
 with u, v and the constants cleared is a nonzero multiple of [u, v], so
@@ -156,20 +156,14 @@ class StructTensor:
         return [acc.get(k, self.zero) for k in range(self.dim)]
 
     def bracket(self, x, y) -> list:
-        """[x, y] for coordinate vectors x, y; bilinear in both arguments.
-        Scalar tensors contract on the integer view and divide once."""
+        """[x, y] for coordinate vectors x, y; bilinear in both arguments."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError(
                 f"coordinate vectors must have length {self.dim}, got {len(x)}, {len(y)}"
             )
         xs = [i for i, v in enumerate(x) if not v.is_zero()]
         ys = [j for j, v in enumerate(y) if not v.is_zero()]
-        if not self.is_scalar():
-            return self.contract((x[i] * y[j], i, j) for i in xs for j in ys)
-        d, den, view = self._integer_view(x, y)
-        (den_x, x), (den_y, y) = clear_denominators(x, d), clear_denominators(y, d)
-        w = view.contract((x[i] * y[j], i, j) for i in xs for j in ys)
-        return [from_integer(v, den * den_x * den_y) for v in w]
+        return self.contract((x[i] * y[j], i, j) for i in xs for j in ys)
 
     def leibniz_residual(self, i: int, j: int, k: int) -> list:
         """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]; zero iff the
@@ -248,19 +242,18 @@ class StructTensor:
 
     def left_mult_matrix(self, x) -> list:
         """Matrix of L_x acting on coordinates: (L_x)_{kj} = sum_i x_i c_{ij}^k."""
-        support = [(i, xi) for i, xi in enumerate(x) if not xi.is_zero()]
-        columns = [
-            self.contract((xi, i, j) for i, xi in support) for j in range(self.dim)
-        ]
-        return linalg.transpose(columns)
+        return self._mult_matrix(x, left=True)
 
     def right_mult_matrix(self, x) -> list:
         """Matrix of R_x: (R_x)_{ki} = sum_j x_j c_{ij}^k."""
-        support = [(j, xj) for j, xj in enumerate(x) if not xj.is_zero()]
-        columns = [
-            self.contract((xj, i, j) for j, xj in support) for i in range(self.dim)
-        ]
-        return linalg.transpose(columns)
+        return self._mult_matrix(x, left=False)
+
+    def _mult_matrix(self, x, left: bool) -> list:
+        support = [(a, xa) for a, xa in enumerate(x) if not xa.is_zero()]
+        return linalg.transpose([
+            self.contract((xa, a, b) if left else (xa, b, a) for a, xa in support)
+            for b in range(self.dim)
+        ])
 
     def unit_vector(self, i: int) -> list:
         """e_i, with the one of the tensor's entry kind in slot i."""

@@ -107,17 +107,13 @@ class CatalogEntry:
         return self.build_spec(clean)
 
 
-def _diag_spec(a1, x_diag, r_value):
-    def build(params):
-        del params
-        return ExtensionSpec.make(
-            1, 1, [a1], [[[x_diag[0], 0], [0, x_diag[1]]]], r=[[r_value]]
-        )
-
-    return build
-
-
 _ROT = [[0, 1], [-1, 0]]
+_DIAG = [[1, 0], [0, -1]]
+
+
+def _a0_spec(x, r):
+    """Builder of the a=0 extension with action x and [S, S] = r H."""
+    return lambda p: ExtensionSpec.make(1, 1, [0], [x], r=[[r]])
 
 
 def _fixed_display(rows):
@@ -155,33 +151,33 @@ _ENTRIES = (
     CatalogEntry(
         "H1a0C-r0", frozenset({"C", "R"}), 1, 1, (),
         "a=0 diagonal action, r=0 (Lie)",
-        _diag_spec(0, (1, -1), 0), _A0_DIAG,
+        _a0_spec(_DIAG, 0), _A0_DIAG,
     ),
     CatalogEntry(
         "H1a0C-r1", frozenset({"C", "R"}), 1, 1, (),
         "a=0 diagonal action, r=1 (non-Lie Leibniz)",
-        _diag_spec(0, (1, -1), 1), _A0_DIAG, r_value=1,
+        _a0_spec(_DIAG, 1), _A0_DIAG, r_value=1,
     ),
     CatalogEntry(
         "H1a0C-rm1", frozenset({"R"}), 1, 1, (),
         "a=0 diagonal action, r=-1 (non-Lie Leibniz, real class)",
-        _diag_spec(0, (1, -1), -1), _A0_DIAG, r_value=-1,
+        _a0_spec(_DIAG, -1), _A0_DIAG, r_value=-1,
     ),
     CatalogEntry(
         "H1a0R-r0", frozenset({"R"}), 1, 1, (),
         "a=0 rotation action, r=0 (Lie, real class)",
-        lambda p: ExtensionSpec.make(1, 1, [0], [_ROT], r=[[0]]), _A0_ROT,
+        _a0_spec(_ROT, 0), _A0_ROT,
     ),
     CatalogEntry(
         "H1a0R-r1", frozenset({"R"}), 1, 1, (),
         "a=0 rotation action, r=1 (non-Lie Leibniz, real class)",
-        lambda p: ExtensionSpec.make(1, 1, [0], [_ROT], r=[[1]]), _A0_ROT,
+        _a0_spec(_ROT, 1), _A0_ROT,
         r_value=1,
     ),
     CatalogEntry(
         "H1a0R-rm1", frozenset({"R"}), 1, 1, (),
         "a=0 rotation action, r=-1 (non-Lie Leibniz, real class)",
-        lambda p: ExtensionSpec.make(1, 1, [0], [_ROT], r=[[-1]]), _A0_ROT,
+        _a0_spec(_ROT, -1), _A0_ROT,
         r_value=-1,
     ),
     CatalogEntry(
@@ -297,9 +293,7 @@ def verify_entry(
         for al in range(entry.f)
     )
     nilradical = heisenberg_subspace(entry.n, entry.f)
-    certificate = certify_nilradical(
-        tensor, nilradical, field=field, algebra_id=entry_id
-    )
+    certificate = certify_nilradical(tensor, nilradical, field=field)
     expected_lie = entry.r_value == 0
     return VerificationReport(
         entry_id=entry_id,
@@ -451,30 +445,35 @@ class CondensationWitness:
     verified: bool
 
 
+# the documented pairs, in order, and the basis rows of each witness
+_WITNESS_ROWS = {
+    ("H1a0R-r0", "H1a0C-r0"): _rows_H1a0R_to_H1a0C,
+    ("H1a0R-r1", "H1a0C-r1"): _rows_H1a0R_to_H1a0C,
+    ("H1a0R-rm1", "H1a0C-rm1"): _rows_H1a0R_to_H1a0C,
+    # mu^2 = r = -1: rescale H(1) by mu = i
+    ("H1a0C-rm1", "H1a0C-r1"): lambda: heisenberg_rescale_rows(1, 1, _I),
+    # first _rows_H1a0R_to_H1a0C, then the rescaling written in the intermediate basis
+    ("H1a0R-rm1", "H1a0C-r1"): lambda: linalg.mat_mul(
+        heisenberg_rescale_rows(1, 1, _I), _rows_H1a0R_to_H1a0C()
+    ),
+    ("H1a1R", "H1a1C-diag"): _rows_H1a1R_to_diag,
+    ("H2a1R", "H2a1C"): _rows_H2a1R_to_H2a1C,
+}
+
+DOCUMENTED_CONDENSATIONS = tuple(_WITNESS_ROWS)
+
+
 def _witness_rows(real_id: str, complex_id: str, params: dict):
+    """(basis rows of the witness, parameters of its target)."""
     if real_id == complex_id:
         entry = get_entry(real_id)
         rows = extension_basis_rows(linalg.identity(entry.f), 1, linalg.identity(2 * entry.n))
-        return rows, complex_id, dict(params)
-    base = {
-        ("H1a0R-r0", "H1a0C-r0"): _rows_H1a0R_to_H1a0C,
-        ("H1a0R-r1", "H1a0C-r1"): _rows_H1a0R_to_H1a0C,
-        ("H1a0R-rm1", "H1a0C-rm1"): _rows_H1a0R_to_H1a0C,
-        ("H2a1R", "H2a1C"): _rows_H2a1R_to_H2a1C,
-    }
+        return rows, params
     key = (real_id, complex_id)
-    if key in base:
-        return base[key](), complex_id, dict(params)
-    if key == ("H1a0C-rm1", "H1a0C-r1"):
-        # mu^2 = r = -1: rescale H(1) by mu = i
-        return heisenberg_rescale_rows(1, 1, _I), complex_id, dict(params)
-    if key == ("H1a0R-rm1", "H1a0C-r1"):
-        # first _rows_H1a0R_to_H1a0C, then the rescaling written in the intermediate basis
-        rows = linalg.mat_mul(heisenberg_rescale_rows(1, 1, _I), _rows_H1a0R_to_H1a0C())
-        return rows, complex_id, dict(params)
-    if key == ("H1a1R", "H1a1C-diag"):
-        return _rows_H1a1R_to_diag(), complex_id, {"A*": params["C"]}
-    raise NoWitnessError(f"no documented condensation witness for {key}")
+    if key not in _WITNESS_ROWS:
+        raise NoWitnessError(f"no documented condensation witness for {key}")
+    # only the rotation family has a C slot; its target is A = iC
+    return _WITNESS_ROWS[key](), {"A*": params["C"]} if "C" in params else params
 
 
 def condensation_witness(
@@ -491,7 +490,7 @@ def condensation_witness(
     real_entry = get_entry(real_id)
     params = real_entry.check_params(params or real_entry.default_params())
     source = build_extension(real_entry.build_spec(params))
-    basis_rows, target_id, target_params = _witness_rows(real_id, complex_id, params)
+    basis_rows, target_params = _witness_rows(real_id, complex_id, params)
     if "A*" in target_params:
         a_star = _I * Scalar(target_params["A*"])
         spec = ExtensionSpec.make(
@@ -500,7 +499,7 @@ def condensation_witness(
         target = build_extension(spec)
         target_param_view = _param_view({"A*": a_star})
     else:
-        target = build_entry(target_id, target_params or None)
+        target = build_entry(complex_id, target_params or None)
         target_param_view = _param_view(target_params)
     p = basis_rows_to_coordinate_map(basis_rows)
     moved = change_basis(source, p, basis_labels=target.basis_labels)
@@ -520,14 +519,3 @@ def condensation_witness(
         target_params=target_param_view,
         verified=True,
     )
-
-
-DOCUMENTED_CONDENSATIONS = (
-    ("H1a0R-r0", "H1a0C-r0"),
-    ("H1a0R-r1", "H1a0C-r1"),
-    ("H1a0R-rm1", "H1a0C-rm1"),
-    ("H1a0C-rm1", "H1a0C-r1"),
-    ("H1a0R-rm1", "H1a0C-r1"),
-    ("H1a1R", "H1a1C-diag"),
-    ("H2a1R", "H2a1C"),
-)

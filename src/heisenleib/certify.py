@@ -4,7 +4,8 @@ Matrix nilpotency (M^dim = 0) is decided by linalg.matrix_nilpotent,
 beside det, and re-exported here.  For traceless 2x2 matrices (the sp(2)
 case) nilpotency is equivalent to a zero determinant, which turns linear
 nilindependence of a pair into a root decision for the binary quadratic
-det(c1 X1 + c2 X2).
+det(c1 X1 + c2 X2): one exact root of it decides both fields, as it is
+complex exactly when it lies in Q(sqrt d) with d < 0.
 
 certify_nilradical is the trust anchor of the catalog: it re-checks that
 the Heisenberg subspace of a built extension is a nilpotent two-sided
@@ -32,7 +33,7 @@ from .heisenberg import (
     UNDECIDED, extract_extension_data, heisenberg_subspace, symplectic_check,
 )
 from .linalg import matrix_nilpotent
-from .poly import PolyQ, quadratic_real_root_exists, quadratic_roots
+from .poly import PolyQ, quadratic_roots
 from .scalars import Scalar
 
 
@@ -73,7 +74,9 @@ def sp2_nilpotency_locus(x1, x2) -> LocusResult:
     det(c1 X1 + c2 X2) is a homogeneous binary quadratic over Q.  Over C a
     nonzero root always exists (no binary quadratic is definite), so no
     pair in sp(2, C) is nilindependent; over R a root exists iff q is not
-    definite.  Any witness found is re-verified with matrix_nilpotent.
+    definite, that is iff the root quadratic_roots returns is not in an
+    imaginary quadratic field.  Any witness found is re-verified with
+    matrix_nilpotent.
     """
     _require_sp2(x1, "X1")
     _require_sp2(x2, "X2")
@@ -85,22 +88,14 @@ def sp2_nilpotency_locus(x1, x2) -> LocusResult:
     over_r = False
     if alpha == 0:
         witness = (Scalar.one(), Scalar.zero())
-        witness_field = "R"
     elif gamma == 0:
         witness = (Scalar.zero(), Scalar.one())
-        witness_field = "R"
     else:
         # the c2 = 0 axis has q(1, 0) = alpha != 0 here, so the c2 := 1
         # dehomogenization carries the whole real decision
-        dehom = PolyQ(("t",), {(2,): alpha, (1,): beta, (0,): gamma})
-        has_real_root = quadratic_real_root_exists(dehom)
-        root = quadratic_roots(dehom)[0]
+        root = quadratic_roots(PolyQ(("t",), {(2,): alpha, (1,): beta, (0,): gamma}))[0]
         witness = (root, Scalar.one())
-        if has_real_root:
-            witness_field = "R"
-        else:
-            witness_field = "C"
-            over_r = True
+        over_r = root.d is not None and root.d < 0
     combo = linalg.mat_add(
         linalg.mat_scale(x1, witness[0]), linalg.mat_scale(x2, witness[1])
     )
@@ -110,7 +105,7 @@ def sp2_nilpotency_locus(x1, x2) -> LocusResult:
         nilindependent_over_C=False,
         nilindependent_over_R=over_r,
         witness=witness,
-        witness_field=witness_field,
+        witness_field="C" if over_r else "R",
         quadratic=q,
     )
 
@@ -161,7 +156,6 @@ class Maximality:
 
 @dataclass(frozen=True)
 class NilradicalCertificate:
-    algebra_id: str
     nilradical: Subspace
     ideal: bool
     nilpotent: bool
@@ -191,10 +185,7 @@ def _detect_field(t: StructTensor) -> str:
 
 
 def certify_nilradical(
-    t: StructTensor,
-    n_subspace: Subspace,
-    field: str | None = None,
-    algebra_id: str = "",
+    t: StructTensor, n_subspace: Subspace, field: str | None = None
 ) -> NilradicalCertificate:
     """Certify that the given Heisenberg subspace is the nilradical of t.
 
@@ -231,9 +222,7 @@ def certify_nilradical(
             status="undecided",
             note="base checks failed or nonstandard subspace; maximality skipped",
         )
-    return NilradicalCertificate(
-        algebra_id, n_subspace, ideal, nilpotent, contains_derived, maximality
-    )
+    return NilradicalCertificate(n_subspace, ideal, nilpotent, contains_derived, maximality)
 
 
 def _verified_refutation(t: StructTensor, n_subspace: Subspace, x, note: str) -> Maximality:

@@ -109,6 +109,8 @@ def _parse_params(items) -> dict:
                 f"--param needs name=value, got {item!r}", EXIT_PARSE_ERROR
             )
         name, _, value = item.partition("=")
+        if name in params:
+            raise CliError(f"--param {name} given twice", EXIT_PARSE_ERROR)
         try:
             scalar = Scalar.parse(value)
             params[name] = scalar.as_fraction()
@@ -252,10 +254,7 @@ def cmd_nilradical(args, out: Output) -> int:
 def cmd_derive(args, out: Output) -> int:
     branch = None if args.a1 == "free" else int(args.a1)
     _check_dim(2 * args.n + 1 + args.f)
-    try:
-        result = constraints.run_cascade(args.n, args.f, branch)
-    except constraints.CascadeError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION_ERROR) from None
+    result = constraints.run_cascade(args.n, args.f, branch)
     for stage in result.stages:
         out.record(
             f"stage {stage.name}: {len(stage.bindings)} bindings",
@@ -318,11 +317,7 @@ def cmd_catalog_list(args, out: Output) -> int:
 
 def cmd_catalog_build(args, out: Output) -> int:
     path, args.output = args.output, None  # -o names the built algebra; reports go to stdout
-    params = _parse_params(args.param)
-    try:
-        tensor = catalog.build_entry(args.id, params or None)
-    except catalog.CatalogError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION_ERROR) from None
+    tensor = catalog.build_entry(args.id, _parse_params(args.param) or None)
     doc = fileio.algebra_to_doc(tensor)
     if path:
         try:
@@ -343,10 +338,7 @@ def cmd_catalog_build(args, out: Output) -> int:
 def cmd_catalog_verify(args, out: Output) -> int:
     fields = [args.field] if args.field else ["C", "R"]
     if args.id:
-        try:
-            selected = [catalog.get_entry(args.id)]
-        except catalog.CatalogError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION_ERROR) from None
+        selected = [catalog.get_entry(args.id)]
         fields = [fd for fd in fields if fd in selected[0].fields]
         if not fields:  # only a --field the entry is not in leaves none
             raise CliError(f"{args.id!r} is not a {args.field}-entry", EXIT_VALIDATION_ERROR)
@@ -387,14 +379,7 @@ def cmd_catalog_verify(args, out: Output) -> int:
 
 def cmd_witness(args, out: Output) -> int:
     params = _parse_params(args.param)
-    try:
-        witness = catalog.condensation_witness(
-            args.real_id, args.complex_id, params or None
-        )
-    except catalog.WitnessMismatchError as exc:
-        raise CliError(str(exc), EXIT_CHECK_FAILED) from None
-    except catalog.CatalogError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION_ERROR) from None
+    witness = catalog.condensation_witness(args.real_id, args.complex_id, params or None)
     out.record(
         f"witness {args.real_id} -> {args.complex_id}: verified exact equality",
         check="witness",
@@ -492,9 +477,13 @@ def main(argv=None) -> int:
     try:
         try:
             status = args.handler(args, out)
-        except CliError as exc:
+        except (CliError, catalog.CatalogError, constraints.CascadeError) as exc:
             out.record(f"error: {exc}", error=str(exc))
-            status = exc.status
+            status = (
+                exc.status if isinstance(exc, CliError)
+                else EXIT_CHECK_FAILED if isinstance(exc, catalog.WitnessMismatchError)
+                else EXIT_VALIDATION_ERROR
+            )
         _emit(out, args.output)
     except OSError as exc:  # writing the -o report; inputs go through load_json
         message = f"{args.output}: {exc.strerror}"

@@ -289,7 +289,7 @@ class ExtensionSpec:
         of its two combinations (commuting sp(2) matrices are proportional,
         so validated data always has one; the zero matrix is nilpotent).
         """
-        from .certify import matrix_nilpotent, sp2_nilpotency_locus
+        from .certify import sp2_nilpotency_locus
 
         # single generators first: the plainest witness
         basis = sorted(
@@ -297,7 +297,7 @@ class ExtensionSpec:
         )
         combos = [reduce(linalg.mat_add, map(linalg.mat_scale, self.X, c)) for c in basis]
         for c, y in zip(basis, combos):
-            if matrix_nilpotent(y):
+            if linalg.matrix_nilpotent(y):
                 return tuple(c)
         if len(basis) <= 1:
             return None

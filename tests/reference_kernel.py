@@ -70,6 +70,11 @@ and reference_reduce_binding_map reduces the cascade's bindings with a
 fresh substitution of every other binding per right-hand side and round.
 That is how poly and constraints ran before one substituter grew by bind
 and was rebound as right-hand sides changed.
+
+reference_sp2_nilpotency_locus is the sp(2) pair decision as it ran
+before it read the real-versus-complex answer off the field of the root:
+a separate discriminant test, quadratic_real_root_exists, on the same
+dehomogenized quadratic.
 """
 
 import warnings
@@ -85,6 +90,7 @@ from heisenleib.algebra import (
 )
 from heisenleib.certify import (
     CertifyError,
+    LocusResult,
     Maximality,
     ProportionalityResult,
     _require_sp2,
@@ -109,6 +115,8 @@ from heisenleib.poly import (
     _add_into,
     _const,
     _poly,
+    quadratic_real_root_exists,
+    quadratic_roots,
 )
 from heisenleib.scalars import Scalar
 
@@ -511,6 +519,40 @@ def reference_validate_nilindependence(spec) -> None:
         "single-matrix checks passed, completeness undecided at this scale",
         NilindependenceUndecidedWarning,
         stacklevel=2,
+    )
+
+
+def reference_sp2_nilpotency_locus(x1, x2) -> LocusResult:
+    """The sp(2) nilpotency locus with its own real-root test."""
+    _require_sp2(x1, "X1")
+    _require_sp2(x2, "X2")
+    alpha = linalg.det(x1).as_fraction()
+    gamma = linalg.det(x2).as_fraction()
+    beta = linalg.det(linalg.mat_add(x1, x2)).as_fraction() - alpha - gamma
+    q = PolyQ(("c1", "c2"), {(2, 0): alpha, (1, 1): beta, (0, 2): gamma})
+    over_r = False
+    if alpha == 0:
+        witness, witness_field = (Scalar.one(), Scalar.zero()), "R"
+    elif gamma == 0:
+        witness, witness_field = (Scalar.zero(), Scalar.one()), "R"
+    else:
+        dehom = PolyQ(("t",), {(2,): alpha, (1,): beta, (0,): gamma})
+        has_real_root = quadratic_real_root_exists(dehom)
+        witness = (quadratic_roots(dehom)[0], Scalar.one())
+        if has_real_root:
+            witness_field = "R"
+        else:
+            witness_field = "C"
+            over_r = True
+    combo = linalg.mat_add(linalg.mat_scale(x1, witness[0]), linalg.mat_scale(x2, witness[1]))
+    if not matrix_nilpotent(combo):
+        raise CertifyError("internal error: locus witness failed re-verification")
+    return LocusResult(
+        nilindependent_over_C=False,
+        nilindependent_over_R=over_r,
+        witness=witness,
+        witness_field=witness_field,
+        quadratic=q,
     )
 
 

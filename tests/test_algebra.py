@@ -18,6 +18,7 @@ from heisenleib.algebra import (
     subspace_closure_checks,
 )
 from heisenleib.catalog import build_entry
+from heisenleib.constraints import gamma_eliminate, parametric_extension
 from heisenleib.heisenberg import heisenberg
 from heisenleib.linalg import smat, svec
 from heisenleib.scalars import IncompatibleFieldError, Scalar
@@ -163,6 +164,42 @@ class TestElementNilpotent:
 
     def test_p_in_h1(self, h1):
         assert element_nilpotent(h1, svec([0, 1, 0]))
+
+
+class TestMultiplicationOperators:
+    """L_x and R_x against matrices built entry by entry from entry()."""
+
+    @staticmethod
+    def expected(t, x, left):
+        n = t.dim
+        return [
+            [
+                sum((x[a] * (t.entry(a, b, k) if left else t.entry(b, a, k)) for a in range(n)),
+                    t.zero)
+                for b in range(n)
+            ]
+            for k in range(n)
+        ]
+
+    @pytest.mark.parametrize("left", [True, False], ids=["L", "R"])
+    def test_polynomial_tensor(self, left):
+        pa = gamma_eliminate(parametric_extension(1, 2))
+        t = pa.tensor
+        n = t.dim
+        vectors = [t.unit_vector(i) for i in range(n)]
+        one = t.zero + 1
+        vectors.append([one * (i + 1) for i in range(n)])
+        vectors.append([t.entry(0, i, i) + i for i in range(n)])  # symbolic coefficients
+        for x in vectors:
+            got = t.left_mult_matrix(x) if left else t.right_mult_matrix(x)
+            assert got == self.expected(t, x, left)
+
+    @pytest.mark.parametrize("left", [True, False], ids=["L", "R"])
+    def test_scalar_tensor(self, h1a0c_r1, left):
+        t = h1a0c_r1
+        x = svec([2, Fraction(1, 3), 0, -1])
+        got = t.left_mult_matrix(x) if left else t.right_mult_matrix(x)
+        assert got == self.expected(t, x, left)
 
 
 class TestChangeBasis:

@@ -302,3 +302,38 @@ class TestCondensationWitnesses:
     def test_undocumented_pair(self):
         with pytest.raises(NoWitnessError):
             condensation_witness("H1a0R-r1", "H2a1C")
+
+
+class TestWitnessTable:
+    def test_documented_pairs_in_order(self):
+        # benchmark goldens and their generator iterate in this order
+        assert DOCUMENTED_CONDENSATIONS == (
+            ("H1a0R-r0", "H1a0C-r0"),
+            ("H1a0R-r1", "H1a0C-r1"),
+            ("H1a0R-rm1", "H1a0C-rm1"),
+            ("H1a0C-rm1", "H1a0C-r1"),
+            ("H1a0R-rm1", "H1a0C-r1"),
+            ("H1a1R", "H1a1C-diag"),
+            ("H2a1R", "H2a1C"),
+        )
+
+    @pytest.mark.parametrize("pair", DOCUMENTED_CONDENSATIONS)
+    def test_every_pair_resolves(self, pair):
+        entry = get_entry(pair[0])
+        params = entry.default_params()
+        rows, target_params = catalog._witness_rows(*pair, params)
+        assert linalg.shape(rows) == (build_entry(pair[0]).dim,) * 2
+        assert not linalg.det(rows).is_zero()
+        assert target_params == ({"A*": params["C"]} if pair[0] == "H1a1R" else params)
+
+    @pytest.mark.parametrize("pair", [
+        ("H1a0C-r1", "H1a0R-r1"),  # a documented pair reversed
+        ("H1a0R-r1", "H2a1C"),
+        ("H1a1R", "H1a1C-jordan"),
+        ("H1a0R-r1", "H9"),
+    ])
+    def test_undocumented_pairs_raise(self, pair):
+        with pytest.raises(NoWitnessError, match="no documented condensation witness"):
+            catalog._witness_rows(*pair, {})
+        with pytest.raises(NoWitnessError):
+            condensation_witness(*pair)

@@ -358,12 +358,60 @@ def test_witness_mismatch_exit_1(capsys, monkeypatch):
     from heisenleib import catalog
 
     def identity_rows(real_id, complex_id, params):
-        return linalg.identity(4), complex_id, dict(params)
+        return linalg.identity(4), dict(params)
 
     monkeypatch.setattr(catalog, "_witness_rows", identity_rows)
     status, out = run(capsys, "witness", "H1a0C-rm1", "H1a0C-r1")
     assert status == 1
     assert "failed exact tensor equality" in out
+
+
+UNKNOWN_H9 = (
+    "unknown entry 'H9'; known ids: H1a0C-r0, H1a0C-r1, H1a0C-rm1, H1a0R-r0, "
+    "H1a0R-r1, H1a0R-rm1, H1a1C-diag, H1a1C-jordan, H1a1R, H2a1C, H2a1R"
+)
+
+
+def one_error_record(fmt, message) -> str:
+    return f"error: {message}\n" if fmt == "text" else "error=" + message.replace(" ", "_") + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("argv,status,message", [
+    (("catalog", "build", "H9"), 3, UNKNOWN_H9),
+    (("catalog", "verify", "--id", "H9"), 3, UNKNOWN_H9),
+    (("witness", "H9", "H1a0C-r1"), 3, UNKNOWN_H9),
+    (("witness", "H1a0R-r1", "H2a1C"), 3,
+     "no documented condensation witness for ('H1a0R-r1', 'H2a1C')"),
+    (("witness", "H1a0C-rm1", "H1a0C-r1"), 1,
+     "condensation witness for (H1a0C-rm1, H1a0C-r1) failed exact tensor equality"),
+    (("derive", "--n", "0"), 3, "n must be >= 1, got 0"),
+    (("derive", "--n", "1", "--f", "5"), 3, "f = 5 outside 1..2"),
+], ids=["build-unknown", "verify-unknown", "witness-unknown", "witness-undocumented",
+        "witness-mismatch", "derive-n0", "derive-f5"])
+def test_library_errors_exit_codes(capsys, monkeypatch, argv, status, message, fmt):
+    from heisenleib import catalog
+
+    if status == 1:  # identity rows cannot map H1a0C-rm1 onto H1a0C-r1
+        def identity_rows(real_id, complex_id, params):
+            return linalg.identity(4), params
+
+        monkeypatch.setattr(catalog, "_witness_rows", identity_rows)
+    code, out = run(capsys, *argv, "--format", fmt)
+    assert code == status
+    assert out == one_error_record(fmt, message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("argv,name", [
+    (("catalog", "build", "H1a1C-diag", "--param", "A=1", "--param", "A=2"), "A"),
+    (("catalog", "build", "H1a1C-diag", "--param", "A=1", "--param", "A=1"), "A"),
+    (("witness", "H1a1R", "H1a1C-diag", "--param", "C=1", "--param", "C=2"), "C"),
+], ids=["build", "build-same-value", "witness"])
+def test_repeated_param_refused(capsys, argv, name, fmt):
+    code, out = run(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert out == one_error_record(fmt, f"--param {name} given twice")
 
 
 def test_output_to_file(capsys, tmp_path, h1_file):

@@ -21,7 +21,9 @@ certify_nilradical; and
 the change of basis, matrix nilpotency and the sp(2) commutator on
 cleared integer matrices against their Scalar matrix-product forms, over
 Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt -3) with denominators past 10^6
-and with a rational tensor moved by a quadratic matrix."""
+and with a rational tensor moved by a quadratic matrix; and the sp(2)
+nilpotency locus, which reads the real-versus-complex answer off its
+root's field, against the locus with a separate real-root test."""
 
 import random
 import warnings
@@ -59,6 +61,7 @@ from heisenleib.certify import (
     certify_nilradical,
     commuting_sp2_proportionality,
     matrix_nilpotent,
+    sp2_nilpotency_locus,
     subspace_nilpotent,
 )
 from heisenleib.cli import main
@@ -79,7 +82,7 @@ from heisenleib.heisenberg import (
 )
 from heisenleib.linalg import ShapeError, SingularMatrixError
 from heisenleib.poly import PolyQ
-from heisenleib.scalars import IncompatibleFieldError, Scalar
+from heisenleib.scalars import IncompatibleFieldError, Scalar, sqrt_as_scalar
 
 from reference_kernel import (
     DenseTensor,
@@ -98,6 +101,7 @@ from reference_kernel import (
     reference_parametric_extension,
     reference_rref,
     reference_sheared,
+    reference_sp2_nilpotency_locus,
     reference_subspace_closure_checks,
     reference_validate_nilindependence,
     symplectic_check_by_products,
@@ -963,3 +967,52 @@ def test_certify_spans_each_pair_once(monkeypatch):
         spans.clear()
         assert subspace_nilpotent(t, w)
         assert spans.count((w, w)) == 1
+
+
+def sp2(a, c, d) -> list:
+    return [[Scalar(a), Scalar(c)], [Scalar(d), Scalar(-a)]]
+
+
+def locus_discriminant(x1, x2) -> Fraction:
+    """beta^2 - 4 alpha gamma of q(t, 1) = det(t X1 + X2)."""
+    alpha, gamma = linalg.det(x1).as_fraction(), linalg.det(x2).as_fraction()
+    beta = linalg.det(linalg.mat_add(x1, x2)).as_fraction() - alpha - gamma
+    return beta * beta - 4 * alpha * gamma
+
+
+# with X1 = diag(1, -1) and X2 = ((0, c), (d, 0)) the discriminant is -4cd
+@pytest.mark.parametrize("x1, x2, case", [
+    (sp2(0, 1, 0), sp2(1, 0, 0), "alpha = 0"),
+    (sp2(1, 0, 0), sp2(0, 0, 1), "gamma = 0"),
+    (sp2(0, 0, 0), sp2(1, 2, 0), "alpha = 0"),
+    (sp2(1, 0, 0), sp2(1, 1, 0), "zero"),
+    (sp2(1, 0, 0), sp2(0, 1, -1), "positive square"),
+    (sp2(1, 0, 0), sp2(0, 1, -2), "positive non-square"),
+    (sp2(1, 0, 0), sp2(0, 1, 1), "negative"),
+    (sp2(1, 0, 0), sp2(0, 1, 3), "negative"),
+    (sp2(Fraction(1, 3), 2, Fraction(-5, 7)), sp2(Fraction(-2, 5), Fraction(1, 4), 3),
+     "positive non-square"),
+    (sp2(Fraction(1, 2), 0, 0), sp2(0, Fraction(2, 3), Fraction(3, 5)), "negative"),
+])
+def test_sp2_locus_matches_reference_on_each_discriminant(x1, x2, case):
+    alpha, gamma = linalg.det(x1), linalg.det(x2)
+    disc = locus_discriminant(x1, x2)
+    kind = (
+        "alpha = 0" if alpha.is_zero() else "gamma = 0" if gamma.is_zero()
+        else "zero" if disc == 0 else "negative" if disc < 0
+        else "positive square" if sqrt_as_scalar(disc).is_rational() else "positive non-square"
+    )
+    assert kind == case
+    locus = sp2_nilpotency_locus(x1, x2)
+    assert locus == reference_sp2_nilpotency_locus(x1, x2)
+    assert locus.witness_field == ("C" if case == "negative" else "R")
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@given(x1=st.builds(sp2, rationals, rationals, rationals),
+       x2=st.builds(sp2, rationals, rationals, rationals))
+@settings(max_examples=200, deadline=None)
+def test_sp2_locus_matches_reference(x1, x2):
+    assert sp2_nilpotency_locus(x1, x2) == reference_sp2_nilpotency_locus(x1, x2)
