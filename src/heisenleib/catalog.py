@@ -81,7 +81,6 @@ class CatalogEntry:
     label: str
     build_spec: Callable  # checked params -> ExtensionSpec
     build_displays: Callable  # checked params -> displayed left-action matrices
-    r_value: int = 0  # the [S,S] product's value, for the Lie-flag contract
 
     def default_params(self) -> dict:
         return {slot.name: Fraction(1) for slot in self.param_slots}
@@ -156,12 +155,12 @@ _ENTRIES = (
     CatalogEntry(
         "H1a0C-r1", frozenset({"C", "R"}), 1, 1, (),
         "a=0 diagonal action, r=1 (non-Lie Leibniz)",
-        _a0_spec(_DIAG, 1), _A0_DIAG, r_value=1,
+        _a0_spec(_DIAG, 1), _A0_DIAG,
     ),
     CatalogEntry(
         "H1a0C-rm1", frozenset({"R"}), 1, 1, (),
         "a=0 diagonal action, r=-1 (non-Lie Leibniz, real class)",
-        _a0_spec(_DIAG, -1), _A0_DIAG, r_value=-1,
+        _a0_spec(_DIAG, -1), _A0_DIAG,
     ),
     CatalogEntry(
         "H1a0R-r0", frozenset({"R"}), 1, 1, (),
@@ -172,13 +171,11 @@ _ENTRIES = (
         "H1a0R-r1", frozenset({"R"}), 1, 1, (),
         "a=0 rotation action, r=1 (non-Lie Leibniz, real class)",
         _a0_spec(_ROT, 1), _A0_ROT,
-        r_value=1,
     ),
     CatalogEntry(
         "H1a0R-rm1", frozenset({"R"}), 1, 1, (),
         "a=0 rotation action, r=-1 (non-Lie Leibniz, real class)",
         _a0_spec(_ROT, -1), _A0_ROT,
-        r_value=-1,
     ),
     CatalogEntry(
         "H2a1C", frozenset({"C", "R"}), 1, 2, (),
@@ -286,7 +283,8 @@ def verify_entry(
     if field not in entry.fields:
         raise CatalogError(f"{entry_id} is not a {field}-entry")
     clean = entry.check_params(params or entry.default_params())
-    tensor = build_extension(entry.build_spec(clean))
+    spec = entry.build_spec(clean)
+    tensor = build_extension(spec)
     displays = entry.build_displays(clean)
     display_ok = all(
         linalg.mat_eq(left_action_display(tensor, entry.n, entry.f, al), displays[al])
@@ -294,7 +292,6 @@ def verify_entry(
     )
     nilradical = heisenberg_subspace(entry.n, entry.f)
     certificate = certify_nilradical(tensor, nilradical, field=field)
-    expected_lie = entry.r_value == 0
     return VerificationReport(
         entry_id=entry_id,
         params=_param_view(clean),
@@ -303,7 +300,7 @@ def verify_entry(
         expected_dim=2 * entry.n + 1 + entry.f,
         leibniz_ok=tensor.is_leibniz(),
         lie_flag=tensor.is_lie(),
-        expected_lie=expected_lie,
+        expected_lie=all(v.is_zero() for row in spec.r for v in row),
         display_ok=display_ok,
         certificate=certificate,
         mubar_ok=mubar_bound_check(tensor, nilradical),
@@ -484,8 +481,8 @@ def condensation_witness(
 
     For the a=1 rotation family the scale of S is pinned by [S, H] = 2H,
     so the target is the diagonal family at the derived parameter A = iC
-    (reported as "A*"): that member is built through the validating
-    extension builder rather than the real-domain catalog slot.
+    (reported as "A*"): that member is built by the diagonal entry's own
+    builder, skipping the check of the real-domain A slot.
     """
     real_entry = get_entry(real_id)
     params = real_entry.check_params(params or real_entry.default_params())
@@ -493,10 +490,7 @@ def condensation_witness(
     basis_rows, target_params = _witness_rows(real_id, complex_id, params)
     if "A*" in target_params:
         a_star = _I * Scalar(target_params["A*"])
-        spec = ExtensionSpec.make(
-            1, 1, [Scalar.one()], [[[a_star, Scalar.zero()], [Scalar.zero(), -a_star]]]
-        )
-        target = build_extension(spec)
+        target = build_extension(get_entry(complex_id).build_spec({"A": a_star}))
         target_param_view = _param_view({"A*": a_star})
     else:
         target = build_entry(complex_id, target_params or None)

@@ -34,7 +34,7 @@ from .heisenberg import (
 )
 from .linalg import matrix_nilpotent
 from .poly import PolyQ, quadratic_roots
-from .scalars import Scalar
+from .scalars import Scalar, common_field
 
 
 class CertifyError(ValueError):
@@ -176,14 +176,6 @@ def mubar_bound_check(t: StructTensor, n: Subspace) -> bool:
     return 2 * n.dim >= t.dim
 
 
-def _detect_field(t: StructTensor) -> str:
-    """C when some constant lies in Q(sqrt d) with d < 0, else R."""
-    for entry in t.constants_dict().values():
-        if isinstance(entry, Scalar) and entry.d is not None and entry.d < 0:
-            return "C"
-    return "R"
-
-
 def certify_nilradical(
     t: StructTensor, n_subspace: Subspace, field: str | None = None
 ) -> NilradicalCertificate:
@@ -195,9 +187,11 @@ def certify_nilradical(
     is complete when the zero H-eigenvalue combinations of the generators
     span at most a line, or a plane at n = 1; larger spans report
     "undecided" unless one of their basis combinations is nilpotent.
+    The field defaults to C when the constants lie in Q(sqrt d) with d < 0.
     """
     if field is None:
-        field = _detect_field(t)
+        d = common_field(t.constants_dict().values())
+        field = "C" if d is not None and d < 0 else "R"
     if field not in ("C", "R"):
         raise CertifyError(f"field must be C or R, got {field!r}")
     if n_subspace.ambient_dim != t.dim:

@@ -19,8 +19,9 @@ each newly bound tensor.  The commutation stage runs a single round.
 
 Bilinear residuals (commutators of the X blocks, the eigenvector system
 X rho = a rho, the arar combination) are reported as side conditions,
-never solved; the side conditions are read off the X-commutator and
-eigenvector block forms directly.  Two normalizations the derivation
+never solved; the commutation stage and the side conditions read the
+X-commutator and eigenvector reports from one block-form producer
+(_block_reports).  Two normalizations the derivation
 states without displaying are applied as explicit named binding steps:
 the a-vector normalization (a_1 in {0, 1}, a_2 = ... = 0; a_normalize_basis
 gives its change of basis for a concrete a) and, in the a_1 = 1 branch,
@@ -493,62 +494,45 @@ def _commutator_report(source: str, a, b) -> list:
     )
 
 
-def _x_commutator_report(x, al: int, be: int) -> list:
-    return _commutator_report(
-        f"X{al + 1} X{be + 1} - X{be + 1} X{al + 1}", x[al], x[be]
-    )
-
-
-def _eigenvector_report(a, x, rho, al: int, be: int) -> list:
-    eig = eigenvector_residual(x[al], rho[be], a[al])
-    return _nonzero_report(
-        f"(X{al + 1} - a_{al + 1} I) rho^{be + 1}",
-        ((f"[{u}]", p) for u, p in enumerate(eig)),
-    )
+def _block_reports(pa: ParamAlgebra) -> tuple:
+    """The bilinear block forms as reports per generator pair: (al, be,
+    X-commutator reports) for al < be, and (al, be, eigenvector reports of
+    (X_al - a_al I) rho_be) for every (al, be)."""
+    f = pa.f
+    a, x, rho, _ = block_forms(pa.tensor, pa.n, f)
+    commutators = [
+        (al, be, _commutator_report(
+            f"X{al + 1} X{be + 1} - X{be + 1} X{al + 1}", x[al], x[be]))
+        for al in range(f) for be in range(al + 1, f)
+    ]
+    eigenvectors = [
+        (al, be, _nonzero_report(
+            f"(X{al + 1} - a_{al + 1} I) rho^{be + 1}",
+            ((f"[{u}]", p) for u, p in enumerate(eigenvector_residual(x[al], rho[be], a[al]))),
+        ))
+        for al in range(f) for be in range(f)
+    ]
+    return commutators, eigenvectors
 
 
 def commutation_residual_system(pa: ParamAlgebra) -> list:
-    """Residuals of L_a L_b - L_b L_a and L_a R_b - R_b L_a, plus the
-    extracted block forms: the X-commutators and the eigenvector system
-    (X - aI) rho."""
+    """Residuals of L_a L_b - L_b L_a and L_a R_b - R_b L_a, each followed
+    by the same pair's block forms: the X-commutators and the eigenvector
+    system (X - aI) rho."""
     stages = pa.stage_names()
     if "jacobi" not in stages or "annihilator" not in stages:
         raise OrderingError("commutation stage requires jacobi and annihilator")
     t = pa.tensor
-    f = pa.f
-    a, x, rho, _ = block_forms(t, pa.n, f)
-    reports = []
     lmats = [t.left_mult_matrix(t.unit_vector(s)) for s in _of_kind(pa, "S")]
     rmats = [t.right_mult_matrix(t.unit_vector(s)) for s in _of_kind(pa, "S")]
-    for al in range(f):
-        for be in range(al + 1, f):
-            reports += _commutator_report(
-                f"L_S{al + 1} L_S{be + 1} = L_S{be + 1} L_S{al + 1}",
-                lmats[al], lmats[be],
-            )
-            reports += _x_commutator_report(x, al, be)
-    for al in range(f):
-        for be in range(f):
-            reports += _commutator_report(
-                f"L_S{al + 1} R_S{be + 1} = R_S{be + 1} L_S{al + 1}",
-                lmats[al], rmats[be],
-            )
-            reports += _eigenvector_report(a, x, rho, al, be)
-    return reports
-
-
-def _block_side_reports(pa: ParamAlgebra) -> list:
-    """The bilinear block forms left as side conditions: the X-commutators
-    (pairs al < be), then the eigenvector systems (all al, be)."""
-    f = pa.f
-    a, x, rho, _ = block_forms(pa.tensor, pa.n, f)
     reports = []
-    for al in range(f):
-        for be in range(al + 1, f):
-            reports += _x_commutator_report(x, al, be)
-    for al in range(f):
-        for be in range(f):
-            reports += _eigenvector_report(a, x, rho, al, be)
+    for pairs, right, op in zip(_block_reports(pa), (lmats, rmats), "LR"):
+        for al, be, block in pairs:
+            reports += _commutator_report(
+                f"L_S{al + 1} {op}_S{be + 1} = {op}_S{be + 1} L_S{al + 1}",
+                lmats[al], right[be],
+            )
+            reports += block
     return reports
 
 
@@ -583,11 +567,10 @@ def verify_arar(pa: ParamAlgebra) -> list:
                     f"(S1,S{al + 1},S{be + 1}) residual does not match the "
                     "a-r combination identity"
                 )
-            normalized = raw * Fraction(-1, 2)
             reports.append(
                 ConstraintReport(
                     source=f"arar (S1,S{al + 1},S{be + 1})",
-                    residual_polys=(("H", normalized),) if not normalized.is_zero() else (),
+                    residual_polys=(("H", expected),) if not expected.is_zero() else (),
                 )
             )
     return reports
@@ -755,12 +738,15 @@ def run_cascade(n: int, f: int, branch: int | None = 1) -> CascadeResult:
 
     side = [
         (f"{report.source}{comp}", p)
-        for report in _block_side_reports(pa)
+        for pairs in _block_reports(pa)
+        for _, _, block in pairs
+        for report in block
         for comp, p in report.residual_polys
     ]
+    bound = dict(pa.bindings_in_order())
     for report in arar_reports:
         for comp, p in report.residual_polys:
-            recomputed = p.substitute(dict(pa.bindings_in_order()))
+            recomputed = p.substitute(bound)
             if not recomputed.is_zero():
                 side.append((report.source, recomputed))
 

@@ -19,7 +19,9 @@ import json
 
 from .algebra import StructTensor
 from .heisenberg import ExtensionSpec
-from .scalars import MAX_SQRT_D, Scalar, ScalarParseError, is_squarefree
+from .scalars import (
+    MAX_SQRT_D, IncompatibleFieldError, Scalar, ScalarParseError, common_field, is_squarefree,
+)
 
 
 class FileFormatError(ValueError):
@@ -57,22 +59,18 @@ def _require_list(value, length: int, message: str, context: str) -> list:
     return value
 
 
-def _field_tag(entries) -> object:
-    for s in entries:
-        if s.d is not None:
-            return {"sqrt": s.d}
-    return "Q"
+def _file_field(scalars, context: str) -> int | None:
+    """common_field of the scalars, with two different d a format error."""
+    try:
+        return common_field(scalars)
+    except IncompatibleFieldError as exc:
+        raise FileFormatError(str(exc), context) from None
 
 
-def _check_field(value, entries, context: str) -> None:
+def _check_field(value, scalars, context: str) -> None:
     if value == "Q":
-        for s in entries:
-            if s.d is not None:
-                raise FileFormatError(
-                    f"field is Q but a sqrt({s.d}) scalar appears", context
-                )
-        return
-    if isinstance(value, dict) and set(value) == {"sqrt"}:
+        d = None
+    elif isinstance(value, dict) and set(value) == {"sqrt"}:
         d = value["sqrt"]
         if not _is_int(d):
             raise FileFormatError("sqrt tag must be an integer", context)
@@ -82,26 +80,22 @@ def _check_field(value, entries, context: str) -> None:
             raise FileFormatError(
                 f"sqrt tag must be squarefree and not 0 or 1, got {d}", context
             )
-        for s in entries:
-            if s.d is not None and s.d != d:
-                raise FileFormatError(
-                    f"scalar over sqrt({s.d}) in a sqrt({d}) file", context
-                )
-        return
-    raise FileFormatError(f"bad field tag {value!r}", context)
+    else:
+        raise FileFormatError(f"bad field tag {value!r}", context)
+    found = _file_field(scalars, context)
+    if found is not None and found != d:
+        tag = "Q" if d is None else f"sqrt({d})"
+        raise FileFormatError(f"scalar over sqrt({found}) in a {tag} file", context)
 
 
 def algebra_to_doc(t: StructTensor) -> dict:
-    entries = []
-    scalars = []
-    for (i, j, k), value in sorted(t.constants_dict().items()):
-        scalars.append(value)
-        entries.append({"i": i, "j": j, "k": k, "c": str(value)})
+    constants = sorted(t.constants_dict().items())
+    d = common_field(value for _, value in constants)
     return {
         "dim": t.dim,
         "basis": list(t.basis_labels),
-        "field": _field_tag(scalars),
-        "constants": entries,
+        "field": "Q" if d is None else {"sqrt": d},
+        "constants": [{"i": i, "j": j, "k": k, "c": str(v)} for (i, j, k), v in constants],
     }
 
 
@@ -203,7 +197,7 @@ def extension_spec_from_doc(doc) -> ExtensionSpec:
         row = _require_list(row, f, "r must be an f x f array", "r")
         r.append([_parse_scalar(v, f"r[{i}][{j}]") for j, v in enumerate(row)])
     scalars = a + [v for part in (*xs, rho, r) for row in part for v in row]
-    _check_field(_field_tag(scalars), scalars, "scalars")
+    _file_field(scalars, "scalars")
     return ExtensionSpec.make(n, f, a, xs, rho, r)
 
 

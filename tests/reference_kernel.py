@@ -75,6 +75,12 @@ reference_sp2_nilpotency_locus is the sp(2) pair decision as it ran
 before it read the real-versus-complex answer off the field of the root:
 a separate discriminant test, quadratic_real_root_exists, on the same
 dehomogenized quadratic.
+
+reference_commutation_residual_system and reference_block_side_reports
+are the cascade's commutation stage and its side conditions as they ran
+before both read their block reports from one producer: each calls
+block_forms and loops over the generator pairs itself, building the
+X-commutator and eigenvector reports through its own two helpers.
 """
 
 import warnings
@@ -98,10 +104,19 @@ from heisenleib.certify import (
     matrix_nilpotent,
     sp2_nilpotency_locus,
 )
-from heisenleib.constraints import InconsistencyError, _param_names
+from heisenleib.constraints import (
+    InconsistencyError,
+    OrderingError,
+    _commutator_report,
+    _nonzero_report,
+    _of_kind,
+    _param_names,
+)
 from heisenleib.heisenberg import (
     NilindependenceUndecidedWarning,
     NilindependenceViolation,
+    block_forms,
+    eigenvector_residual,
     extension_basis_labels,
     extension_basis_rows,
     extract_extension_data,
@@ -1003,3 +1018,57 @@ def reference_reduce_binding_map(raw: dict) -> dict:
         if not changed:
             return raw
     raise InconsistencyError("cyclic bindings did not reduce")
+
+
+def _reference_x_commutator_report(x, al: int, be: int) -> list:
+    return _commutator_report(
+        f"X{al + 1} X{be + 1} - X{be + 1} X{al + 1}", x[al], x[be]
+    )
+
+
+def _reference_eigenvector_report(a, x, rho, al: int, be: int) -> list:
+    eig = eigenvector_residual(x[al], rho[be], a[al])
+    return _nonzero_report(
+        f"(X{al + 1} - a_{al + 1} I) rho^{be + 1}",
+        ((f"[{u}]", p) for u, p in enumerate(eig)),
+    )
+
+
+def reference_commutation_residual_system(pa) -> list:
+    stages = pa.stage_names()
+    if "jacobi" not in stages or "annihilator" not in stages:
+        raise OrderingError("commutation stage requires jacobi and annihilator")
+    t = pa.tensor
+    f = pa.f
+    a, x, rho, _ = block_forms(t, pa.n, f)
+    reports = []
+    lmats = [t.left_mult_matrix(t.unit_vector(s)) for s in _of_kind(pa, "S")]
+    rmats = [t.right_mult_matrix(t.unit_vector(s)) for s in _of_kind(pa, "S")]
+    for al in range(f):
+        for be in range(al + 1, f):
+            reports += _commutator_report(
+                f"L_S{al + 1} L_S{be + 1} = L_S{be + 1} L_S{al + 1}",
+                lmats[al], lmats[be],
+            )
+            reports += _reference_x_commutator_report(x, al, be)
+    for al in range(f):
+        for be in range(f):
+            reports += _commutator_report(
+                f"L_S{al + 1} R_S{be + 1} = R_S{be + 1} L_S{al + 1}",
+                lmats[al], rmats[be],
+            )
+            reports += _reference_eigenvector_report(a, x, rho, al, be)
+    return reports
+
+
+def reference_block_side_reports(pa) -> list:
+    f = pa.f
+    a, x, rho, _ = block_forms(pa.tensor, pa.n, f)
+    reports = []
+    for al in range(f):
+        for be in range(al + 1, f):
+            reports += _reference_x_commutator_report(x, al, be)
+    for al in range(f):
+        for be in range(f):
+            reports += _reference_eigenvector_report(a, x, rho, al, be)
+    return reports

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,15 @@ class TestVerifyEntry:
         report = verify_entry("H2a1R", field="R")
         assert report.ok()
         assert report.dim == 5 and report.lie_flag
+
+    def test_expected_lie_read_off_the_built_spec(self, monkeypatch):
+        # an a=0 entry whose builder gives r = 1 expects a non-Lie algebra
+        entry = get_entry("H1a0C-r0")
+        patched = dataclasses.replace(entry, build_spec=catalog._a0_spec(catalog._DIAG, 1))
+        monkeypatch.setitem(catalog._BY_ID, entry.id, patched)
+        report = verify_entry(entry.id)
+        assert report.expected_lie is False
+        assert report.ok()
 
     def test_field_membership_enforced(self):
         with pytest.raises(CatalogError):

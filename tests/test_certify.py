@@ -1,7 +1,7 @@
 import pytest
 
 from heisenleib import linalg
-from heisenleib.algebra import Subspace, _closure_checks, subspace_closure_checks
+from heisenleib.algebra import StructTensor, Subspace, _closure_checks, subspace_closure_checks
 from heisenleib.catalog import build_entry
 from heisenleib.certify import (
     CertifyError,
@@ -19,7 +19,7 @@ from heisenleib.heisenberg import (
     heisenberg_subspace,
 )
 from heisenleib.linalg import smat, svec
-from heisenleib.scalars import Scalar
+from heisenleib.scalars import IncompatibleFieldError, Scalar
 
 from reference_kernel import nilpotency_power_oracle
 
@@ -213,13 +213,24 @@ class TestCertifyNilradical:
         assert cert.maximality.status == "refuted"
         assert cert.maximality.witness == (i, Scalar.one()) + (Scalar.zero(),) * 3
 
-    @pytest.mark.parametrize("d,field", [(-1, "C"), (-3, "C"), (2, "R")])
+    @pytest.mark.parametrize("d,field", [(-1, "C"), (-3, "C"), (2, "R"), (None, "R")])
     def test_detected_field(self, d, field):
-        s = Scalar.sqrt_d(d)
+        s = Scalar.one() if d is None else Scalar.sqrt_d(d)
         spec = ExtensionSpec.make(1, 1, [0], [[[s, 0], [0, -s]]])
-        cert = certify_nilradical(build_extension(spec), heisenberg_subspace(1, 1))
+        t, sub = build_extension(spec), heisenberg_subspace(1, 1)
+        cert = certify_nilradical(t, sub)
         assert cert.proved()
         assert cert.maximality.note.endswith(f"nilpotent element over {field}")
+        assert cert == certify_nilradical(t, sub, field=field)
+
+    def test_default_field_refuses_two_fields(self):
+        t = assemble_extension(ExtensionSpec.make(1, 1, [0], [[[1, 0], [0, -1]]]))
+        constants = t.constants_dict()
+        constants[(0, 0, 1)] = Scalar.sqrt_d(2)
+        constants[(0, 0, 2)] = Scalar.sqrt_d(3)
+        mixed = StructTensor(t.dim, constants, basis_labels=t.basis_labels)
+        with pytest.raises(IncompatibleFieldError):
+            certify_nilradical(mixed, heisenberg_subspace(1, 1))
 
     def test_closure_checks_run_once(self, monkeypatch):
         from heisenleib import certify

@@ -2,7 +2,9 @@ import re
 
 import pytest
 
+from heisenleib.algebra import StructTensor
 from heisenleib.catalog import build_entry
+from heisenleib.cli import main
 from heisenleib.fileio import (
     FileFormatError,
     algebra_from_doc,
@@ -13,6 +15,7 @@ from heisenleib.fileio import (
     save_json,
 )
 from heisenleib.heisenberg import ExtensionSpec, heisenberg
+from heisenleib.scalars import IncompatibleFieldError, Scalar
 
 
 def test_algebra_roundtrip():
@@ -68,6 +71,46 @@ def test_field_consistency():
     doc["constants"][0]["c"] = "0/1+1/1*sqrt(2)"
     with pytest.raises(FileFormatError, match="field"):
         algebra_from_doc(doc)
+
+
+def test_mixed_field_tensor_refuses_to_write():
+    t = StructTensor(4, {(0, 0, 1): Scalar.sqrt_d(2), (2, 2, 3): Scalar.sqrt_d(3)})
+    with pytest.raises(IncompatibleFieldError):
+        algebra_to_doc(t)
+
+
+_SQRT2, _SQRT3 = "0/1+1/1*sqrt(2)", "0/1+1/1*sqrt(3)"
+
+
+def _heisenberg_doc(field, *values):
+    doc = algebra_to_doc(heisenberg(1))
+    doc["field"] = field
+    for item, value in zip(doc["constants"], values):
+        item["c"] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command,doc,context,named",
+    [
+        ("verify", _heisenberg_doc("Q", _SQRT2), "field", "sqrt(2)"),
+        ("verify", _heisenberg_doc({"sqrt": 2}, _SQRT3), "field", "sqrt(3)"),
+        ("verify", _heisenberg_doc({"sqrt": 2}, _SQRT2, _SQRT3), "field", "sqrt(3)"),
+        ("nilradical", {"n": 1, "f": 1, "a": ["0/1"], "X": [[_SQRT2, "0/1", "0/1", _SQRT3]],
+                        "rho": [["0/1", "0/1"]], "r": [["0/1"]]}, "scalars", "sqrt(3)"),
+    ],
+)
+def test_field_mismatch_is_a_format_error(capsys, tmp_path, command, doc, context, named):
+    from_doc = algebra_from_doc if command == "verify" else extension_spec_from_doc
+    with pytest.raises(FileFormatError) as info:
+        from_doc(doc)
+    assert info.value.context == context
+    assert named in str(info.value)
+    path = tmp_path / "input.json"
+    save_json(str(path), doc)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"{context}: " in captured.out + captured.err
 
 
 def test_max_dim_guard():

@@ -2,7 +2,9 @@
 ast: the exact kernel (scalars, poly, linalg) imports no higher layer,
 algebra sits on the kernel alone, and certify, the trust anchor, is
 imported only by the layers that report on it (catalog, cli and the
-package exports) and, function-locally, by heisenberg for the sp(2) locus."""
+package exports) and, function-locally, by heisenberg for the sp(2) locus.
+The private names each module takes from a sibling are pinned, so that a
+new private coupling shows up as a diff of PRIVATE_COUPLINGS."""
 
 import ast
 from pathlib import Path
@@ -15,9 +17,13 @@ PACKAGE = Path(heisenleib.__file__).parent
 KERNEL = ("scalars", "poly", "linalg")  # in layer order
 
 
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def imports(module: str) -> list:
     """(imported sibling module, imported names, function-local) per import."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = parse(module)
     found = []
 
     def visit(node, local):
@@ -64,3 +70,38 @@ def test_certify_importers():
         if name == "certify"
     ]
     assert outside == [("heisenberg", ("sp2_nilpotency_locus",), True)]
+
+
+# (module, sibling): the private names the module imports from the sibling
+# or reads as attributes of the sibling module
+PRIVATE_COUPLINGS = {
+    ("algebra", "poly"): {"_sum_of_products"},
+    ("certify", "algebra"): {"_closure_checks", "_series"},
+    ("cli", "algebra"): {"_both_series"},
+    ("constraints", "poly"): {"_Substituter", "_used_names"},
+    ("heisenberg", "algebra"): {"_change_basis_with_inverse"},
+    ("linalg", "poly"): {"_sum_of_products"},
+}
+
+
+def private_couplings(module: str) -> dict:
+    found: dict = {}
+    siblings = set()
+    for sibling, names, _ in imports(module):
+        if not names:  # from . import sibling
+            siblings.add(sibling)
+        for name in names:
+            if name.startswith("_"):
+                found.setdefault((module, sibling), set()).add(name)
+    for node in ast.walk(parse(module)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            found.setdefault((module, node.value.id), set()).add(node.attr)
+    return found
+
+
+def test_private_couplings_are_pinned():
+    found: dict = {}
+    for module in MODULES:
+        found.update(private_couplings(module))
+    assert found == PRIVATE_COUPLINGS

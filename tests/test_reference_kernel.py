@@ -23,7 +23,10 @@ cleared integer matrices against their Scalar matrix-product forms, over
 Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt -3) with denominators past 10^6
 and with a rational tensor moved by a quadratic matrix; and the sp(2)
 nilpotency locus, which reads the real-versus-complex answer off its
-root's field, against the locus with a separate real-root test."""
+root's field, against the locus with a separate real-root test; and the
+cascade's commutation reports, side conditions and arar reports against
+the stage and side-condition loops that each read the block forms
+themselves."""
 
 import random
 import warnings
@@ -65,7 +68,8 @@ from heisenleib.certify import (
     subspace_nilpotent,
 )
 from heisenleib.cli import main
-from heisenleib.constraints import parametric_extension
+from heisenleib import constraints
+from heisenleib.constraints import jacobi_vector, parametric_extension, run_cascade
 from heisenleib.fileio import algebra_to_doc, save_json
 from heisenleib.heisenberg import (
     ExtensionSpec,
@@ -88,8 +92,10 @@ from reference_kernel import (
     DenseTensor,
     is_zero_vector,
     reference_assemble_extension,
+    reference_block_side_reports,
     reference_center,
     reference_change_basis_with_inverse,
+    reference_commutation_residual_system,
     reference_commuting_sp2_proportionality,
     reference_condensation_rows,
     reference_contains,
@@ -1016,3 +1022,53 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 @settings(max_examples=200, deadline=None)
 def test_sp2_locus_matches_reference(x1, x2):
     assert sp2_nilpotency_locus(x1, x2) == reference_sp2_nilpotency_locus(x1, x2)
+
+
+def _report_view(reports) -> list:
+    return [(report.source, report.residual_polys) for report in reports]
+
+
+@pytest.mark.parametrize("branch", [1, 0, None])
+@pytest.mark.parametrize("n,f", [(1, 2), (2, 2), (2, 3)])
+def test_cascade_block_reports_match_reference(monkeypatch, n, f, branch):
+    # record the tensor run_cascade hands the commutation and arar stages
+    handed = {"commutation": [], "arar": []}
+
+    def recorded(stage, fn):
+        def wrapper(pa):
+            reports = fn(pa)
+            handed[stage].append((pa, reports))
+            return reports
+        return wrapper
+
+    monkeypatch.setattr(constraints, "commutation_residual_system",
+                        recorded("commutation", constraints.commutation_residual_system))
+    monkeypatch.setattr(constraints, "verify_arar", recorded("arar", constraints.verify_arar))
+    result = run_cascade(n, f, branch)
+
+    [(pa, reports)] = handed["commutation"]
+    assert _report_view(reports) == _report_view(reference_commutation_residual_system(pa))
+
+    bound = dict(result.pa.bindings_in_order())
+    side = [
+        (f"{report.source}{comp}", p)
+        for report in reference_block_side_reports(result.pa)
+        for comp, p in report.residual_polys
+    ]
+    side += [
+        (report.source, p.substitute(bound))
+        for report in result.stage("arar").reports
+        for _, p in report.residual_polys
+        if not p.substitute(bound).is_zero()
+    ]
+    assert list(result.side_conditions) == side
+
+    assert handed["arar"]
+    for pa, reports in handed["arar"]:
+        t = pa.tensor
+        s, h = constraints._of_kind(pa, "S"), constraints._of_kind(pa, "H")[0]
+        pairs = [(al, be) for al in range(f) for be in range(f)]
+        assert len(reports) == len(pairs)
+        for (al, be), report in zip(pairs, reports):
+            raw = jacobi_vector(t, s[0], s[al], s[be])[h] * Fraction(-1, 2)
+            assert report.residual_polys == ((("H", raw),) if not raw.is_zero() else ())
