@@ -197,12 +197,12 @@ class StructTensor:
         return list(self._defects)
 
     def _integer_view(self, *others) -> tuple:
-        """(d, D, view): the field Q(sqrt d) of the constants and the Scalars
-        in the iterables others (d None for Q), and the tensor with every
-        constant times D, the lcm of its denominators, in Z or Z[sqrt d].
-        The view is kept; a rational tensor that meets a quadratic d gets a
-        fresh one in Z[sqrt d], as an int and a ring element do not add.
-        Only contract, leibniz_residual, is_lie and _packed_defects read a view."""
+        """(d, D, view): the field Q(sqrt d) of the constants and of the Scalars
+        in the iterables others (d None for Q), and the tensor times D, the lcm
+        of its denominators, in Z or Z[sqrt d].  The view is kept; a rational
+        tensor that meets a quadratic d gets a fresh one in Z[sqrt d], as an int
+        and a ring element do not add.  Read by leibniz_defects (through
+        _packed_defects), is_lie, bracket_span, _center_in and _change_basis_with_inverse."""
         if self._view is None:
             object.__setattr__(self, "_view", self._cleared_view())
         den, view = self._view

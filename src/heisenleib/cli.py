@@ -51,10 +51,9 @@ def max_dim() -> int:
 
 
 def _check_dim(dim: int) -> None:
-    if dim > max_dim():
-        raise CliError(
-            f"dimension {dim} exceeds the configured cap {max_dim()}", EXIT_VALIDATION_ERROR
-        )
+    cap = max_dim()
+    if dim > cap:
+        raise CliError(f"dimension {dim} exceeds the configured cap {cap}", EXIT_VALIDATION_ERROR)
 
 
 class Output:
@@ -91,14 +90,14 @@ def _emit(out: Output, path: str | None) -> None:
 def _load(path: str, from_doc):
     try:
         return from_doc(fileio.load_json(path))
-    except fileio.DimensionCapError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_VALIDATION_ERROR) from None
     except fileio.FileFormatError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE_ERROR) from None
 
 
 def _load_algebra(path: str) -> algebra.StructTensor:
-    return _load(path, lambda doc: fileio.algebra_from_doc(doc, max_dim=max_dim()))
+    t = _load(path, fileio.algebra_from_doc)
+    _check_dim(t.dim)
+    return t
 
 
 def _parse_params(items) -> dict:
@@ -121,6 +120,10 @@ def _parse_params(items) -> dict:
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
+
+
+def _vector(out: Output, label: str, key: str, row) -> None:
+    out.record(f"  {label}: {' '.join(map(str, row))}", **{key: ";".join(map(str, row))})
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -185,8 +188,7 @@ def cmd_annihilator(args, out: Output) -> int:
         dim=str(ann.dim),
     )
     for row in ann.rows:
-        text = " ".join(str(x) for x in row)
-        out.record(f"  basis vector: {text}", basis_vector=";".join(str(x) for x in row))
+        _vector(out, "basis vector", "basis_vector", row)
     return EXIT_OK
 
 
@@ -235,11 +237,7 @@ def cmd_nilradical(args, out: Output) -> int:
         maximality=cert.maximality.status,
     )
     if cert.maximality.witness is not None:
-        text = " ".join(str(x) for x in cert.maximality.witness)
-        out.record(
-            f"  witness: {text}",
-            witness=";".join(str(x) for x in cert.maximality.witness),
-        )
+        _vector(out, "witness", "witness", cert.maximality.witness)
     if cert.maximality.note:
         out.record(f"  note: {cert.maximality.note}", note=cert.maximality.note)
     bound = mubar_bound_check(tensor, nilradical)
@@ -336,15 +334,12 @@ def cmd_catalog_build(args, out: Output) -> int:
 
 
 def cmd_catalog_verify(args, out: Output) -> int:
-    fields = [args.field] if args.field else ["C", "R"]
-    if args.id:
-        selected = [catalog.get_entry(args.id)]
-        fields = [fd for fd in fields if fd in selected[0].fields]
-        if not fields:  # only a --field the entry is not in leaves none
-            raise CliError(f"{args.id!r} is not a {args.field}-entry", EXIT_VALIDATION_ERROR)
+    # an entry is verified over its own fields; verify_entry refuses any other
+    selected = [catalog.get_entry(args.id)] if args.id else None
+    fields = [args.field] if args.field else sorted(selected[0].fields) if args.id else ["C", "R"]
     status = EXIT_OK
     for field in fields:
-        for entry in selected if args.id else catalog.catalog_entries(field):
+        for entry in selected or catalog.catalog_entries(field):
             for point in catalog.entry_parameter_grid(entry):
                 report = catalog.verify_entry(entry.id, point, field=field)
                 params = (
@@ -389,8 +384,7 @@ def cmd_witness(args, out: Output) -> int:
         target_params=",".join(f"{k}={v}" for k, v in witness.target_params) or "-",
     )
     for row in witness.matrix:
-        text = " ".join(str(x) for x in row)
-        out.record(f"  P row: {text}", p_row=";".join(str(x) for x in row))
+        _vector(out, "P row", "p_row", row)
     return EXIT_OK
 
 

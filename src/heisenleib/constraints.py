@@ -20,8 +20,8 @@ each newly bound tensor.  The commutation stage runs a single round.
 Bilinear residuals (commutators of the X blocks, the eigenvector system
 X rho = a rho, the arar combination) are reported as side conditions,
 never solved; the commutation stage and the side conditions read the
-X-commutator and eigenvector reports from one block-form producer
-(_block_reports).  Two normalizations the derivation
+X-commutator and eigenvector reports from _block_reports, which wraps
+heisenberg.block_side_conditions.  Two normalizations the derivation
 states without displaying are applied as explicit named binding steps:
 the a-vector normalization (a_1 in {0, 1}, a_2 = ... = 0; a_normalize_basis
 gives its change of basis for a concrete a) and, in the a_1 = 1 branch,
@@ -46,8 +46,8 @@ from itertools import product
 from . import linalg
 from .algebra import StructTensor
 from .heisenberg import (
-    block_forms, eigenvector_residual, extension_basis_rows, extension_shear,
-    extension_tensor, left_action_display,
+    block_forms, block_side_conditions, extension_basis_rows, extension_shear,
+    extension_tensor, left_action_display, max_extension_bound,
 )
 from .poly import PolyQ, _Substituter, _used_names
 
@@ -158,8 +158,8 @@ def parametric_extension(n: int, f: int) -> ParamAlgebra:
     [S_al, S_be] = (r, mu, nu)."""
     if n < 1:
         raise CascadeError(f"n must be >= 1, got {n}")
-    if not 1 <= f <= n + 1:
-        raise CascadeError(f"f = {f} outside 1..{n + 1}")
+    if not 1 <= f <= max_extension_bound(n):
+        raise CascadeError(f"f = {f} outside 1..{max_extension_bound(n)}")
     names = _param_names(n, f)
     indices = range(1, n + 1)
 
@@ -487,32 +487,27 @@ def annihilator_residual_system(pa: ParamAlgebra) -> list:
 
 
 def _commutator_report(source: str, a, b) -> list:
-    comm = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return _matrix_report(source, linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a)))
+
+
+def _matrix_report(source: str, m) -> list:
     return _nonzero_report(
-        source,
-        ((f"({u},{v})", p) for u, row in enumerate(comm) for v, p in enumerate(row)),
+        source, ((f"({u},{v})", p) for u, row in enumerate(m) for v, p in enumerate(row))
     )
 
 
 def _block_reports(pa: ParamAlgebra) -> tuple:
-    """The bilinear block forms as reports per generator pair: (al, be,
-    X-commutator reports) for al < be, and (al, be, eigenvector reports of
-    (X_al - a_al I) rho_be) for every (al, be)."""
-    f = pa.f
-    a, x, rho, _ = block_forms(pa.tensor, pa.n, f)
-    commutators = [
-        (al, be, _commutator_report(
-            f"X{al + 1} X{be + 1} - X{be + 1} X{al + 1}", x[al], x[be]))
-        for al in range(f) for be in range(al + 1, f)
-    ]
-    eigenvectors = [
-        (al, be, _nonzero_report(
-            f"(X{al + 1} - a_{al + 1} I) rho^{be + 1}",
-            ((f"[{u}]", p) for u, p in enumerate(eigenvector_residual(x[al], rho[be], a[al]))),
-        ))
-        for al in range(f) for be in range(f)
-    ]
-    return commutators, eigenvectors
+    """heisenberg.block_side_conditions of the tensor's block forms, each
+    pair's residuals as its report: (al, be, X-commutator reports) for
+    al < be, and (al, be, (X_al - a_al I) rho_be reports) for every (al, be)."""
+    commutators, eigenvectors = block_side_conditions(*block_forms(pa.tensor, pa.n, pa.f)[:3])
+    return (
+        [(al, be, _matrix_report(f"X{al + 1} X{be + 1} - X{be + 1} X{al + 1}", comm))
+         for al, be, comm in commutators],
+        [(al, be, _nonzero_report(f"(X{al + 1} - a_{al + 1} I) rho^{be + 1}",
+                                  ((f"[{u}]", p) for u, p in enumerate(residual))))
+         for al, be, residual in eigenvectors],
+    )
 
 
 def commutation_residual_system(pa: ParamAlgebra) -> list:

@@ -35,10 +35,6 @@ class FileFormatError(ValueError):
         self.context = context
 
 
-class DimensionCapError(FileFormatError):
-    """Input dimension exceeds the configured resource cap."""
-
-
 def _parse_scalar(text, context: str) -> Scalar:
     if not isinstance(text, str):
         raise FileFormatError(f"expected a scalar string, got {text!r}", context)
@@ -99,7 +95,7 @@ def algebra_to_doc(t: StructTensor) -> dict:
     }
 
 
-def algebra_from_doc(doc, max_dim: int | None = None) -> StructTensor:
+def algebra_from_doc(doc) -> StructTensor:
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object")
     for key in ("dim", "basis", "field", "constants"):
@@ -108,10 +104,6 @@ def algebra_from_doc(doc, max_dim: int | None = None) -> StructTensor:
     dim = doc["dim"]
     if not _is_int(dim) or dim < 1:
         raise FileFormatError(f"dim must be a positive integer, got {dim!r}", "dim")
-    if max_dim is not None and dim > max_dim:
-        raise DimensionCapError(
-            f"dim {dim} exceeds the configured cap {max_dim}", "dim"
-        )
     basis = doc["basis"]
     if not isinstance(basis, list) or len(basis) != dim or not all(
         isinstance(x, str) for x in basis

@@ -21,10 +21,12 @@ of the symbolic constraint cascade alike; extension_basis_rows places a
 block-diagonal change of basis in the same order, and extension_shear
 rewrites a tensor, Scalar or PolyQ, in the sheared basis S~ = S + v with
 v in the nilradical (the cascade's gamma elimination and H-shear, each
-checked where it is used).  block_forms is the
-one reader of the block form: it reads (a, X, rho, r) back from a tensor
-with Scalar or PolyQ entries, for extract_extension_data and for the
-cascade alike.
+checked where it is used).  block_forms is the one reader of the block
+form: it reads (a, X, rho, r) back from a tensor with Scalar or PolyQ
+entries, for extract_extension_data and for the cascade alike.
+block_side_conditions is the one statement of the bilinear side
+conditions [X_a, X_b] = 0 and (X_a - a_a I) rho_b = 0, which
+ExtensionSpec.validate and the cascade's side conditions both read.
 """
 
 from __future__ import annotations
@@ -171,6 +173,22 @@ def eigenvector_check(x, rho, a) -> bool:
     return all(p.is_zero() for p in residual)
 
 
+def block_side_conditions(a, x, rho):
+    """Residuals of the bilinear side conditions on Scalar or PolyQ block
+    data, as two generators (a reader computes only what it draws): (al, be,
+    X_al X_be - X_be X_al) for al < be, (al, be, (X_al - a_al I) rho_be) for every pair."""
+    f = len(x)
+    commutators = (
+        (al, be, linalg.mat_sub(linalg.mat_mul(x[al], x[be]), linalg.mat_mul(x[be], x[al])))
+        for al in range(f) for be in range(al + 1, f)
+    )
+    eigenvectors = (
+        (al, be, eigenvector_residual(x[al], rho[be], a[al]))
+        for al in range(f) for be in range(f)
+    )
+    return commutators, eigenvectors
+
+
 def max_extension_bound(n: int) -> int:
     """Largest number of appended generators: f <= n + 1."""
     if n < 1:
@@ -218,9 +236,6 @@ class ExtensionSpec:
     def x_matrix(self, al: int):
         return [list(row) for row in self.X[al]]
 
-    def rho_vector(self, al: int):
-        return list(self.rho[al])
-
     def dim(self) -> int:
         return 2 * self.n + 1 + self.f
 
@@ -248,13 +263,10 @@ class ExtensionSpec:
         for al in range(f):
             if not symplectic_check(self.x_matrix(al), n):
                 raise SymplecticViolation(f"X_{al + 1} is not in sp({2 * n})")
-        for al in range(f):
-            for be in range(al + 1, f):
-                xa, xb = self.x_matrix(al), self.x_matrix(be)
-                if not linalg.mat_eq(linalg.mat_mul(xa, xb), linalg.mat_mul(xb, xa)):
-                    raise CommutationViolation(
-                        f"X_{al + 1} and X_{be + 1} do not commute"
-                    )
+        commutators, eigenvectors = block_side_conditions(self.a, self.X, self.rho)
+        for al, be, comm in commutators:
+            if not linalg.is_zero_matrix(comm):
+                raise CommutationViolation(f"X_{al + 1} and X_{be + 1} do not commute")
         zero, one = Scalar.zero(), Scalar.one()
         if self.a[0] not in (zero, one):
             raise ANormalizationViolation(f"a_1 must be 0 or 1, got {self.a[0]}")
@@ -269,12 +281,9 @@ class ExtensionSpec:
         else:
             # a = 0: left-right action commutation forces X_al rho_be = 0 for
             # every pair, not only the own-nullspace condition.
-            for al in range(f):
-                for be in range(f):
-                    if not eigenvector_check(self.x_matrix(al), self.rho_vector(be), 0):
-                        raise NullspaceViolation(
-                            f"rho_{be + 1} is not in the nullspace of X_{al + 1}"
-                        )
+            for al, be, residual in eigenvectors:
+                if any(not v.is_zero() for v in residual):
+                    raise NullspaceViolation(f"rho_{be + 1} is not in the nullspace of X_{al + 1}")
         self._validate_nilindependence()
 
     def nilpotent_combination(self, field: str = "R"):

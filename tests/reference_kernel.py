@@ -81,6 +81,12 @@ are the cascade's commutation stage and its side conditions as they ran
 before both read their block reports from one producer: each calls
 block_forms and loops over the generator pairs itself, building the
 X-commutator and eigenvector reports through its own two helpers.
+
+reference_validate is ExtensionSpec.validate as it ran before it read the
+commutators and the eigenvector residuals from
+heisenberg.block_side_conditions: two pair loops of its own, the
+commutators compared as the matrix products X_a X_b and X_b X_a, and each
+(X_a, rho_b) pair checked by eigenvector_check.
 """
 
 import warnings
@@ -113,13 +119,21 @@ from heisenleib.constraints import (
     _param_names,
 )
 from heisenleib.heisenberg import (
+    ANormalizationViolation,
+    CommutationViolation,
+    FBoundViolation,
     NilindependenceUndecidedWarning,
     NilindependenceViolation,
+    NullspaceViolation,
+    SymplecticViolation,
     block_forms,
+    eigenvector_check,
     eigenvector_residual,
     extension_basis_labels,
     extension_basis_rows,
     extract_extension_data,
+    max_extension_bound,
+    symplectic_check,
 )
 from heisenleib.linalg import ShapeError
 from heisenleib.poly import (
@@ -1072,3 +1086,37 @@ def reference_block_side_reports(pa) -> list:
         for be in range(f):
             reports += _reference_eigenvector_report(a, x, rho, al, be)
     return reports
+
+
+def reference_validate(spec) -> None:
+    spec._check_shapes()
+    n, f = spec.n, spec.f
+    if not 1 <= f <= max_extension_bound(n):
+        raise FBoundViolation(f"f = {f} outside 1..{max_extension_bound(n)}")
+    for al in range(f):
+        if not symplectic_check(spec.x_matrix(al), n):
+            raise SymplecticViolation(f"X_{al + 1} is not in sp({2 * n})")
+    for al in range(f):
+        for be in range(al + 1, f):
+            xa, xb = spec.x_matrix(al), spec.x_matrix(be)
+            if not linalg.mat_eq(linalg.mat_mul(xa, xb), linalg.mat_mul(xb, xa)):
+                raise CommutationViolation(f"X_{al + 1} and X_{be + 1} do not commute")
+    zero, one = Scalar.zero(), Scalar.one()
+    if spec.a[0] not in (zero, one):
+        raise ANormalizationViolation(f"a_1 must be 0 or 1, got {spec.a[0]}")
+    for al in range(1, f):
+        if spec.a[al] != zero:
+            raise ANormalizationViolation(f"a_{al + 1} must be 0")
+    if spec.a[0] == one:
+        if any(not v.is_zero() for vec in spec.rho for v in vec):
+            raise ANormalizationViolation("a_1 = 1 forces rho = 0")
+        if any(not v.is_zero() for row in spec.r for v in row):
+            raise ANormalizationViolation("a_1 = 1 forces r = 0")
+    else:
+        for al in range(f):
+            for be in range(f):
+                if not eigenvector_check(spec.x_matrix(al), list(spec.rho[be]), 0):
+                    raise NullspaceViolation(
+                        f"rho_{be + 1} is not in the nullspace of X_{al + 1}"
+                    )
+    spec._validate_nilindependence()

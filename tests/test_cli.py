@@ -5,7 +5,7 @@ import pytest
 from heisenleib import linalg
 from heisenleib.cli import main
 from heisenleib.fileio import algebra_to_doc, extension_spec_to_doc, save_json
-from heisenleib.heisenberg import ExtensionSpec, heisenberg
+from heisenleib.heisenberg import ExtensionSpec, build_extension, heisenberg
 
 
 @pytest.fixture
@@ -198,7 +198,7 @@ def test_catalog_verify_id_over_its_own_fields(capsys):
     status, out = run(capsys, "catalog", "verify", "--id", "H9")
     assert status == 3 and "unknown entry 'H9'; known ids: " in out
     status, out = run(capsys, "catalog", "verify", "--field", "C", "--id", "H1a1R")
-    assert status == 3 and out == "error: 'H1a1R' is not a C-entry\n"
+    assert status == 3 and out == "error: H1a1R is not a C-entry\n"
 
 
 def test_nilradical_command(capsys, tmp_path):
@@ -471,6 +471,29 @@ def test_max_dim_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HEISENLEIB_MAX_DIM", "16")
     status, _ = run(capsys, "verify", str(path))
     assert status == 0
+
+
+@pytest.mark.parametrize("fmt,record", [
+    ("text", "error: dimension 6 exceeds the configured cap 5\n"),
+    ("machine", "error=dimension_6_exceeds_the_configured_cap_5\n"),
+])
+def test_dimension_cap_one_record(capsys, tmp_path, monkeypatch, fmt, record):
+    # dim 6 from each input: H(2) by one generator, as an algebra file, as
+    # a spec file and as the cascade at (n, f) = (2, 1)
+    x = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]]
+    spec = ExtensionSpec.make(2, 1, [0], [x], r=[[1]])
+    algebra, spec_path = str(tmp_path / "alg.json"), str(tmp_path / "spec.json")
+    save_json(algebra, algebra_to_doc(build_extension(spec)))
+    save_json(spec_path, extension_spec_to_doc(spec))
+    monkeypatch.setenv("HEISENLEIB_MAX_DIM", "5")
+    for argv in (["verify", algebra], ["nilradical", spec_path], ["derive", "--n", "2"]):
+        assert run(capsys, *argv, "--format", fmt) == (3, record)
+    # parsing comes first: a malformed file over the cap is a parse error
+    doc = algebra_to_doc(build_extension(spec))
+    doc["constants"][0]["c"] = "one"
+    save_json(algebra, doc)
+    status, out = run(capsys, "verify", algebra, "--format", fmt)
+    assert status == 2 and "constants[0]" in out
 
 
 def test_parser_is_shared_without_leaking_options(capsys):

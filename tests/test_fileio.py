@@ -113,12 +113,6 @@ def test_field_mismatch_is_a_format_error(capsys, tmp_path, command, doc, contex
     assert f"{context}: " in captured.out + captured.err
 
 
-def test_max_dim_guard():
-    doc = algebra_to_doc(heisenberg(3))
-    with pytest.raises(FileFormatError, match="cap"):
-        algebra_from_doc(doc, max_dim=5)
-
-
 def test_extension_spec_roundtrip():
     spec = ExtensionSpec.make(
         1, 2, [1, 0], [[[0, 0], [0, 0]], [[1, 0], [0, -1]]]

@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import pytest
@@ -26,6 +27,7 @@ from heisenleib.heisenberg import (
     block_forms,
     build_extension,
     eigenvector_check,
+    eigenvector_residual,
     extract_extension_data,
     heisenberg,
     heisenberg_subspace,
@@ -156,6 +158,22 @@ class TestValidation:
         spec = ExtensionSpec.make(2, 2, [0, 0], [x1, x2], rho=[[0, 1, 0, 0], [0, 0, 0, 0]])
         with pytest.raises(NullspaceViolation):
             spec.validate()
+
+    def test_a1_one_computes_no_eigenvector_residual(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return eigenvector_residual(*args)
+
+        # the package's name heisenberg is the function, so fetch the module itself
+        module = importlib.import_module("heisenleib.heisenberg")
+        monkeypatch.setattr(module, "eigenvector_residual", counting)
+        ExtensionSpec.make(1, 2, [1, 0], [DIAG, [[2, 0], [0, -2]]]).validate()
+        assert calls == []
+        # the a = 0 branch reads every (X_al, rho_be) pair
+        ExtensionSpec.make(1, 1, [0], [DIAG], r=[[1]]).validate()
+        assert len(calls) == 1
 
     def test_nilpotent_x_rejected(self):
         spec = ExtensionSpec.make(1, 1, [0], [[[0, 0], [0, 0]]], r=[[1]])

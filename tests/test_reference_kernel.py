@@ -26,7 +26,9 @@ nilpotency locus, which reads the real-versus-complex answer off its
 root's field, against the locus with a separate real-root test; and the
 cascade's commutation reports, side conditions and arar reports against
 the stage and side-condition loops that each read the block forms
-themselves."""
+themselves; and ExtensionSpec.validate, which reads its bilinear side
+conditions from heisenberg.block_side_conditions, against the two pair
+loops it ran before."""
 
 import random
 import warnings
@@ -109,6 +111,7 @@ from reference_kernel import (
     reference_sheared,
     reference_sp2_nilpotency_locus,
     reference_subspace_closure_checks,
+    reference_validate,
     reference_validate_nilindependence,
     symplectic_check_by_products,
     vec_add,
@@ -376,6 +379,32 @@ def test_nilindependence_matches_reference(n, f, data):
     spec = ExtensionSpec.make(n, f, a, commuting_xs(data, n, f))
     assert validation_outcome(spec._validate_nilindependence) == validation_outcome(
         lambda: reference_validate_nilindependence(spec)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_matches_reference(n, data):
+    # a in {0, 1}-patterns, X in sp(2n) or one entry off, commuting or
+    # not, and rho and r zero or not
+    f = data.draw(st.integers(1, n + 1))
+    later = st.sampled_from([0, 0, 1])  # a_2.. = 1 is refused before rho is read
+    a = [data.draw(st.integers(0, 1))] + [data.draw(later) for _ in range(f - 1)]
+    xs = commuting_xs(data, n, f) if data.draw(st.booleans()) else [
+        sp_member(data, n) for _ in range(f)
+    ]
+    if data.draw(st.integers(0, 3)) == 0:
+        i, j = data.draw(st.integers(0, 2 * n - 1)), data.draw(st.integers(0, 2 * n - 1))
+        xs[data.draw(st.integers(0, f - 1))][i][j] += data.draw(st.integers(1, 2))
+    ints = st.integers(-1, 1)
+    rho = [[data.draw(ints) for _ in range(2 * n)] if data.draw(st.booleans()) else [0] * (2 * n)
+           for _ in range(f)]
+    r = [[data.draw(ints) for _ in range(f)] if data.draw(st.booleans()) else [0] * f
+         for _ in range(f)]
+    spec = ExtensionSpec.make(n, f, a, xs, rho=rho, r=r)
+    assert validation_outcome(spec.validate) == validation_outcome(
+        lambda: reference_validate(spec)
     )
 
 
