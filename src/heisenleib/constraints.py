@@ -198,7 +198,7 @@ def parametric_extension(n: int, f: int) -> ParamAlgebra:
 
 
 def substitute_tensor(t: StructTensor, bindings: dict) -> StructTensor:
-    """Every entry substituted with one mask and one set of coerced values;
+    """Every entry substituted with one set of bound names and coerced values;
     entries that mention no bound name are kept as they are."""
     return t.map_entries(_Substituter(t.zero, bindings))
 
@@ -637,7 +637,7 @@ class CascadeResult:
 
 
 def _monic(p: PolyQ) -> PolyQ:
-    # the largest packed key is the leading term
+    # the largest monomial key is the leading term
     lead = p.terms[max(p.terms)]
     return p if lead == 1 else p * (1 / Fraction(lead))
 

@@ -6,15 +6,17 @@ Its terms map packed monomial keys to nonzero int or Fraction coefficients
 and the zero polynomial is the empty term map.  The readers sorted_terms,
 as_linear, constant_value and univariate_coefficients return Fractions.
 
-Packed keys follow Monagan & Pearce (CASC 2007): the exponent vector of a
-width-w universe is one int of w + 1 fields of FIELD_BITS = 8 bits, the
-bytes of its big-endian encoding: the total degree on top, then variable 0
-down to variable w - 1.  A monomial product is one int add.  Every field is
-at most the total degree, which every operation keeps at or below
-MAX_DEGREE = 255 (PolyError beyond it), so no field carries into the next.
-Descending int order is the display order, graded lexicographic.  The
-constructor takes and sorted_terms returns exponent tuples; the packing is
-private to this module.
+A monomial key is an int sized by its degree, not by the universe width
+w: variable i is the digit w - i in base w + 1, a monomial with ascending
+indices i_1 <= ... <= i_d has the digits (w - i_1, ..., w - i_d), most
+significant first, and the constant is 0.  Every digit lies in [1, w], so
+a degree-d key lies in [(w+1)^(d-1), (w+1)^d).  Within a degree, the first
+digit where two keys differ is the first variable whose exponents differ,
+and the larger digit (smaller index) has the larger exponent: descending
+int order is graded lexicographic, the display order, and max(terms) is
+the leading term.  No digit carries, but MAX_DEGREE = 255 still bounds the
+total degree (PolyError beyond it), since that bound is public behaviour.
+Exponent tuples go in and out; only _Layout's methods read or write keys.
 
 Only exact rational arithmetic is allowed: these polynomials carry the
 symbolic parameters of the extension derivation.  Square roots enter only
@@ -23,15 +25,15 @@ when solving univariate quadratics, as exact quadratic Scalars.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .scalars import Scalar, rational_is_square, sqrt_as_scalar
 
 Exponent = tuple[int, ...]
 
-FIELD_BITS = 8
-MAX_DEGREE = (1 << FIELD_BITS) - 1
+MAX_DEGREE = 255
 
 
 class PolyError(ValueError):
@@ -47,15 +49,15 @@ class UnsupportedDegreeError(PolyError):
 
 
 class _Layout:
-    """The packing of one universe: name lookup and field positions."""
+    """The encoding of one universe: name lookup and the operations on keys."""
 
     def __init__(self, names: tuple[str, ...]):
         self.names, self.width = names, len(names)
         self.index = {name: i for i, name in enumerate(names)}
         if len(self.index) != self.width:
             raise PolyError(f"repeated indeterminate name in universe {names}")
-        self.shift = FIELD_BITS * self.width  # of the total-degree field
-        self.var_mask = (1 << self.shift) - 1
+        self.base = self.width + 1
+        self.powers = [self.base**d for d in range(MAX_DEGREE)]  # the least key of degree d + 1
 
     def position(self, name: str) -> int:
         try:
@@ -63,30 +65,50 @@ class _Layout:
         except KeyError:
             raise UnknownIndeterminateError(f"unknown indeterminate {name!r}") from None
 
+    def degree(self, key: int) -> int:
+        return bisect_right(self.powers, key)
+
+    def digits(self, key: int) -> list[int]:
+        """The digits of key, least significant (largest index) first."""
+        out = []
+        while key:
+            key, digit = divmod(key, self.base)
+            out.append(digit)
+        return out
+
+    def join(self, digits: list[int]) -> int:
+        """The key of ascending digits, the inverse of digits."""
+        return reduce(lambda key, digit: key * self.base + digit, reversed(digits), 0)
+
     def pack(self, exp) -> int:
         if len(exp) != self.width:
             raise PolyError(f"exponent width {len(exp)} != universe size {self.width}")
         try:
-            return int.from_bytes(bytes((sum(exp), *exp)), "big")
+            exp = bytes((sum(exp), *exp))[1:]  # refuses entries or a total past MAX_DEGREE
         except (TypeError, ValueError):
             bad = f"exponents {tuple(exp)} are not integers >= 0 of total degree <= {MAX_DEGREE}"
             raise PolyError(bad) from None
+        return self.join(sorted(self.width - i for i, e in enumerate(exp) for _ in range(e)))
 
     def unpack(self, key: int) -> Exponent:
-        return tuple(key.to_bytes(self.width + 1, "big")[1:])
+        exp = [0] * self.width
+        for digit in self.digits(key):
+            exp[self.width - digit] += 1
+        return tuple(exp)
 
     def fields(self, key: int) -> list[tuple[int, int]]:
-        """(index, exponent) of the nonzero variable fields, index ascending."""
-        out = []
-        key &= self.var_mask
-        top = self.width - 1
-        while key:
-            f = (key.bit_length() - 1) // FIELD_BITS
-            s = f * FIELD_BITS
-            e = key >> s
-            key ^= e << s
-            out.append((top - f, e))
+        """(index, exponent) of the variables of key, index ascending."""
+        out: list = []
+        for digit in reversed(self.digits(key)):
+            if out and out[-1][0] == self.width - digit:
+                out[-1] = (self.width - digit, out[-1][1] + 1)
+            else:
+                out.append((self.width - digit, 1))
         return out
+
+    def product(self, k1: int, k2: int) -> int:
+        """The key of the product of two monomials: their digits merged."""
+        return self.join(sorted(self.digits(k1) + self.digits(k2)))
 
 
 @lru_cache(maxsize=64)
@@ -127,7 +149,7 @@ def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
     constants) and the degree bound, and a zero factor adds nothing.  Only
     cancelled and Fraction entries are then fixed in place (a rehash each)."""
     layout = like._layout
-    shift = layout.shift
+    base, product, degree, top = layout.base, layout.product, layout.degree, layout.powers[-1]
     out: dict = {}
     get = out.get
     for a, b in pairs:
@@ -140,11 +162,19 @@ def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
         ta, tb = a.terms, b.terms
         if not ta or not tb:
             continue
-        if (max(ta) + max(tb)) >> shift > MAX_DEGREE:
+        m1, m2 = max(ta), max(tb)
+        # a key of degree d is at least base**(d - 1): a small product needs no degrees
+        if m1 * m2 >= top and degree(m1) + degree(m2) > MAX_DEGREE:
             raise PolyError(f"product degree exceeds the bound {MAX_DEGREE}")
         for k1, c1 in ta.items():
             for k2, c2 in tb.items():
-                k = k1 + k2
+                # layout.product, with its cases of degree <= 1 inline
+                if not k1 or not k2:
+                    k = k1 + k2
+                elif k1 < base > k2:
+                    k = k1 * base + k2 if k1 >= k2 else k2 * base + k1
+                else:
+                    k = product(k1, k2)
                 s = get(k)
                 out[k] = c1 * c2 if s is None else s + c1 * c2
     for k in [k for k, c in out.items() if not c or type(c) is not int]:
@@ -187,8 +217,7 @@ class PolyQ:
     @classmethod
     def var(cls, names: tuple[str, ...], name: str) -> PolyQ:
         layout = _layout(tuple(names))
-        field = FIELD_BITS * (layout.width - 1 - layout.position(name))
-        return _poly(layout, {(1 << layout.shift) | (1 << field): 1})
+        return _poly(layout, {layout.width - layout.position(name): 1})
 
     # -- predicates and views ----------------------------------------------
 
@@ -208,7 +237,7 @@ class PolyQ:
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         # the largest key has the largest total degree
-        return max(self.terms) >> self._layout.shift if self.terms else -1
+        return self._layout.degree(max(self.terms)) if self.terms else -1
 
     def used_names(self) -> tuple[str, ...]:
         return _used_names((self,))
@@ -219,7 +248,7 @@ class PolyQ:
         const = Fraction(0)
         coeffs: dict[str, Fraction] = {}
         for key, coeff in self.terms.items():
-            deg = key >> layout.shift
+            deg = layout.degree(key)
             if deg == 0:
                 const = Fraction(coeff)
             elif deg == 1:
@@ -288,7 +317,7 @@ class PolyQ:
 
         Unbound names stay symbolic.  Binding an undeclared name raises
         UnknownIndeterminateError.  One pass over the terms: each key splits
-        into its bound fields and the kept rest, and each value**e is formed
+        into its bound digits and the kept rest, and each value**e is formed
         once per call.
         """
         if not bindings:
@@ -361,13 +390,13 @@ _set_names, _set_terms, _set_layout = (PolyQ.__dict__[slot].__set__ for slot in 
 
 class _Substituter:
     """PolyQ.substitute(bindings) as a function of the polynomial, for
-    polynomials in the universe of `like`.  The bound-field mask, the coerced
+    polynomials in the universe of `like`.  The bound digits, the coerced
     values and their powers (powers[i][e], formed on first use) are kept
     here, however many polynomials follow, and bind grows them in place.  A
-    polynomial with no term in the mask is returned as is."""
+    polynomial with no bound digit in any key is returned as is."""
 
     def __init__(self, like: PolyQ, bindings: dict):
-        self.like, self.layout, self.values, self.mask, self.powers = like, like._layout, {}, 0, {}
+        self.like, self.layout, self.values, self.bound, self.powers = like, like._layout, {}, set(), {}
         for name, value in bindings.items():
             self.bind(name, value)
 
@@ -376,21 +405,20 @@ class _Substituter:
         like, layout = self.like, self.layout
         i = layout.position(name)
         self.values[i] = like._coerce(value) if isinstance(value, PolyQ) else _const(layout, value)
-        self.mask |= MAX_DEGREE << FIELD_BITS * (layout.width - 1 - i)
+        self.bound.add(layout.width - i)
         self.powers.pop(i, None)
 
     def __call__(self, p: PolyQ) -> PolyQ:
-        layout, mask, values = self.layout, self.mask, self.values
+        layout, bound, values = self.layout, self.bound, self.values
         self.like._check_universe(p)
-        hit = [(key, coeff) for key, coeff in p.terms.items() if key & mask]
+        split = [(key, coeff, layout.digits(key)) for key, coeff in p.terms.items()]
+        hit = [(coeff, digits) for _, coeff, digits in split if not bound.isdisjoint(digits)]
         if not hit:
             return p
-        out = {key: coeff for key, coeff in p.terms.items() if not key & mask}
-        for key, coeff in hit:
-            bound = key & mask
-            fields = layout.fields(bound)
-            part = _poly(layout, {key - bound - (sum(e for _, e in fields) << layout.shift): coeff})
-            for i, e in fields:
+        out = {key: coeff for key, coeff, digits in split if bound.isdisjoint(digits)}
+        for coeff, digits in hit:
+            part = _poly(layout, {layout.join([d for d in digits if d not in bound]): coeff})
+            for i, e in layout.fields(layout.join([d for d in digits if d in bound])):
                 powers = self.powers.setdefault(i, {})
                 if e not in powers:
                     powers[e] = values[i] ** e
@@ -401,12 +429,12 @@ class _Substituter:
 
 def _used_names(polys) -> tuple[str, ...]:
     """The names that any of polys (one universe) mentions, in universe
-    order: the union of all their keys, decoded once."""
-    union = 0
+    order: the set of all their digits, decoded once."""
+    used: set = set()
     for p in polys:
-        for key in p.terms:
-            union |= key
-    return tuple(p.names[i] for i, _ in p._layout.fields(union)) if union else ()
+        layout = p._layout
+        used.update(d for key in p.terms for d in layout.digits(key))
+    return tuple(layout.names[layout.width - d] for d in sorted(used, reverse=True))
 
 
 def _const(layout: _Layout, value) -> PolyQ:
@@ -426,10 +454,10 @@ def univariate_coefficients(p: PolyQ) -> tuple[str | None, list[Fraction]]:
         raise PolyError(f"{p} is not univariate (uses {used})")
     if not used:
         return None, [p.constant_value()]
-    # with one indeterminate, a key's degree field is its exponent
+    # with one indeterminate, a key's degree is its exponent
     coeffs = [Fraction(0)] * (p.degree() + 1)
     for key, coeff in p.terms.items():
-        coeffs[key >> p._layout.shift] = Fraction(coeff)
+        coeffs[p._layout.degree(key)] = Fraction(coeff)
     return used[0], coeffs
 
 

@@ -65,11 +65,17 @@ triple contracted on the view, one ring product at a time, and a triple
 is a defect when some coordinate is not the view's zero.
 
 reference_substituter is PolyQ substitution as one closure over a fixed
-binding map, its mask and coerced values built once from the whole map,
-and reference_reduce_binding_map reduces the cascade's bindings with a
-fresh substitution of every other binding per right-hand side and round.
-That is how poly and constraints ran before one substituter grew by bind
-and was rebound as right-hand sides changed.
+binding map, its coerced values built once from the whole map, and
+reference_reduce_binding_map reduces the cascade's bindings with a fresh
+substitution of every other binding per right-hand side and round.  That
+is how poly and constraints ran before one substituter grew by bind and
+was rebound as right-hand sides changed.  The closure reads PolyQ through
+its public operations alone, so it holds under any key encoding.
+
+PackedKeys is the monomial key encoding PolyQ used before its keys were
+sized by degree: the full exponent vector as 8-bit fields of one int under
+a total-degree field, a product as one int add.  The key tests compare
+the order, degrees and products of today's keys against it.
 
 reference_sp2_nilpotency_locus is the sp(2) pair decision as it ran
 before it read the real-versus-complex answer off the field of the root:
@@ -137,13 +143,9 @@ from heisenleib.heisenberg import (
 )
 from heisenleib.linalg import ShapeError
 from heisenleib.poly import (
-    MAX_DEGREE,
     PolyError,
     PolyQ,
     UnknownIndeterminateError,
-    _add_into,
-    _const,
-    _poly,
     quadratic_real_root_exists,
     quadratic_roots,
 )
@@ -991,34 +993,60 @@ class TuplePoly:
 
 
 def reference_substituter(like: PolyQ, bindings: dict):
-    layout = like._layout
+    names = like.names
     values: dict = {}
-    mask = bytearray(layout.width + 1)  # all ones in the bound fields
     for name, value in bindings.items():
-        i = layout.position(name)
-        values[i] = like._coerce(value) if isinstance(value, PolyQ) else _const(layout, value)
-        mask[i + 1] = MAX_DEGREE
-    mask = int.from_bytes(mask, "big")
+        PolyQ.var(names, name)  # an unknown name raises UnknownIndeterminateError
+        values[names.index(name)] = value if isinstance(value, PolyQ) else PolyQ.const(names, value)
     powers: dict = {}
 
     def substitute(p: PolyQ) -> PolyQ:
-        like._check_universe(p)
-        hit = [(key, coeff) for key, coeff in p.terms.items() if key & mask]
-        if not hit:
+        if p.names != names:
+            raise PolyError("polynomials from different indeterminate universes")
+        terms = p.sorted_terms()
+        if not any(exp[i] for exp, _ in terms for i in values):
             return p
-        out = {key: coeff for key, coeff in p.terms.items() if not key & mask}
-        for key, coeff in hit:
-            bound = key & mask
-            fields = layout.fields(bound)
-            part = _poly(layout, {key - bound - (sum(e for _, e in fields) << layout.shift): coeff})
-            for i, e in fields:
-                if (i, e) not in powers:
-                    powers[i, e] = values[i] ** e
-                part = part * powers[i, e]
-            _add_into(out, part.terms.items())
-        return _poly(layout, out)
+        out = PolyQ.zero(names)
+        for exp, coeff in terms:
+            part = PolyQ(names, {tuple(0 if i in values else e for i, e in enumerate(exp)): coeff})
+            for i in sorted(values):
+                if exp[i]:
+                    if (i, exp[i]) not in powers:
+                        powers[i, exp[i]] = values[i] ** exp[i]
+                    part = part * powers[i, exp[i]]
+            out = out + part
+        return out
 
     return substitute
+
+
+class PackedKeys:
+    """Monomial keys as PolyQ packed them before they were sized by degree:
+    the exponent vector of a width-w universe as one int of w + 1 fields of
+    8 bits, the bytes of its big-endian encoding, the total degree on top and
+    then variable 0 down to variable w - 1.  A product is one int add."""
+
+    FIELD_BITS = 8
+
+    def __init__(self, width: int):
+        self.width = width
+        self.shift = self.FIELD_BITS * width  # of the total-degree field
+
+    def pack(self, exp) -> int:
+        return int.from_bytes(bytes((sum(exp), *exp)), "big")
+
+    def unpack(self, key: int) -> tuple:
+        return tuple(key.to_bytes(self.width + 1, "big")[1:])
+
+    def degree(self, key: int) -> int:
+        return key >> self.shift
+
+    def fields(self, key: int) -> list:
+        """(index, exponent) of the nonzero variable fields, index ascending."""
+        return [(i, e) for i, e in enumerate(self.unpack(key)) if e]
+
+    def product(self, k1: int, k2: int) -> int:
+        return k1 + k2
 
 
 def reference_reduce_binding_map(raw: dict) -> dict:

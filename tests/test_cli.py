@@ -334,6 +334,9 @@ def test_derive_machine(capsys):
         # the 504-wide universe, where int and Fraction coefficients mix most
         (3, 4, "0", "0da836e5d42c21eb87814c00bc535a167129eb4dc5085a092d60d8105e184683"),
         (3, 4, "1", "a3f9551f3834776e2dc0b061477233d6c06246e10d317110f006f130ccdfde80"),
+        # the 1,035-wide universe, where keys sized by width were largest
+        (4, 5, "0", "15350ff722729b5f96d2a85ff367e5c2e68796cd2d3e198f640ee5cc33fd1163"),
+        (4, 5, "1", "5a315bcba14ac844450e5732c641271fdcfbc475bb7c6846f6099fd3aa5689ce"),
     ],
 )
 def test_derive_transcript_digest(capsys, n, f, a1, digest):

@@ -1,13 +1,16 @@
 """The packed-monomial PolyQ against the tuple-exponent kernel it replaced.
 
 Every operation is compared with tests/reference_kernel.TuplePoly on
-hypothesis polynomials over a 3-name universe and a 72-name one (whose
-packed keys span many machine words), with exponents up to near the field
-bound.  sympy, where installed, is an independent oracle for products and
-substitution.  The substituter that grows by bind is compared with the
-closure over a fixed binding map that it replaced.
+hypothesis polynomials over universes of 1, 3, 72 and 1,035 names (the
+last is the cascade's at n = 4, f = 5), with exponents up to near the
+degree bound.  sympy, where installed, is an independent oracle for
+products and substitution.  The substituter that grows by bind is compared
+with the closure over a fixed binding map that it replaced, and the keys'
+order, degrees and products with the width-sized keys of
+reference_kernel.PackedKeys.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,11 +27,15 @@ from heisenleib.poly import (
 )
 from heisenleib.scalars import Scalar
 
-from reference_kernel import TuplePoly, reference_substituter
+from reference_kernel import PackedKeys, TuplePoly, reference_substituter
 
+SINGLE = ("t",)
 NARROW = ("u", "v", "w")
 WIDE = tuple(f"x{i}" for i in range(72))
-UNIVERSES = pytest.mark.parametrize("names", [NARROW, WIDE], ids=["width3", "width72"])
+CASCADE = tuple(f"y{i}" for i in range(1035))
+UNIVERSES = pytest.mark.parametrize(
+    "names", [SINGLE, NARROW, WIDE, CASCADE], ids=["width1", "width3", "width72", "width1035"]
+)
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
 
@@ -193,6 +200,59 @@ def test_evaluate_matches(names, data):
         a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
         point[name] = Scalar(a) if d is None else Scalar(a, b, d)
     assert p.evaluate(point) == ref.evaluate(point)
+
+
+@st.composite
+def monomials(draw, names, max_deg):
+    """An exponent tuple of total degree at most max_deg."""
+    exp = [0] * len(names)
+    for i in draw(st.lists(st.integers(0, len(names) - 1), max_size=max_deg)):
+        exp[i] += 1
+    return tuple(exp)
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_key_order_degree_and_lead_match_the_packed_keys(names, data):
+    packed = PackedKeys(len(names))
+    exps = data.draw(st.lists(monomials(names, 4), min_size=1, max_size=8, unique=True))
+    terms = {exp: k + 1 for k, exp in enumerate(exps)}
+    p, ref = pair(names, terms)
+    descending = sorted(exps, key=packed.pack, reverse=True)
+    assert [exp for exp, _ in p.sorted_terms()] == descending
+    assert [exp for exp, _ in ref.sorted_terms()] == descending
+    assert p.degree() == packed.degree(packed.pack(descending[0])) == ref.degree()
+    layout = p._layout
+    assert [layout.fields(k) for k in sorted(p.terms, reverse=True)] == [
+        packed.fields(packed.pack(exp)) for exp in descending
+    ]
+    # the leading term, as constraints._monic reads it
+    assert p.terms[max(p.terms)] == terms[descending[0]]
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_monomial_products_match_the_packed_keys(names, data):
+    packed = PackedKeys(len(names))
+    # degree <= 1 factors, either of them constant, take the inline path
+    low = data.draw(st.booleans())
+    e1 = data.draw(monomials(names, 1 if low else 2))
+    e2 = data.draw(monomials(names, 1 if low else 2))
+    got = PolyQ(names, {e1: 2}) * PolyQ(names, {e2: 3})
+    want = packed.unpack(packed.product(packed.pack(e1), packed.pack(e2)))
+    assert got.sorted_terms() == [(want, 6)]
+    assert got.sorted_terms() == (TuplePoly(names, {e1: 2}) * TuplePoly(names, {e2: 3})).sorted_terms()
+    layout = got._layout
+    assert layout.unpack(layout.product(layout.pack(e1), layout.pack(e2))) == want
+
+
+def test_degree_two_keys_do_not_grow_with_the_width():
+    first, last = PolyQ.var(CASCADE, "y0"), PolyQ.var(CASCADE, "y1034")
+    for p in (first * first, first * last, last * last):
+        (key,) = p.terms
+        assert sys.getsizeof(key) <= 64
 
 
 class TestFieldBound:
