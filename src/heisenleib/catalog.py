@@ -15,7 +15,10 @@ exactly.  Entry ids:
 
 Verification is end to end: build through the validating extension
 builder, check the Leibniz identity, the Lie/non-Lie flag, the displayed
-matrices, the nilradical certificate, and the dimension bound.
+matrices, the nilradical certificate, and the dimension bound.  An
+entry's build_displays is hand-written on purpose, not built through
+heisenberg.action_display: it states the paper's matrices independently,
+so the display check does not compare that writer with itself.
 Condensation witnesses exhibit the real-to-complex collapses as explicit
 change-of-basis matrices over Q(i) that map tensors to tensors exactly.
 """

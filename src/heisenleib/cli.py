@@ -66,9 +66,10 @@ class Output:
 
     def record(self, text: str, **fields):
         if self.fmt == "machine":
-            # record values may not contain spaces, or the line format breaks
+            # a space in a value would split a field, and a line break the record
             body = " ".join(
-                f"{k}={str(fields[k]).replace(' ', '_')}" for k in fields
+                k + "=" + str(v).replace(" ", "_").replace("\n", "_").replace("\r", "_")
+                for k, v in fields.items()
             )
             self.lines.append(body)
         else:

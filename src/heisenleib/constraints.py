@@ -3,8 +3,9 @@
 parametric_extension builds the fully generic extension of H(n) by f
 elements: the Heisenberg products are numeric, every entry of the generic
 left/right action matrices (a, b, sigma, tau, gamma, rho, A..N) and of
-[S_a, S_b] = r H + mu P + nu B is its own indeterminate.  The cascade then
-replays the derivation:
+[S_a, S_b] = r H + mu P + nu B is its own indeterminate; its displays
+come from heisenberg.action_display.  The cascade then replays the
+derivation:
 
     gamma_eliminate -> jacobi table -> annihilator products -> commutation
     -> the S1-triple identity on r (arar)
@@ -46,8 +47,8 @@ from itertools import product
 from . import linalg
 from .algebra import StructTensor
 from .heisenberg import (
-    block_forms, block_side_conditions, extension_basis_rows, extension_shear,
-    extension_tensor, left_action_display, max_extension_bound,
+    action_display, block_forms, block_side_conditions, extension_basis_rows,
+    extension_shear, extension_tensor, left_action_display, max_extension_bound,
 )
 from .poly import PolyQ, _Substituter, _used_names
 
@@ -166,17 +167,13 @@ def parametric_extension(n: int, f: int) -> ParamAlgebra:
     def var(*parts) -> PolyQ:
         return PolyQ.var(names, "_".join(map(str, parts)))
 
+    def vec(bases, *parts) -> list:
+        # a (P, B)-vector: base_parts_1..base_parts_n for each base in turn
+        return [var(base, *parts, j) for base in bases for j in indices]
+
     def display(al, corner, top, sides, blocks, diag) -> list:
-        # ((corner, top), (sides, blocks)), then diag added on the (P, B) diagonal
-        rows = [[corner] + [var(base, al, j) for base in top for j in indices]]
-        rows += [
-            [var(side, al, i)] + [var(base, al, i, j) for base in pair for j in indices]
-            for side, pair in zip(sides, blocks)
-            for i in indices
-        ]
-        for u in range(1, 2 * n + 1):
-            rows[u][u] = diag + rows[u][u]
-        return rows
+        rows = [vec(pair, al, i) for pair in blocks for i in indices]
+        return action_display(corner, vec(top, al), vec(sides, al), rows, diag)
 
     left, right = [], []
     for al in range(1, f + 1):
@@ -186,11 +183,7 @@ def parametric_extension(n: int, f: int) -> ParamAlgebra:
         right.append(display(al, 2 * b, ("tau1", "tau2"), ("rho1", "rho2"),
                              (("F", "G"), ("M", "N")), b))
     ss = [
-        [
-            [var("r", al, be)]
-            + [var(base, al, be, i) for base in ("mu", "nu") for i in indices]
-            for be in range(1, f + 1)
-        ]
+        [[var("r", al, be)] + vec(("mu", "nu"), al, be) for be in range(1, f + 1)]
         for al in range(1, f + 1)
     ]
     tensor = extension_tensor(n, f, left, right, ss, zero=PolyQ.zero(names))
@@ -289,26 +282,23 @@ def _jacobi_reports(pa: ParamAlgebra, triples=None):
         )
 
 
-_TABLE_ROWS = {
-    ("S", "P", "H"): "sigma2=0",
-    ("S", "B", "H"): "sigma1=0",
-    ("P", "H", "S"): "tau2=0",
-    ("B", "H", "S"): "tau1=0",
-    ("S", "P", "P"): "C=C^T",
-    ("S", "B", "B"): "D=D^T",
-    ("S", "B", "P"): "E=-A^T",
-    ("S", "S", "P"): "nu=0",
-    ("S", "S", "B"): "mu=0",
+# The kind triples of the derivation's nine-row Jacobi table; what each forces
+_TABLE_KINDS = {
+    ("S", "P", "H"),  # sigma2 = 0
+    ("S", "B", "H"),  # sigma1 = 0
+    ("P", "H", "S"),  # tau2 = 0
+    ("B", "H", "S"),  # tau1 = 0
+    ("S", "P", "P"),  # C = C^T
+    ("S", "B", "B"),  # D = D^T
+    ("S", "B", "P"),  # E = -A^T
+    ("S", "S", "P"),  # nu = 0
+    ("S", "S", "B"),  # mu = 0
 }
-
-
-def table_row(pa: ParamAlgebra, i: int, j: int, k: int) -> str | None:
-    return _TABLE_ROWS.get(tuple(_label(pa, x)[0] for x in (i, j, k)))
 
 
 def table_triples(pa: ParamAlgebra) -> list:
     triples = product(range(pa.tensor.dim), repeat=3)
-    return [ijk for ijk in triples if table_row(pa, *ijk) is not None]
+    return [ijk for ijk in triples if tuple(_label(pa, x)[0] for x in ijk) in _TABLE_KINDS]
 
 
 # -- extraction ---------------------------------------------------------------

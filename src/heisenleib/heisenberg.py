@@ -14,18 +14,18 @@ lists the coefficients of the bracket of S with the i-th basis element.
 Built tensors use the basis order (S_1..S_f, H, P_1..P_n, B_1..B_n).
 build_extension validates every side condition eagerly and refuses
 invalid data rather than assembling a non-Leibniz product.  This module
-alone knows that layout.  extension_tensor is the one writer: it turns
-the left and right action display matrices and the [S, S] vectors into
-structure constants, for H(n), every spec tensor and the generic tensor
-of the symbolic constraint cascade alike; extension_basis_rows places a
-block-diagonal change of basis in the same order, and extension_shear
-rewrites a tensor, Scalar or PolyQ, in the sheared basis S~ = S + v with
-v in the nilradical (the cascade's gamma elimination and H-shear, each
-checked where it is used).  block_forms is the one reader of the block
-form: it reads (a, X, rho, r) back from a tensor with Scalar or PolyQ
-entries, for extract_extension_data and for the cascade alike.
-block_side_conditions is the one statement of the bilinear side
-conditions [X_a, X_b] = 0 and (X_a - a_a I) rho_b = 0, which
+alone knows that layout.  action_display and extension_tensor are the
+one writer, for every spec tensor and the cascade's generic tensor alike:
+the first writes a display from its blocks, the second turns the left and
+right displays and the [S, S] vectors into structure constants.
+extension_basis_rows places a block-diagonal change of basis in the same
+order, and extension_shear rewrites a tensor, Scalar or PolyQ, in the
+sheared basis S~ = S + v with v in the nilradical (the cascade's gamma
+elimination and H-shear, each checked where it is used).  block_forms is
+the one reader of the block form: it reads (a, X, rho, r) back from a
+tensor with Scalar or PolyQ entries, for extract_extension_data and for
+the cascade alike.  block_side_conditions is the one statement of the
+bilinear side conditions [X_a, X_b] = 0 and (X_a - a_a I) rho_b = 0, which
 ExtensionSpec.validate and the cascade's side conditions both read.
 """
 
@@ -348,21 +348,26 @@ class ExtensionSpec:
             )
 
 
+def action_display(corner, top, sides, blocks, diag) -> list:
+    """The action display ((corner, top), (sides, blocks)) on (H, P, B) with
+    diag added on the (P, B) diagonal, for entries of any one kind."""
+    rows = [[corner, *top]] + [[side, *row] for side, row in zip(sides, blocks)]
+    for u in range(1, len(rows)):
+        rows[u][u] = diag + rows[u][u]
+    return rows
+
+
 def assemble_extension(spec: ExtensionSpec) -> StructTensor:
     """Assemble the tensor without validation (test hook; prefer
     build_extension): L_S = diag(2a, aI + X), R_S = ((-2a, 0), (rho,
     -(aI + X))) and [S_al, S_be] = r_ab H."""
     spec._check_shapes()
-    zero, two = Scalar.zero(), Scalar.rational(2)
-    pad = [zero] * (2 * spec.n)
-    left, right = [], []
-    for a, x, rho in zip(spec.a, spec.X, spec.rho):
-        ax = [[v + a if u == w else v for w, v in enumerate(row)]
-              for u, row in enumerate(x)]
-        left.append([[two * a] + pad] + [[zero] + row for row in ax])
-        right.append(
-            [[-(two * a)] + pad] + [[c] + [-v for v in row] for c, row in zip(rho, ax)]
-        )
+    pad = [Scalar.zero()] * (2 * spec.n)
+    left = [action_display(2 * a, pad, pad, x, a) for a, x in zip(spec.a, spec.X)]
+    right = [
+        action_display(-2 * a, pad, rho, linalg.mat_scale(x, -1), -a)
+        for a, x, rho in zip(spec.a, spec.X, spec.rho)
+    ]
     ss = [[[r] + pad for r in row] for row in spec.r]
     return extension_tensor(spec.n, spec.f, left, right, ss)
 
@@ -382,14 +387,14 @@ def heisenberg_subspace(n: int, f: int) -> Subspace:
 def left_action_display(t: StructTensor, n: int, f: int, al: int):
     """The (2n+1)x(2n+1) matrix of [S_al, -] in display form: row i holds the
     (H, P, B)-coefficients of the bracket with the i-th nilradical element."""
-    return _action_display(t, n, f, al, left=True)
+    return _read_display(t, n, f, al, left=True)
 
 
 def right_action_display(t: StructTensor, n: int, f: int, al: int):
-    return _action_display(t, n, f, al, left=False)
+    return _read_display(t, n, f, al, left=False)
 
 
-def _action_display(t: StructTensor, n: int, f: int, al: int, left: bool):
+def _read_display(t: StructTensor, n: int, f: int, al: int, left: bool):
     if t.dim != 2 * n + 1 + f:
         raise ShapeError("tensor dimension does not match (n, f)")
     if not 0 <= al < f:

@@ -29,7 +29,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .scalars import Scalar, rational_is_square, sqrt_as_scalar
+from .scalars import Scalar, sqrt_as_scalar
 
 Exponent = tuple[int, ...]
 
@@ -511,5 +511,4 @@ __all__ = [
     "univariate_coefficients",
     "quadratic_real_root_exists",
     "quadratic_roots",
-    "rational_is_square",
 ]

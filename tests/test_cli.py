@@ -499,6 +499,19 @@ def test_dimension_cap_one_record(capsys, tmp_path, monkeypatch, fmt, record):
     assert status == 2 and "constants[0]" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("brk", ["\n", "\r"])
+def test_line_break_in_a_value_keeps_one_record(capsys, tmp_path, fmt, brk):
+    path = str(tmp_path / f"bad{brk}name=x.json")
+    status, out = run(capsys, "verify", path, "--format", fmt)
+    assert status == 2
+    if fmt == "machine":
+        assert len(out.splitlines()) == 1 and out.startswith("error=")
+        assert "bad_name=x.json:_No_such_file" in out
+    else:
+        assert f"bad{brk}name=x.json: No such file" in out
+
+
 def test_parser_is_shared_without_leaking_options(capsys):
     from heisenleib import cli
 

@@ -23,6 +23,7 @@ from heisenleib.heisenberg import (
     NilindependenceViolation,
     NullspaceViolation,
     SymplecticViolation,
+    action_display,
     assemble_extension,
     block_forms,
     build_extension,
@@ -37,6 +38,7 @@ from heisenleib.heisenberg import (
     symplectic_check,
 )
 from heisenleib.linalg import smat, svec
+from heisenleib.poly import PolyQ
 from heisenleib.scalars import Scalar
 
 from reference_kernel import is_zero_vector
@@ -410,6 +412,46 @@ def _with_strays(spec, strays):
     for key in strays:
         constants[key] = Scalar.one()
     return StructTensor(t.dim, constants, basis_labels=t.basis_labels)
+
+
+class TestActionDisplay:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_spec_displays_come_from_the_blocks(self, n):
+        # unvalidated data with every block nonzero, so no entry hides; the
+        # expected displays are written out here, not through the writer
+        m, f = 2 * n, 2
+        x = [[[10 * al + m * u + w + 1 for w in range(m)] for u in range(m)] for al in range(f)]
+        rho = [[al - u - 1 for u in range(m)] for al in range(f)]
+        spec = ExtensionSpec.make(n, f, ["1/2", -3], x, rho=rho, r=[[1, 2], [3, 4]])
+        t = assemble_extension(spec)
+        zero = Scalar.zero()
+        zeros = [zero] * m
+        for al, (a, xa, rho_a) in enumerate(zip(spec.a, spec.X, spec.rho)):
+            ax = [[v + a if u == w else v for w, v in enumerate(row)] for u, row in enumerate(xa)]
+            left = [[2 * a] + zeros] + [[zero] + row for row in ax]
+            right = [[-2 * a] + zeros] + [
+                [c] + [-v for v in row] for c, row in zip(rho_a, ax)
+            ]
+            minus_x = [[-v for v in row] for row in xa]
+            assert left_action_display(t, n, f, al) == left
+            assert action_display(2 * a, zeros, zeros, xa, a) == left
+            assert right_action_display(t, n, f, al) == right
+            assert action_display(-2 * a, zeros, rho_a, minus_x, -a) == right
+
+    def test_diag_lands_on_the_pb_diagonal_only(self):
+        m = 4
+        names = tuple(f"e{u}{w}" for u in range(m + 1) for w in range(m + 1)) + ("d",)
+        entry = [[PolyQ.var(names, f"e{u}{w}") for w in range(m + 1)] for u in range(m + 1)]
+        diag = PolyQ.var(names, "d")
+        blocks = [row[1:] for row in entry[1:]]
+        rows = action_display(
+            entry[0][0], entry[0][1:], [row[0] for row in entry[1:]], blocks, diag
+        )
+        assert rows == [
+            [v + diag if u == w >= 1 else v for w, v in enumerate(row)]
+            for u, row in enumerate(entry)
+        ]
+        assert blocks == [row[1:] for row in entry[1:]]  # the inputs are not written
 
 
 class TestMubarakzjanovBound:
