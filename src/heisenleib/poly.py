@@ -17,6 +17,9 @@ int order is graded lexicographic, the display order, and max(terms) is
 the leading term.  No digit carries, but MAX_DEGREE = 255 still bounds the
 total degree (PolyError beyond it), since that bound is public behaviour.
 Exponent tuples go in and out; only _Layout's methods read or write keys.
+digits, touching, add_digits, linear and words read a degree <= 2 key with
+no loop: 0 is the constant, a key below base is its own digit, one below
+base**2 is divmod(key, base).  The last four loop over a whole term map.
 
 Only exact rational arithmetic is allowed: these polynomials carry the
 symbolic parameters of the extension derivation.  Square roots enter only
@@ -28,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import groupby
 
 from .scalars import Scalar, sqrt_as_scalar
 
@@ -70,6 +74,10 @@ class _Layout:
 
     def digits(self, key: int) -> list[int]:
         """The digits of key, least significant (largest index) first."""
+        if key < self.base:
+            return [key] if key else []
+        if key < self.powers[2]:
+            return list(divmod(key, self.base))[::-1]
         out = []
         while key:
             key, digit = divmod(key, self.base)
@@ -98,17 +106,54 @@ class _Layout:
 
     def fields(self, key: int) -> list[tuple[int, int]]:
         """(index, exponent) of the variables of key, index ascending."""
-        out: list = []
-        for digit in reversed(self.digits(key)):
-            if out and out[-1][0] == self.width - digit:
-                out[-1] = (self.width - digit, out[-1][1] + 1)
-            else:
-                out.append((self.width - digit, 1))
-        return out
+        runs = groupby(reversed(self.digits(key)))
+        return [(self.width - digit, len(list(run))) for digit, run in runs]
 
     def product(self, k1: int, k2: int) -> int:
         """The key of the product of two monomials: their digits merged."""
         return self.join(sorted(self.digits(k1) + self.digits(k2)))
+
+    def touching(self, keys, bound: set) -> dict:
+        """{key: digits} for the keys with a digit in bound."""
+        base, square, hit = self.base, self.powers[2], {}
+        for key in keys:
+            if key < base:
+                if key in bound:
+                    hit[key] = [key]
+            elif key < square:
+                high, low = divmod(key, base)
+                if high in bound or low in bound:
+                    hit[key] = [low, high]
+            elif not bound.isdisjoint(digits := self.digits(key)):
+                hit[key] = digits
+        return hit
+
+    def add_digits(self, keys, used: set) -> None:
+        """Add the digits of every key to used, and 0 for a key of degree <= 1."""
+        base, square = self.base, self.powers[2]
+        for key in keys:
+            used.update(divmod(key, base) if key < square else self.digits(key))
+
+    def linear(self, terms: dict):
+        """(constant, {name: coefficient}) of a term map of degree <= 1, else None."""
+        if terms and max(terms) >= self.base:
+            return None
+        names, w = self.names, self.width
+        return Fraction(terms.get(0, 0)), {names[w - k]: Fraction(c) for k, c in terms.items() if k}
+
+    def words(self, keys) -> list[str]:
+        """The text of each monomial, "" for the constant: x, x^2, x*y."""
+        base, square, names, w, out = self.base, self.powers[2], self.names, self.width, []
+        for key in keys:
+            if key < base:
+                out.append(names[w - key] if key else "")
+            elif key < square:
+                high, low = divmod(key, base)
+                out.append(names[w - high] + ("^2" if high == low else "*" + names[w - low]))
+            else:
+                fields = self.fields(key)
+                out.append("*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in fields))
+        return out
 
 
 @lru_cache(maxsize=64)
@@ -244,19 +289,7 @@ class PolyQ:
 
     def as_linear(self) -> tuple[Fraction, dict[str, Fraction]] | None:
         """Return (constant, {name: coeff}) when total degree <= 1, else None."""
-        layout = self._layout
-        const = Fraction(0)
-        coeffs: dict[str, Fraction] = {}
-        for key, coeff in self.terms.items():
-            deg = layout.degree(key)
-            if deg == 0:
-                const = Fraction(coeff)
-            elif deg == 1:
-                ((i, _),) = layout.fields(key)
-                coeffs[self.names[i]] = Fraction(coeff)
-            else:
-                return None
-        return const, coeffs
+        return self._layout.linear(self.terms)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -354,7 +387,9 @@ class PolyQ:
         return (self.names is other.names or self.names == other.names) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.names, frozenset(self.terms.items())))
+        # a constant equals its value, so it hashes as its value
+        terms = self.terms
+        return hash(terms.get(0, 0) if not any(terms) else (self.names, frozenset(terms.items())))
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """(exponent tuple, coefficient) in descending graded-lexicographic order."""
@@ -364,13 +399,9 @@ class PolyQ:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        fields = self._layout.fields
-        names = self.names
+        items = sorted(self.terms.items(), reverse=True)
         parts: list[str] = []
-        for key, coeff in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                names[i] if e == 1 else f"{names[i]}^{e}" for i, e in fields(key)
-            )
+        for (_, coeff), mono in zip(items, self._layout.words([key for key, _ in items])):
             if not mono:
                 body = str(coeff)
             elif coeff in (1, -1):
@@ -411,13 +442,12 @@ class _Substituter:
     def __call__(self, p: PolyQ) -> PolyQ:
         layout, bound, values = self.layout, self.bound, self.values
         self.like._check_universe(p)
-        split = [(key, coeff, layout.digits(key)) for key, coeff in p.terms.items()]
-        hit = [(coeff, digits) for _, coeff, digits in split if not bound.isdisjoint(digits)]
+        hit = layout.touching(p.terms, bound)
         if not hit:
             return p
-        out = {key: coeff for key, coeff, digits in split if bound.isdisjoint(digits)}
-        for coeff, digits in hit:
-            part = _poly(layout, {layout.join([d for d in digits if d not in bound]): coeff})
+        out = {key: coeff for key, coeff in p.terms.items() if key not in hit}
+        for key, digits in hit.items():
+            part = _poly(layout, {layout.join([d for d in digits if d not in bound]): p.terms[key]})
             for i, e in layout.fields(layout.join([d for d in digits if d in bound])):
                 powers = self.powers.setdefault(i, {})
                 if e not in powers:
@@ -433,8 +463,8 @@ def _used_names(polys) -> tuple[str, ...]:
     used: set = set()
     for p in polys:
         layout = p._layout
-        used.update(d for key in p.terms for d in layout.digits(key))
-    return tuple(layout.names[layout.width - d] for d in sorted(used, reverse=True))
+        layout.add_digits(p.terms, used)
+    return tuple(layout.names[layout.width - d] for d in sorted(used, reverse=True) if d)
 
 
 def _const(layout: _Layout, value) -> PolyQ:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -534,3 +535,42 @@ def test_reduce_binding_map_matches_the_per_rhs_reducer(monkeypatch, n, f, branc
         got, want = reduce(dict(raw)), reference_reduce_binding_map(dict(raw))
         assert got == want and list(got) == list(want)
         assert [str(p) for p in got.values()] == [str(p) for p in want.values()]
+
+
+def reference_annotate_forced(reports, bindings) -> list:
+    """annotate_forced through public PolyQ readers only: each report's
+    names decoded from the exponent tuples of sorted_terms()."""
+    bound = dict(bindings)
+    out = []
+    for report in reports:
+        used = {
+            poly.names[i]
+            for _, poly in report.residual_polys
+            for exp, _ in poly.sorted_terms()
+            for i, e in enumerate(exp)
+            if e
+        }
+        forced = tuple(sorted((name, bound[name]) for name in used if name in bound))
+        out.append(dataclasses.replace(report, forced=forced))
+    return out
+
+
+@pytest.mark.parametrize("n,f", [(2, 2), (3, 4)])
+@pytest.mark.parametrize("branch", [1, 0])
+def test_annotate_forced_matches_a_reference(monkeypatch, n, f, branch):
+    """Every report the cascade annotates carries the forced bindings that a
+    decoding of its residuals through sorted_terms() gives."""
+    seen = []
+    annotate = constraints.annotate_forced
+
+    def recording(reports, bindings):
+        out = annotate(reports, bindings)
+        seen.append((list(reports), list(bindings), out))
+        return out
+
+    monkeypatch.setattr(constraints, "annotate_forced", recording)
+    run_cascade(n, f, branch=branch)
+    assert len(seen) == 3  # jacobi, annihilator, arar
+    assert any(report.forced for _, _, out in seen for report in out)
+    for reports, bindings, out in seen:
+        assert out == reference_annotate_forced(reports, bindings)

@@ -107,6 +107,16 @@ def test_structural_equality_commutes():
     assert p == q and hash(p) == hash(q)
 
 
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 3), Fraction(-7, 2), Fraction(4, 2)])
+def test_constant_hashes_as_the_value_it_equals(value):
+    for names in (("x",), NAMES):
+        p = PolyQ.const(names, value)
+        assert p == value and hash(p) == hash(value)
+        assert {value: "found"}.get(p) == "found"
+        assert {p: "found"}.get(value) == "found"
+    assert hash(PolyQ.zero(NAMES)) == hash(0)
+
+
 def test_as_linear():
     p = var("a") * Fraction(2) - var("b") + PolyQ.const(NAMES, 5)
     const, coeffs = p.as_linear()

@@ -7,7 +7,9 @@ degree bound.  sympy, where installed, is an independent oracle for
 products and substitution.  The substituter that grows by bind is compared
 with the closure over a fixed binding map that it replaced, and the keys'
 order, degrees and products with the width-sized keys of
-reference_kernel.PackedKeys.
+reference_kernel.PackedKeys.  A second strategy draws polynomials of degree
+at most 3, half of whose monomials sit at the thresholds where the keys'
+direct decoding of degree <= 2 changes case.
 """
 
 import sys
@@ -187,6 +189,92 @@ def test_rebinding_drops_the_cached_powers():
     assert got == 8 and type(got.terms[0]) is int
     # the other name's cached power is kept and still right
     assert sub(v**2) == 4
+
+
+def threshold_monomials(names):
+    """The exponents of the keys on either side of the degree thresholds:
+    0 (the constant), base - 1 (the first name), base + 1 (the last name
+    squared, the least key of degree 2), base**2 - 1 (the first name
+    squared) and base**2 + base + 1 (the last name cubed, the least key of
+    degree 3).  base and base**2 themselves have the digit 0, which no key
+    has."""
+    def mono(*indices):
+        exp = [0] * len(names)
+        for i in indices:
+            exp[i] += 1
+        return tuple(exp)
+
+    last = len(names) - 1
+    return [mono(), mono(0), mono(last, last), mono(0, 0), mono(last, last, last)]
+
+
+@st.composite
+def low_degree_maps(draw, names, max_terms=6):
+    """{exponent tuple: coefficient} of total degree at most 3, about half of
+    the monomials drawn from threshold_monomials."""
+    edges = st.sampled_from(threshold_monomials(names))
+    exps = draw(st.lists(st.one_of(edges, monomials(names, 3)), max_size=max_terms))
+    return {exp: draw(coeffs) for exp in exps}
+
+
+@UNIVERSES
+def test_threshold_monomials_sit_at_the_thresholds(names):
+    layout, base = PolyQ.zero(names)._layout, len(names) + 1
+    keys = [layout.pack(exp) for exp in threshold_monomials(names)]
+    assert keys == [0, base - 1, base + 1, base**2 - 1, base**2 + base + 1]
+    assert [layout.degree(key) for key in keys] == [0, 1, 2, 2, 3]
+    terms = {exp: k + 1 for k, exp in enumerate(threshold_monomials(names))}
+    assert_same(*pair(names, terms))
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_low_degree_views_match(names, data):
+    terms = data.draw(low_degree_maps(names))
+    p, ref = pair(names, terms)
+    assert_same(p, ref)
+    layout, packed = p._layout, PackedKeys(len(names))
+    for exp in terms:
+        key = layout.pack(exp)
+        assert layout.unpack(key) == exp
+        assert layout.fields(key) == packed.fields(packed.pack(exp))
+        assert layout.degree(key) == packed.degree(packed.pack(exp))
+
+
+@UNIVERSES
+@pytest.mark.parametrize("kind", ["rational", "polynomial"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_low_degree_substitute_matches(names, kind, data):
+    p, ref = pair(names, data.draw(low_degree_maps(names)))
+    pool = sorted({names[0], names[-1], *p.used_names()})
+    values, ref_values = {}, {}
+    for name in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)):
+        if kind == "rational":
+            values[name] = ref_values[name] = data.draw(st.fractions(-3, 3, max_denominator=3))
+        else:
+            values[name], ref_values[name] = pair(names, data.draw(low_degree_maps(names, 3)))
+    assert_same(p.substitute(values), ref.substitute(ref_values))
+
+
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_low_degree_growing_substituter_matches(names, data):
+    terms = [data.draw(low_degree_maps(names)) for _ in range(3)]
+    pool = (names[0], names[-1])  # the digits w and 1, at the thresholds' edges
+    sub, bound = _Substituter(PolyQ.zero(names), {}), {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        name = data.draw(st.sampled_from(pool))
+        if data.draw(st.booleans()):
+            bound[name] = data.draw(st.fractions(-3, 3, max_denominator=3))
+        else:
+            bound[name] = TuplePoly(names, data.draw(low_degree_maps(names, 3)))
+        value = bound[name]
+        sub.bind(name, PolyQ(names, value.terms) if isinstance(value, TuplePoly) else value)
+        for t in terms:
+            assert_same(sub(PolyQ(names, t)), TuplePoly(names, t).substitute(bound))
 
 
 @UNIVERSES
