@@ -4,8 +4,8 @@ Algebra files:
     {"dim": n, "basis": [labels], "field": "Q" | {"sqrt": d},
      "constants": [{"i": i, "j": j, "k": k, "c": "p/q"}, ...]}
 listing only the nonzero c_ijk with zero-based indices and scalar strings
-in the exact-scalar text format.  The field tag's d obeys the same bound
-as the text format's, |d| <= scalars.MAX_SQRT_D.
+in the exact-scalar text format.  The field tag's d passes the same check
+as a d in that text, scalars.check_input_d.
 
 Extension-spec files:
     {"n": n, "f": f, "a": [...], "X": [[4n^2 row-major entries], ...],
@@ -20,7 +20,7 @@ import json
 from .algebra import StructTensor
 from .heisenberg import ExtensionSpec
 from .scalars import (
-    MAX_SQRT_D, IncompatibleFieldError, Scalar, ScalarParseError, common_field, is_squarefree,
+    IncompatibleFieldError, Scalar, ScalarError, ScalarParseError, check_input_d, common_field,
 )
 
 
@@ -70,12 +70,10 @@ def _check_field(value, scalars, context: str) -> None:
         d = value["sqrt"]
         if not _is_int(d):
             raise FileFormatError("sqrt tag must be an integer", context)
-        if abs(d) > MAX_SQRT_D:
-            raise FileFormatError(f"sqrt tag must have |d| <= {MAX_SQRT_D}", context)
-        if d in (0, 1) or not is_squarefree(d):
-            raise FileFormatError(
-                f"sqrt tag must be squarefree and not 0 or 1, got {d}", context
-            )
+        try:
+            check_input_d(d)
+        except ScalarError as exc:
+            raise FileFormatError(f"sqrt tag: {exc}", context) from None
     else:
         raise FileFormatError(f"bad field tag {value!r}", context)
     found = _file_field(scalars, context)

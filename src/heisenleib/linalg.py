@@ -1,8 +1,9 @@
 """Exact linear algebra over Scalar entries.
 
 Matrices are lists of row lists.  Ring operations (mat_mul, mat_add, ...)
-are duck-typed and also work on PolyQ entries (mat_mul hands each PolyQ
-entry's products to poly's one sum of products); anything that divides
+are duck-typed and also work on PolyQ entries (mat_mul, and mat_vec
+through it, hands each PolyQ entry's products to poly's one sum of
+products); anything that divides
 (rref, rank, nullspace, inverse, det) requires Scalar entries, which form
 a field.
 
@@ -110,13 +111,7 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     ra, ca = shape(a)
     if ca != len(v):
         raise ShapeError(f"cannot apply {ra}x{ca} to length-{len(v)} vector")
-    out = []
-    for i in range(ra):
-        acc = a[i][0] * v[0]
-        for k in range(1, ca):
-            acc = acc + a[i][k] * v[k]
-        out.append(acc)
-    return out
+    return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -61,7 +61,7 @@ class _Layout:
         if len(self.index) != self.width:
             raise PolyError(f"repeated indeterminate name in universe {names}")
         self.base = self.width + 1
-        self.powers = [self.base**d for d in range(MAX_DEGREE)]  # the least key of degree d + 1
+        self.powers = [self.base**d for d in range(MAX_DEGREE + 1)]  # the least key of degree d + 1
 
     def position(self, name: str) -> int:
         try:
@@ -191,10 +191,12 @@ def _add_into(out: dict, items) -> None:
 def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
     """Sum of a * b over (a, b) pairs in one term map, in the universe of
     `like`; every pair is checked for its universe (ints and Fractions are
-    constants) and the degree bound, and a zero factor adds nothing.  Only
-    cancelled and Fraction entries are then fixed in place (a rehash each)."""
+    constants), and a zero factor adds nothing.  The degree bound is checked
+    once, on the largest key before cancelled entries go: a pair past it
+    leaves its leading product's key there.  Only cancelled and Fraction
+    entries are then fixed in place (a rehash each)."""
     layout = like._layout
-    base, product, degree, top = layout.base, layout.product, layout.degree, layout.powers[-1]
+    base, product = layout.base, layout.product
     out: dict = {}
     get = out.get
     for a, b in pairs:
@@ -207,10 +209,6 @@ def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
         ta, tb = a.terms, b.terms
         if not ta or not tb:
             continue
-        m1, m2 = max(ta), max(tb)
-        # a key of degree d is at least base**(d - 1): a small product needs no degrees
-        if m1 * m2 >= top and degree(m1) + degree(m2) > MAX_DEGREE:
-            raise PolyError(f"product degree exceeds the bound {MAX_DEGREE}")
         for k1, c1 in ta.items():
             for k2, c2 in tb.items():
                 # layout.product, with its cases of degree <= 1 inline
@@ -222,6 +220,9 @@ def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
                     k = product(k1, k2)
                 s = get(k)
                 out[k] = c1 * c2 if s is None else s + c1 * c2
+    # powers[MAX_DEGREE] is the least key of degree MAX_DEGREE + 1
+    if out and max(out) >= layout.powers[MAX_DEGREE]:
+        raise PolyError(f"product degree exceeds the bound {MAX_DEGREE}")
     for k in [k for k, c in out.items() if not c or type(c) is not int]:
         if out[k]:
             out[k] = _normal(out[k])

@@ -10,12 +10,17 @@ Only one quadratic extension is in play at a time: combining scalars with
 two different d values raises IncompatibleFieldError.  Rationals promote
 silently into whatever extension they meet.
 
-Text format (used by the CLI file formats): "p/q" for rationals and
-"p/q+r/s*sqrt(d)" for quadratics, minus signs inline, no whitespace.  The
-"/q" may be left out.  So that parsing text has a bounded cost, every
-integer in it has at most MAX_TEXT_DIGITS digits and |d| is at most
-MAX_SQRT_D: d goes to squarefree trial division (about sqrt|d| steps),
-whose verdict is memoized for the arithmetic results over sqrt(d).
+Text format (used by the CLI file formats), one pattern matched whole: a
+rational "p/q", or an optional rational part followed by a signed
+coefficient "r/s*sqrt(d)", as in "p/q+r/s*sqrt(d)" or "-r/s*sqrt(d)".
+Each number has at most one sign, "/q" may be left out, and whitespace
+around a value is ignored but none is allowed inside it.  A text that
+names d is checked for it, even when its coefficient is 0.  So that
+parsing text has a bounded cost, every integer in it has at most
+MAX_TEXT_DIGITS digits and |d| is at most MAX_SQRT_D (check_input_d, the
+check that the file format's field tag shares): d goes to squarefree
+trial division (about sqrt|d| steps), whose verdict is memoized for the
+arithmetic results over sqrt(d).
 
 Hot loops run on an integer view instead: clear_denominators multiplies a
 list of Scalars by the lcm of their denominators, giving ints over Q and
@@ -34,10 +39,13 @@ from math import isqrt, lcm
 MAX_TEXT_DIGITS = 1000
 MAX_SQRT_D = 10**6
 
-_RATIONAL_TEXT = re.compile(
-    rf"([+-]?[0-9]{{1,{MAX_TEXT_DIGITS}}})(?:/([0-9]{{1,{MAX_TEXT_DIGITS}}}))?"
+_NUMBER = rf"([+-]?[0-9]{{1,{MAX_TEXT_DIGITS}}})(?:/([0-9]{{1,{MAX_TEXT_DIGITS}}}))?"
+# groups p, q, r, s, d of "p/q+r/s*sqrt(d)"; a rational part ends at the
+# sign of the coefficient, or at the end
+_SCALAR_TEXT = re.compile(
+    rf"(?:{_NUMBER}(?=[+-]|\Z))?"
+    rf"(?:{_NUMBER}\*sqrt\(([+-]?[0-9]{{1,{len(str(MAX_SQRT_D))}}})\))?"
 )
-_D_TEXT = re.compile(r"[+-]?[0-9]{1,%d}" % len(str(MAX_SQRT_D)))
 
 
 class ScalarError(ArithmeticError):
@@ -67,6 +75,13 @@ def _check_d(d: int) -> None:
         raise ScalarError(f"d must be a squarefree integer other than 0 and 1, got {d}")
 
 
+def check_input_d(d: int) -> None:
+    """_check_d for a d read from input, which also has |d| <= MAX_SQRT_D."""
+    if abs(d) > MAX_SQRT_D:
+        raise ScalarError(f"d must have |d| <= {MAX_SQRT_D}, got {d}")
+    _check_d(d)
+
+
 class Scalar:
     """Exact element of Q or Q(sqrt(d)), immutable and hashable.
 
@@ -83,12 +98,12 @@ class Scalar:
     def __init__(self, a, b=0, d: int | None = None):
         a = Fraction(a)
         b = Fraction(b)
+        if d is not None:
+            _check_d(d)
         if b == 0:
             d = None
-        else:
-            if d is None:
-                raise ScalarError("a nonzero sqrt coefficient needs a value of d")
-            _check_d(d)
+        elif d is None:
+            raise ScalarError("a nonzero sqrt coefficient needs a value of d")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
@@ -104,8 +119,7 @@ class Scalar:
 
     @classmethod
     def quadratic(cls, a, b, d: int) -> Scalar:
-        _check_d(d)
-        return cls(Fraction(a), Fraction(b), d)
+        return cls(a, b, d)
 
     @classmethod
     def zero(cls) -> Scalar:
@@ -238,44 +252,18 @@ class Scalar:
     @classmethod
     def parse(cls, text: str) -> Scalar:
         """Parse the exact-scalar text format ("p/q" or "p/q+r/s*sqrt(d)")."""
-        s = text.strip()
-        if not s:
-            raise ScalarParseError("empty scalar string")
-        if "sqrt" in s:
-            star = s.find("*sqrt(")
-            if star < 0 or not s.endswith(")"):
-                raise ScalarParseError(f"malformed quadratic scalar {text!r}")
-            d_text = s[star + 6 : -1]
-            d = int(d_text) if _D_TEXT.fullmatch(d_text) else None
-            if d is None or abs(d) > MAX_SQRT_D:
-                raise ScalarParseError(
-                    f"bad d in {text!r} (an integer with |d| <= {MAX_SQRT_D})"
-                )
-            head = s[:star]
-            # split head into rational part and sqrt coefficient at the last
-            # +/- that is not a leading sign
-            cut = -1
-            for i in range(1, len(head)):
-                if head[i] in "+-" and head[i - 1] not in "+-/*":
-                    cut = i
-            if cut < 0:
-                a_text, b_text = "0", head
-            else:
-                a_text, b_text = head[:cut], head[cut:]
-            a = _parse_rational(a_text, "bad coefficients in", text)
-            b = _parse_rational(b_text.lstrip("+"), "bad coefficients in", text)
-            try:
-                return cls(a, b, d)
-            except ScalarError as exc:
-                raise ScalarParseError(str(exc)) from None
-        return cls(_parse_rational(s, "bad rational scalar", text))
-
-
-def _parse_rational(part: str, message: str, text: str) -> Fraction:
-    match = _RATIONAL_TEXT.fullmatch(part)
-    if match is None or int(match[2] or 1) == 0:
-        raise ScalarParseError(f"{message} {text!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
+        match = _SCALAR_TEXT.fullmatch(text.strip())
+        if not match or not match[0]:
+            raise ScalarParseError(f"not an exact scalar p/q or p/q+r/s*sqrt(d): {text!r}")
+        p, q, r, s, d = match.groups()
+        try:
+            if d is not None:
+                check_input_d(d := int(d))
+            return cls(Fraction(int(p or 0), int(q or 1)), Fraction(int(r or 0), int(s or 1)), d)
+        except ZeroDivisionError:
+            raise ScalarParseError(f"zero denominator in {text!r}") from None
+        except ScalarError as exc:
+            raise ScalarParseError(f"{exc} in {text!r}") from None
 
 
 _ZERO = Scalar(0)

@@ -271,6 +271,17 @@ def test_malformed_shapes_exit_2(capsys, tmp_path, command, doc):
     assert "Traceback" not in out
 
 
+def test_doubled_sign_in_a_file_exits_2(capsys, tmp_path):
+    # one sign per number: "+-3" is not a coefficient
+    doc = algebra_to_doc(heisenberg(1))
+    doc["constants"][0]["c"] = "1/2+-3*sqrt(2)"
+    path = tmp_path / "signs.json"
+    save_json(str(path), doc)
+    status = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert status == 2 and "constants[0]: " in captured.out + captured.err
+
+
 def test_nilradical_refuses_ragged_x_rows(capsys, tmp_path):
     # 4 entries, so flattening them read as diag(1, -1); but not 2 rows of 2
     path = tmp_path / "ragged.json"

@@ -15,7 +15,9 @@ from heisenleib.fileio import (
     save_json,
 )
 from heisenleib.heisenberg import ExtensionSpec, heisenberg
-from heisenleib.scalars import IncompatibleFieldError, Scalar
+from heisenleib.scalars import (
+    MAX_SQRT_D, IncompatibleFieldError, Scalar, ScalarError, ScalarParseError,
+)
 
 
 def test_algebra_roundtrip():
@@ -64,6 +66,25 @@ def test_algebra_doc_errors(mutate, context):
     mutate(doc)
     with pytest.raises(FileFormatError):
         algebra_from_doc(doc)
+
+
+@pytest.mark.parametrize("d", [0, 1, 4, -4, 1000001])
+def test_one_rule_for_d(d):
+    # the text, the constructor and the field tag refuse the same d; the
+    # bound |d| <= 10^6 is for input only, so the constructor takes 1000001
+    for text in (f"0*sqrt({d})", f"1/2+1*sqrt({d})"):
+        with pytest.raises(ScalarParseError):
+            Scalar.parse(text)
+    if abs(d) > MAX_SQRT_D:
+        assert Scalar(1, 0, d) == Scalar.one()
+    else:
+        with pytest.raises(ScalarError):
+            Scalar(1, 0, d)
+    doc = algebra_to_doc(heisenberg(1))
+    doc["field"] = {"sqrt": d}
+    with pytest.raises(FileFormatError) as info:
+        algebra_from_doc(doc)
+    assert info.value.context == "field"
 
 
 def test_field_consistency():

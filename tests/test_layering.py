@@ -4,9 +4,13 @@ algebra sits on the kernel alone, and certify, the trust anchor, is
 imported only by the layers that report on it (catalog, cli and the
 package exports) and, function-locally, by heisenberg for the sp(2) locus.
 The private names each module takes from a sibling are pinned, so that a
-new private coupling shows up as a diff of PRIVATE_COUPLINGS."""
+new private coupling shows up as a diff of PRIVATE_COUPLINGS.  The names
+that the benchmark's layer tracer wraps (perfbench/layertrace.py) must
+resolve, so that a rename fails here and not only in a traced run."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -105,3 +109,27 @@ def test_private_couplings_are_pinned():
     for module in MODULES:
         found.update(private_couplings(module))
     assert found == PRIVATE_COUPLINGS
+
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+def resolves(module_name: str, attr: str) -> bool:
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):  # "Class.method" is wrapped on its class
+        owner = vars(owner).get(part)
+        if owner is None:
+            return False
+    return callable(owner)
+
+
+@pytest.mark.skipif(not LAYERTRACE.exists(), reason="no perfbench/ in this checkout")
+def test_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)  # standard library only
+    traced = layertrace.COARSE + layertrace.HOT
+    assert traced and [
+        f"{module_name}.{attr}" for module_name, attr, _ in traced
+        if not resolves(module_name, attr)
+    ] == []

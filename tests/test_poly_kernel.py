@@ -3,7 +3,8 @@
 StructTensor.contract and linalg.mat_mul hand the products of PolyQ
 entries to poly's fused kernel.  Both are compared with the per-product
 loops they replaced (tests/reference_kernel.py), run once on PolyQ and
-once on TuplePoly, which shares no arithmetic with PolyQ.  Integral
+once on TuplePoly, which shares no arithmetic with PolyQ; linalg.mat_vec,
+which goes through mat_mul, with the accumulation it replaced.  Integral
 coefficients are stored as ints, while the public readers return
 Fractions.  The kernel normalises its term map in place, and the
 cascade's Jacobi residual is the Leibniz residual with its sign folded in.
@@ -115,6 +116,25 @@ def test_mat_mul_matches_per_product_loop(names, data):
         assert_same(got_row, want_row, tuple_row)
 
 
+@UNIVERSES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mat_vec_matches_an_accumulation(names, data):
+    r, c = (data.draw(st.integers(1, 4)) for _ in range(2))
+    a = [[data.draw(polys(names)) for _ in range(c)] for _ in range(r)]
+    v = [data.draw(polys(names)) for _ in range(c)]
+    want = []
+    for row in a:
+        acc = row[0] * v[0]
+        for x, y in zip(row[1:], v[1:]):
+            acc = acc + x * y
+        want.append(acc)
+    got = linalg.mat_vec(a, v)
+    assert got == want
+    assert [str(p) for p in got] == [str(p) for p in want]
+    assert all(normalised(p) for p in got)
+
+
 def test_products_past_the_degree_bound_raise():
     x = PolyQ.var(NARROW, "u")
     t = StructTensor(2, {(0, 0, 1): x**200}, zero=PolyQ.zero(NARROW))
@@ -123,7 +143,7 @@ def test_products_past_the_degree_bound_raise():
         t.contract([(x**56, 0, 0)])
     with pytest.raises(PolyError):
         linalg.mat_mul([[x**200]], [[x**56]])
-    # the check is per pair, so products that would cancel still raise
+    # the bound is read before cancelled keys go, so products that would cancel still raise
     with pytest.raises(PolyError):
         linalg.mat_mul([[x**200, -(x**200)]], [[x**56], [x**56]])
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heisenleib.scalars import (
     IncompatibleFieldError,
@@ -100,11 +101,24 @@ def test_format_roundtrip():
         pytest.param("1" * 1001, id="1001-digit-numerator"),
         pytest.param("1/" + "1" * 1001, id="1001-digit-denominator"),
         "1/1*sqrt(1000001)", "1/1*sqrt(-1000001)",
+        # at most one sign per number, and d is checked even under a zero
+        # coefficient
+        "++3*sqrt(2)", "1/2++3*sqrt(2)", "1/2+-3*sqrt(2)",
+        "0*sqrt(0)", "0*sqrt(1)", "1/2+0/1*sqrt(4)",
     ],
 )
 def test_parse_errors(text):
     with pytest.raises(ScalarParseError):
         Scalar.parse(text)
+
+
+rationals = st.fractions(max_denominator=10**6)
+
+
+@given(a=rationals, b=rationals, d=st.sampled_from([None, -1, 2, 5]))
+def test_str_parses_back(a, b, d):
+    x = Scalar(a) if d is None else Scalar(a, b, d)
+    assert Scalar.parse(str(x)) == x
 
 
 def test_is_squarefree():
