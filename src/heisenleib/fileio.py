@@ -162,14 +162,12 @@ def extension_spec_from_doc(doc) -> ExtensionSpec:
         if not isinstance(flat, list):
             raise FileFormatError("expected a list of entries", context)
         if flat and isinstance(flat[0], list):  # accept nested rows too
-            if [len(row) if isinstance(row, list) else -1 for row in flat] != [2 * n] * (2 * n):
-                raise FileFormatError(
-                    f"nested rows must be {2 * n} lists of {2 * n} entries", context
-                )
-            flat = [v for row in flat for v in row]
-        if len(flat) != 4 * n * n:
+            shape = f"nested rows must be 2n lists of 2n entries, n = {n}"
+            rows = _require_list(flat, 2 * n, shape, context)
+            flat = [v for row in rows for v in _require_list(row, 2 * n, shape, context)]
+        if len(flat) != 4 * n * n:  # name n, since str(4n^2) may pass the digit limit
             raise FileFormatError(
-                f"expected {4 * n * n} row-major entries, got {len(flat)}", context
+                f"expected 4n^2 row-major entries, n = {n}, got {len(flat)}", context
             )
         values = [_parse_scalar(v, context) for v in flat]
         xs.append(

@@ -17,9 +17,11 @@ int order is graded lexicographic, the display order, and max(terms) is
 the leading term.  No digit carries, but MAX_DEGREE = 255 still bounds the
 total degree (PolyError beyond it), since that bound is public behaviour.
 Exponent tuples go in and out; only _Layout's methods read or write keys.
-digits, touching, add_digits, linear and words read a degree <= 2 key with
+digits, split, add_digits, linear and words read a degree <= 2 key with
 no loop: 0 is the constant, a key below base is its own digit, one below
 base**2 is divmod(key, base).  The last four loop over a whole term map.
+Substitution splits each key into its bound monomial and the rest, and
+sums each rest times its bound monomial's value in one sum of products.
 
 Only exact rational arithmetic is allowed: these polynomials carry the
 symbolic parameters of the extension derivation.  Square roots enter only
@@ -113,20 +115,24 @@ class _Layout:
         """The key of the product of two monomials: their digits merged."""
         return self.join(sorted(self.digits(k1) + self.digits(k2)))
 
-    def touching(self, keys, bound: set) -> dict:
-        """{key: digits} for the keys with a digit in bound."""
-        base, square, hit = self.base, self.powers[2], {}
-        for key in keys:
-            if key < base:
-                if key in bound:
-                    hit[key] = [key]
-            elif key < square:
+    def split(self, terms: dict, bound) -> tuple[dict, dict]:
+        """(kept, parts): the terms with no digit in bound, and {bound
+        monomial key: {rest key: coeff}} for the others.  Digit 0 is never
+        bound, so one divmod splits a key of degree 1 or 2."""
+        base, square, parts = self.base, self.powers[2], {}
+        for key, coeff in terms.items():
+            if key < square:
                 high, low = divmod(key, base)
-                if high in bound or low in bound:
-                    hit[key] = [low, high]
-            elif not bound.isdisjoint(digits := self.digits(key)):
-                hit[key] = digits
-        return hit
+                if low in bound:
+                    mono, rest = (key, 0) if high in bound else (low, high)
+                else:
+                    mono, rest = (high, low) if high in bound else (0, key)
+            else:
+                digits = self.digits(key)
+                mono = self.join([d for d in digits if d in bound])
+                rest = self.join([d for d in digits if d not in bound])
+            parts.setdefault(mono, {})[rest] = coeff  # monomial 0 gathers the kept terms
+        return parts.pop(0, {}), parts
 
     def add_digits(self, keys, used: set) -> None:
         """Add the digits of every key to used, and 0 for a key of degree <= 1."""
@@ -350,9 +356,9 @@ class PolyQ:
         """Substitute polynomials or rationals for names; may be partial.
 
         Unbound names stay symbolic.  Binding an undeclared name raises
-        UnknownIndeterminateError.  One pass over the terms: each key splits
-        into its bound digits and the kept rest, and each value**e is formed
-        once per call.
+        UnknownIndeterminateError, and a value other than a PolyQ, an int or
+        a Fraction TypeError.  One sum of products over the terms, grouped by
+        their bound monomials (see _Substituter).
         """
         if not bindings:
             return self
@@ -422,40 +428,33 @@ _set_names, _set_terms, _set_layout = (PolyQ.__dict__[slot].__set__ for slot in 
 
 class _Substituter:
     """PolyQ.substitute(bindings) as a function of the polynomial, for
-    polynomials in the universe of `like`.  The bound digits, the coerced
-    values and their powers (powers[i][e], formed on first use) are kept
-    here, however many polynomials follow, and bind grows them in place.  A
-    polynomial with no bound digit in any key is returned as is."""
+    polynomials in the universe of `like`.  Only the coerced values are kept,
+    by digit, and bind adds or replaces one.  A call is one sum of products:
+    the terms with no bound digit times 1, and each bound monomial's rest
+    terms times its value, the product of its names' values."""
 
     def __init__(self, like: PolyQ, bindings: dict):
-        self.like, self.layout, self.values, self.bound, self.powers = like, like._layout, {}, set(), {}
+        self.like, self.values = like, {}
         for name, value in bindings.items():
             self.bind(name, value)
 
     def bind(self, name: str, value) -> None:
-        """Bind or rebind name; only a rebound name's cached powers are dropped."""
-        like, layout = self.like, self.layout
-        i = layout.position(name)
-        self.values[i] = like._coerce(value) if isinstance(value, PolyQ) else _const(layout, value)
-        self.bound.add(layout.width - i)
-        self.powers.pop(i, None)
+        """Bind or rebind name to a PolyQ, an int or a Fraction."""
+        layout = self.like._layout
+        digit, value = layout.width - layout.position(name), self.like._coerce(value)
+        if value is None:
+            raise TypeError("a bound value must be a PolyQ, an int or a Fraction")
+        self.values[digit] = value
 
     def __call__(self, p: PolyQ) -> PolyQ:
-        layout, bound, values = self.layout, self.bound, self.values
-        self.like._check_universe(p)
-        hit = layout.touching(p.terms, bound)
-        if not hit:
-            return p
-        out = {key: coeff for key, coeff in p.terms.items() if key not in hit}
-        for key, digits in hit.items():
-            part = _poly(layout, {layout.join([d for d in digits if d not in bound]): p.terms[key]})
-            for i, e in layout.fields(layout.join([d for d in digits if d in bound])):
-                powers = self.powers.setdefault(i, {})
-                if e not in powers:
-                    powers[e] = values[i] ** e
-                part = part * powers[e]
-            _add_into(out, part.terms.items())
-        return _poly(layout, out)
+        like, layout, values = self.like, self.like._layout, self.values
+        like._check_universe(p)
+        kept, parts = layout.split(p.terms, values)
+        if not parts:
+            return p  # no bound digit in any key
+        pairs = [(_poly(layout, rest), reduce(PolyQ.__mul__, map(values.get, layout.digits(mono))))
+                 for mono, rest in parts.items()]
+        return _sum_of_products(like, [(_poly(layout, kept), 1), *pairs])
 
 
 def _used_names(polys) -> tuple[str, ...]:

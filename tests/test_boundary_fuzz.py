@@ -40,8 +40,8 @@ FIELDS = st.sampled_from([None, None, -1, 2, 5])
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 JSON = st.recursive(
     st.one_of(
-        st.none(), st.booleans(), st.integers(-3, 20), st.floats(allow_nan=True),
-        NEAR_SCALARS,
+        st.none(), st.booleans(), st.integers(-3, 20), st.sampled_from([10**30, 10**2999]),
+        st.floats(allow_nan=True), NEAR_SCALARS,
     ),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
@@ -157,3 +157,18 @@ def test_arbitrary_bytes_exit_cleanly(fuzz_dir, payload, command):
 def test_documents_near_the_formats_exit_cleanly(fuzz_dir, job):
     command, doc = job
     _exits_cleanly(fuzz_dir, command, json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("n,x", [
+    (10**30, [["1"]]),  # nested rows: 2n rows was an OverflowError
+    (10**7, [["1"]]),  # nested rows: 2n rows was a 2*10^7-entry list
+    (10**2999, ["1"]),  # row-major: 4n^2 as text passed the 4,300-digit limit
+], ids=["nested-1e30", "nested-1e7", "flat-3000-digits"])
+def test_oversized_n_exits_2(fuzz_dir, capsys, n, x):
+    path = fuzz_dir / "oversized.json"
+    path.write_text(json.dumps({"n": n, "f": 1, "a": ["0"], "X": [x], "rho": [["0", "0"]],
+                                "r": [["0"]]}))
+    status = main(["nilradical", str(path)])
+    captured = capsys.readouterr()
+    assert status == 2 and "X[0]: " in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err

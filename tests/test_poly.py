@@ -76,6 +76,15 @@ def test_unknown_indeterminate():
         var("a").substitute({"z": 1})
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, "1/2", Scalar.rational(1), None])
+def test_substitution_refuses_what_arithmetic_refuses(value):
+    # a bound value coerces as in u + value: a PolyQ, an int or a Fraction
+    with pytest.raises(TypeError):
+        var("a") + value
+    with pytest.raises(TypeError):
+        var("a").substitute({"a": value})
+
+
 def test_universe_mismatch():
     other = PolyQ.var(("x",), "x")
     with pytest.raises(PolyError):

@@ -5,11 +5,12 @@ hypothesis polynomials over universes of 1, 3, 72 and 1,035 names (the
 last is the cascade's at n = 4, f = 5), with exponents up to near the
 degree bound.  sympy, where installed, is an independent oracle for
 products and substitution.  The substituter that grows by bind is compared
-with the closure over a fixed binding map that it replaced, and the keys'
-order, degrees and products with the width-sized keys of
-reference_kernel.PackedKeys.  A second strategy draws polynomials of degree
-at most 3, half of whose monomials sit at the thresholds where the keys'
-direct decoding of degree <= 2 changes case.
+with the closure over a fixed binding map that it replaced, _Layout.split
+with a split of exponent tuples, and the keys' order, degrees and products
+with the width-sized keys of reference_kernel.PackedKeys.  A second
+strategy draws polynomials of degree at most 3, half of whose monomials
+sit at the thresholds where the keys' direct decoding of degree <= 2
+changes case.
 """
 
 import sys
@@ -167,7 +168,7 @@ def test_growing_substituter_matches_a_fresh_one(names, data):
         name = data.draw(st.sampled_from(pool))
         bound[name] = data.draw(bind_values(names))
         sub.bind(name, bound[name])
-        # substituting between binds fills the power cache that bind must drop
+        # substituting between binds, so that a value kept from before a rebind shows
         for p in polys:
             assert sub(p) == reference_substituter(polys[0], bound)(p)
     fresh = reference_substituter(polys[0], bound)
@@ -189,6 +190,15 @@ def test_rebinding_drops_the_cached_powers():
     assert got == 8 and type(got.terms[0]) is int
     # the other name's cached power is kept and still right
     assert sub(v**2) == 4
+
+
+def test_rebinding_one_name_of_a_bound_product():
+    u, v, w = (PolyQ.var(NARROW, name) for name in NARROW)
+    sub = _Substituter(u, {"u": w + 1, "v": 3})
+    assert sub(u * v + w) == 4 * w + 3
+    sub.bind("u", 2 * w)
+    assert sub(u * v + w) == 7 * w
+    assert sub(u * v * w**2) == 6 * w**3
 
 
 def threshold_monomials(names):
@@ -225,6 +235,38 @@ def test_threshold_monomials_sit_at_the_thresholds(names):
     assert [layout.degree(key) for key in keys] == [0, 1, 2, 2, 3]
     terms = {exp: k + 1 for k, exp in enumerate(threshold_monomials(names))}
     assert_same(*pair(names, terms))
+
+
+def reference_split(terms: dict, bound: set):
+    """_Layout.split on exponent tuples: (kept, {bound part: {rest: coeff}})."""
+    kept, parts = {}, {}
+    for exp, coeff in terms.items():
+        part = tuple(e if i in bound else 0 for i, e in enumerate(exp))
+        rest = tuple(0 if i in bound else e for i, e in enumerate(exp))
+        if any(part):
+            parts.setdefault(part, {})[rest] = coeff
+        else:
+            kept[exp] = coeff
+    return kept, parts
+
+
+@UNIVERSES
+@pytest.mark.parametrize("bound", [(), (0,), (-1,), (0, -1)], ids=["none", "high", "low", "both"])
+def test_split_matches_the_exponent_tuples(names, bound):
+    # the first name is the high digit of x0*xl and the last the low one;
+    # binding both binds the squares x0^2 and xl^2 whole
+    last = len(names) - 1
+    mixed = [tuple(int(i in (0, last)) for i in range(len(names))),  # x0*xl
+             tuple((i == 0) + 2 * (i == last) for i in range(len(names)))]  # x0*xl^2
+    exps = threshold_monomials(names) + mixed
+    terms = {exp: k + 1 for k, exp in enumerate(exps)}
+    layout, indices = PolyQ.zero(names)._layout, {i % len(names) for i in bound}
+    kept, parts = layout.split({layout.pack(exp): c for exp, c in terms.items()},
+                               {len(names) - i for i in indices})
+    unpack = layout.unpack
+    got = ({unpack(k): c for k, c in kept.items()},
+           {unpack(m): {unpack(k): c for k, c in rest.items()} for m, rest in parts.items()})
+    assert got == reference_split(terms, indices)
 
 
 @UNIVERSES
