@@ -345,16 +345,18 @@ class Subspace:
 
     def contains(self, v) -> bool:
         """Read off the RREF rows: each is 1 at its pivot column and 0 at the
-        others', so v is in W iff v = sum of v[pivot] * row."""
+        others', so v is in W iff v = sum of v[pivot] * row.  The sum is v at
+        the pivot columns by construction, so only the others are compared,
+        from their nonzero row entries, up to the first that differs."""
         v = list(v)
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length != ambient dimension")
-        combination = [Scalar.zero()] * self.ambient_dim
-        for row in self.rows:
-            c = v[next(j for j, x in enumerate(row) if not x.is_zero())]
-            if not c.is_zero():
-                combination = [x + c * y for x, y in zip(combination, row)]
-        return combination == v
+        pivots = [next(j for j, x in enumerate(row) if not x.is_zero()) for row in self.rows]
+        terms = [(v[p], row) for p, row in zip(pivots, self.rows) if not v[p].is_zero()]
+        return all(
+            sum((c * row[j] for c, row in terms if not row[j].is_zero()), Scalar.zero()) == v[j]
+            for j in set(range(self.ambient_dim)).difference(pivots)
+        )
 
     def is_contained_in(self, other: Subspace) -> bool:
         return all(other.contains(list(row)) for row in self.rows)

@@ -10,6 +10,11 @@ Only one quadratic extension is in play at a time: combining scalars with
 two different d values raises IncompatibleFieldError.  Rationals promote
 silently into whatever extension they meet.
 
+Construction: the public constructor Scalar(a, b, d) validates its input;
+the results this module builds from Fractions it holds go through the
+private _scalar, which sets the slots once, drops d when b == 0 and still
+checks the d of a quadratic result.
+
 Text format (used by the CLI file formats), one pattern matched whole: a
 rational "p/q", or an optional rational part followed by a signed
 coefficient "r/s*sqrt(d)", as in "p/q+r/s*sqrt(d)" or "-r/s*sqrt(d)".
@@ -96,8 +101,8 @@ class Scalar:
     d: int | None
 
     def __init__(self, a, b=0, d: int | None = None):
-        a = Fraction(a)
-        b = Fraction(b)
+        a = a if a.__class__ is Fraction else Fraction(a)
+        b = b if b.__class__ is Fraction else Fraction(b)
         if d is not None:
             _check_d(d)
         if b == 0:
@@ -169,13 +174,12 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self._join_d(other)
-        return Scalar(self.a + other.a, self.b + other.b, d)
+        return _scalar(self.a + other.a, self.b + other.b, self._join_d(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.a, -self.b, self.d)
+        return _scalar(-self.a, -self.b, self.d)
 
     def __sub__(self, other) -> Scalar:
         other = self._coerce(other)
@@ -192,10 +196,10 @@ class Scalar:
             return NotImplemented
         d = self._join_d(other)
         if d is None:
-            return Scalar(self.a * other.a)
+            return _scalar(self.a * other.a)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
-        return Scalar(a, b, d)
+        return _scalar(a, b, d)
 
     __rmul__ = __mul__
 
@@ -204,13 +208,11 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero scalar")
         if self.b == 0:
-            return Scalar(1 / self.a)
+            return _scalar(1 / self.a)
         # 1/(a+b*sqrt(d)) = (a-b*sqrt(d))/(a^2-d*b^2); the norm is nonzero
         # because d is not a perfect square.
         norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            raise ScalarError(f"zero norm for {self}; d={self.d} is not squarefree?")
-        return Scalar(self.a / norm, -self.b / norm, self.d)
+        return _scalar(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other) -> Scalar:
         other = self._coerce(other)
@@ -259,11 +261,27 @@ class Scalar:
         try:
             if d is not None:
                 check_input_d(d := int(d))
-            return cls(Fraction(int(p or 0), int(q or 1)), Fraction(int(r or 0), int(s or 1)), d)
+            return _scalar(Fraction(int(p or 0), int(q or 1)), Fraction(int(r or 0), int(s or 1)), d)
         except ZeroDivisionError:
             raise ScalarParseError(f"zero denominator in {text!r}") from None
         except ScalarError as exc:
             raise ScalarParseError(f"{exc} in {text!r}") from None
+
+
+_set_a, _set_b, _set_d = (Scalar.__dict__[slot].__set__ for slot in Scalar.__slots__)
+
+
+def _scalar(a: Fraction, b: Fraction = Fraction(0), d: int | None = None) -> Scalar:
+    # private constructor: a and b are Fractions, d is that of a checked operand
+    if b:
+        _check_d(d)
+    else:
+        d = None
+    x = object.__new__(Scalar)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 _ZERO = Scalar(0)
@@ -307,14 +325,14 @@ def sqrt_as_scalar(q: Fraction) -> Scalar:
     the result lives in an imaginary quadratic field.
     """
     if q == 0:
-        return Scalar(0)
+        return _ZERO
     # q = (n*m)/m^2, sqrt(q) = sqrt(n*m)/m
     nm = q.numerator * q.denominator
     s, m = squarefree_split(nm)
     coeff = Fraction(m, q.denominator)
     if s == 1:
-        return Scalar(coeff)
-    return Scalar(0, coeff, s)
+        return _scalar(coeff)
+    return _scalar(Fraction(0), coeff, s)
 
 
 # -- integer views --------------------------------------------------------------
@@ -416,5 +434,5 @@ def from_integer(x, den=1) -> Scalar:
     if den.__class__ is not int:
         x, den = x * den.conjugate(), den.norm()
     if x.__class__ is int:
-        return Scalar(Fraction(x, den))
-    return Scalar(Fraction(x.a, den), Fraction(x.b, den), x.d)
+        return _scalar(Fraction(x, den))
+    return _scalar(Fraction(x.a, den), Fraction(x.b, den), x.d)

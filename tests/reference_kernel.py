@@ -29,9 +29,11 @@ through heisenberg.extension_tensor and heisenberg.extension_basis_rows.
 reference_rref and reference_det are Gauss-Jordan and Gaussian
 elimination on Scalar entries, one Scalar inverse per pivot, the way
 linalg ran before its elimination became fraction-free over Z and
-Z[sqrt d]; reference_contains is subspace membership as a rank test on
-the stacked rows, the way Subspace.contains read it before it read the
-stored RREF rows.
+Z[sqrt d]; reference_contains_by_rank is subspace membership as a rank
+test on the stacked rows, the way Subspace.contains read it before it read
+the stored RREF rows, and reference_contains is the sum of v[pivot] * row
+over every column, the way it read them before it compared only the
+non-pivot columns.
 
 reference_sheared is the unipotent change of basis of the cascade's
 checked shears with its rows I + E placed by (row, column) positions, the
@@ -334,6 +336,20 @@ def reference_det(a):
 
 
 def reference_contains(w, v) -> bool:
+    """v in W iff v = sum of v[pivot] * row over W's RREF rows, compared at
+    every column."""
+    v = list(v)
+    if len(v) != w.ambient_dim:
+        raise ShapeError("vector length != ambient dimension")
+    combination = [Scalar.zero()] * w.ambient_dim
+    for row in w.rows:
+        c = v[next(j for j, x in enumerate(row) if not x.is_zero())]
+        if not c.is_zero():
+            combination = [x + c * y for x, y in zip(combination, row)]
+    return combination == v
+
+
+def reference_contains_by_rank(w, v) -> bool:
     """v in W iff stacking v under W's rows leaves the rank at dim W."""
     if len(v) != w.ambient_dim:
         raise ShapeError("vector length != ambient dimension")

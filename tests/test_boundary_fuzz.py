@@ -5,8 +5,9 @@ through cli.main for verify, fingerprint and nilradical; every run must
 return 0, 1, 2 or 3 with no exception escaping main.  The documents are
 mostly well formed, with one field at a time replaced by any JSON value,
 so that the runs reach the builder and the certificate as well as the
-parser.  The examples are derandomized, so the suite is reproducible and
-its cost fixed.
+parser.  Valid specs whose n is replaced by a huge integer, with X's rows
+kept, must be refused with exit status 2.  The examples are derandomized,
+so the suite is reproducible and its cost fixed.
 """
 
 import contextlib
@@ -38,9 +39,10 @@ NEAR_SCALARS = st.one_of(
 )
 FIELDS = st.sampled_from([None, None, -1, 2, 5])
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+HUGE = st.sampled_from([10**7, 10**30, 10**2999])
 JSON = st.recursive(
     st.one_of(
-        st.none(), st.booleans(), st.integers(-3, 20), st.sampled_from([10**30, 10**2999]),
+        st.none(), st.booleans(), st.integers(-3, 20), HUGE,
         st.floats(allow_nan=True), NEAR_SCALARS,
     ),
     lambda inner: st.one_of(
@@ -102,7 +104,7 @@ def sp_matrix(draw, n):
 
 
 @st.composite
-def spec_docs(draw):
+def spec_docs(draw, garble=True):
     n, f = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     unit = Scalar(1, draw(SMALL), -1) if draw(st.booleans()) else Scalar(1)
     x1 = draw(sp_matrix(n))
@@ -116,7 +118,7 @@ def spec_docs(draw):
         xs = [[v for row in x for v in row] for x in xs]
     a1 = draw(st.sampled_from(["0", "1", "1/2"]))
     zeros = lambda k: ["0"] * k  # noqa: E731
-    return draw(garbled({
+    doc = {
         "n": n,
         "f": f,
         "a": [a1] + zeros(f - 1),
@@ -126,7 +128,16 @@ def spec_docs(draw):
                 for _ in range(f)],
         "r": [[draw(scalar_texts(None)) if draw(st.booleans()) else "0" for _ in range(f)]
               for _ in range(f)],
-    }))
+    }
+    return draw(garbled(doc)) if garble else doc
+
+
+@st.composite
+def oversized_n_specs(draw):
+    """A valid spec with n replaced by a huge integer and X's rows kept."""
+    doc = draw(spec_docs(garble=False))
+    doc["n"] = draw(HUGE)
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +145,13 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _exits_cleanly(directory, command, payload: bytes) -> None:
+def _exits_cleanly(directory, command, payload: bytes) -> int:
     path = directory / "input.json"
     path.write_bytes(payload)
     with contextlib.redirect_stdout(io.StringIO()):
         status = main([command, str(path)])
     assert status in (0, 1, 2, 3)
+    return status
 
 
 @FUZZ
@@ -157,6 +169,12 @@ def test_arbitrary_bytes_exit_cleanly(fuzz_dir, payload, command):
 def test_documents_near_the_formats_exit_cleanly(fuzz_dir, job):
     command, doc = job
     _exits_cleanly(fuzz_dir, command, json.dumps(doc).encode())
+
+
+@FUZZ
+@given(doc=oversized_n_specs())
+def test_specs_with_oversized_n_exit_2(fuzz_dir, doc):
+    assert _exits_cleanly(fuzz_dir, "nilradical", json.dumps(doc).encode()) == 2
 
 
 @pytest.mark.parametrize("n,x", [

@@ -10,7 +10,9 @@ tensors, the generic cascade tensor and the condensation witnesses; the
 fraction-free rref, rank, nullspace, det and inverse against Scalar
 Gauss-Jordan elimination (and sympy's rank and det, where installed) over
 Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt -3); Subspace.contains against a
-rank test, and bracket_span on the integer view against Scalar brackets;
+rank test, and, with is_contained_in, against the sum of v[pivot] * row
+over every column on generated RREF subspaces over Q, Q(i) and Q(sqrt 2);
+bracket_span on the integer view against Scalar brackets;
 extension_shear against the position-placed rows I + E of the cascade's
 checked shears, on catalog tensors and the generic cascade tensor; and the
 closure checks and subalgebra nilpotency through bracket_span and _series
@@ -101,6 +103,7 @@ from reference_kernel import (
     reference_commuting_sp2_proportionality,
     reference_condensation_rows,
     reference_contains,
+    reference_contains_by_rank,
     reference_decide_maximality,
     reference_det,
     reference_heisenberg,
@@ -601,7 +604,56 @@ def test_contains_matches_rank_test(d):
                 combo = vec_add(combo, [x * random_scalar(rng, d) for x in row])
             candidates.append(combo)
         for v in candidates:
-            assert w.contains(v) == reference_contains(w, v)
+            assert w.contains(v) == reference_contains_by_rank(w, v)
+
+
+@st.composite
+def rref_subspaces(draw, d):
+    """A Subspace of F^n, n <= 7, built in RREF directly: each row is 1 at its
+    pivot, 0 left of it and at the other pivots, and drawn elsewhere."""
+    n = draw(st.integers(1, 7))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    rows = []
+    for p in pivots:
+        rows.append(tuple(
+            Scalar.one() if j == p else
+            Scalar.zero() if j < p or j in pivots else draw(scalars(d))
+            for j in range(n)
+        ))
+    return Subspace(n, tuple(rows)), pivots
+
+
+@pytest.mark.parametrize("d", [None, -1, 2])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_contains_reads_the_non_pivot_columns(d, data):
+    w, pivots = data.draw(rref_subspaces(d))
+    n = w.ambient_dim
+    members = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        v = [Scalar.zero()] * n
+        for row in w.rows:
+            c = data.draw(scalars(d))
+            v = vec_add(v, [c * x for x in row])
+        members.append(v)
+    for v in members:
+        assert w.contains(v) and reference_contains(w, v)
+    free = [j for j in range(n) if j not in pivots]
+    outsiders = []
+    if free:
+        for v in members:
+            moved = list(v)
+            j = data.draw(st.sampled_from(free))
+            moved[j] = moved[j] + data.draw(scalars(d, nonzero=True))
+            outsiders.append(moved)
+    for v in outsiders:
+        assert not w.contains(v) and not reference_contains(w, v)
+    for vectors in (members, members + outsiders):
+        u = Subspace.span(vectors, n)
+        assert u.is_contained_in(w) == all(reference_contains(w, row) for row in u.rows)
+    assert Subspace.span(members, n).is_contained_in(w)
+    if outsiders:
+        assert not Subspace.span(outsiders, n).is_contained_in(w)
 
 
 def scalar_bracket_span(t, a, b):

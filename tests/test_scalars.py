@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -186,3 +187,48 @@ def test_clear_denominators_and_back():
     assert [from_integer(x * 7, 7 * quadratic_integers(2)(den, 0)) for x in cleared] == values
     with pytest.raises(IncompatibleFieldError):
         common_field(values + [Scalar.sqrt_d(3)])
+
+
+def assert_built_once(x):
+    """The canonical form every result has: Fraction components, d None
+    exactly when the sqrt part is 0, and equal (and equal hash) to the
+    same components through the validating constructor."""
+    assert type(x.a) is type(x.b) is Fraction
+    assert (x.d is None) == (x.b == 0)
+    rebuilt = Scalar(x.a, x.b, x.d)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@pytest.mark.parametrize("d", [None, -1, 2, 5])
+@given(a=small, b=small, c=small, e=small, k=st.integers(-3, 3) | small)
+def test_results_are_built_in_canonical_form(d, a, b, c, e, k):
+    x = Scalar(a, b, d) if d is not None else Scalar(a)
+    y = Scalar(c, e, d) if d is not None else Scalar(c)
+    results = [x + y, x - y, x * y, -x, x + k, k - x, x * k, k * y, Scalar.parse(str(x)),
+               sqrt_as_scalar(c)]
+    for z in (x, y):
+        if not z.is_zero():
+            results += [z.inv(), x / z, k / z]
+    den, cleared = clear_denominators([x, y], d)
+    results += [from_integer(v, den) for v in cleared] + [from_integer(v) for v in cleared]
+    for result in results:
+        assert_built_once(result)
+
+
+def test_construction_keeps_its_refusals_and_cancellations():
+    root = Scalar.sqrt_d(2)
+    for cancelled in (Scalar(1, 1, 2) - root, root * root, (root + 1) * (1 - root),
+                      Scalar.parse("3+0*sqrt(5)"), from_integer(quadratic_integers(-1)(4, 0), 2)):
+        assert cancelled.d is None and cancelled.b == 0
+        assert_built_once(cancelled)
+    assert Scalar(1, 1, 2) - root == 1 and root * root == 2
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(IncompatibleFieldError):
+            op(root, Scalar.sqrt_d(5))
+    with pytest.raises(ScalarError):
+        Scalar(1, 0, 4)
+    with pytest.raises(ScalarParseError):
+        Scalar.parse("1+0*sqrt(4)")
