@@ -22,14 +22,16 @@ Bilinear residuals (commutators of the X blocks, the eigenvector system
 X rho = a rho, the arar combination) are reported as side conditions,
 never solved; the commutation stage and the side conditions read the
 X-commutator and eigenvector reports from _block_reports, which wraps
-heisenberg.block_side_conditions.  Two normalizations the derivation
-states without displaying are applied as explicit named binding steps:
+heisenberg.block_side_conditions.  One normalization the derivation
+states without displaying is applied as an explicit named binding step:
 the a-vector normalization (a_1 in {0, 1}, a_2 = ... = 0; a_normalize_basis
-gives its change of basis for a concrete a) and, in the a_1 = 1 branch,
-the H-shear that clears the leftover r_1b.  The H-shear, like the gamma
-elimination, is a change of basis S~ = S + v with v in the nilradical
+gives its change of basis for a concrete a).  The gamma elimination is a
+change of basis S~ = S + v with v in the nilradical
 (heisenberg.extension_shear), performed and checked on the spot
-(_checked_shear).  No stage indexes the (S, H, P, B) layout: constants are
+(_checked_shear).  In the a_1 = 1 branch the commutation stage binds every
+r_ab with a < b (see commutation_residual_system); its r_1b := 0 is the
+H-shear S~_b = S_b - (r_1b / 2) H, which no step of its own performs.
+No stage indexes the (S, H, P, B) layout: constants are
 read through heisenberg's display and block-form readers, and basis
 elements are found by the first letter of their labels.
 
@@ -503,7 +505,10 @@ def _block_reports(pa: ParamAlgebra) -> tuple:
 def commutation_residual_system(pa: ParamAlgebra) -> list:
     """Residuals of L_a L_b - L_b L_a and L_a R_b - R_b L_a, each followed
     by the same pair's block forms: the X-commutators and the eigenvector
-    system (X - aI) rho."""
+    system (X - aI) rho.  Only the block forms are Leibniz identities: the
+    left Leibniz identity gives [L_a, L_b] = r_ab L_H and [L_a, R_b] =
+    r_ab R_H, which are nonzero in the S columns, so on a_1 = 1 the full
+    comparisons also bind every r_ab with a < b."""
     stages = pa.stage_names()
     if "jacobi" not in stages or "annihilator" not in stages:
         raise OrderingError("commutation stage requires jacobi and annihilator")
@@ -559,32 +564,6 @@ def verify_arar(pa: ParamAlgebra) -> list:
                 )
             )
     return reports
-
-
-def _h_shear(pa: ParamAlgebra) -> list:
-    """In the a_1 = 1 branch, clear the leftover r_1b by the basis change
-    S~_b = S_b - (r_1b / 2) H; returns the resulting bindings r_1b := 0.
-
-    The shear only moves the [S_1, S_b] and [S_b, S_1] entries.
-    """
-    n, f, zero = pa.n, pa.f, pa.tensor.zero
-    r = block_forms(pa.tensor, n, f)[3]
-    todo = [be for be in range(1, f) if not r[0][be].is_zero()]
-    if not todo:
-        return []
-
-    def cleared(t):
-        r = block_forms(t, n, f)[3]
-        return [p for be in todo for p in (r[0][be], r[be][0])]
-
-    return _checked_shear(
-        pa,
-        [[r[0][be] * Fraction(-1, 2) if be in todo else zero] + [zero] * (2 * n)
-         for be in range(f)],
-        cleared,
-        bound=[f"r_1_{be + 1}" for be in todo],
-        what="H-shear",
-    )
 
 
 # -- cascade driver -----------------------------------------------------------
@@ -714,10 +693,6 @@ def run_cascade(n: int, f: int, branch: int | None = 1) -> CascadeResult:
     if f >= 2:
         first = verify_arar(pa)
         pa, bindings = _fixed_point(pa, "arar", verify_arar, first)
-        shear = _h_shear(pa) if branch == 1 else []
-        if shear:
-            pa = apply_bindings(pa, "arar_h_shear", shear)
-            bindings += shear
         arar_reports = annotate_forced(first, bindings)
         record("arar", bindings, arar_reports)
 

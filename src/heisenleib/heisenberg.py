@@ -21,7 +21,7 @@ right displays and the [S, S] vectors into structure constants.
 extension_basis_rows places a block-diagonal change of basis in the same
 order, and extension_shear rewrites a tensor, Scalar or PolyQ, in the
 sheared basis S~ = S + v with v in the nilradical (the cascade's gamma
-elimination and H-shear, each checked where it is used).  block_forms is
+elimination, checked where it is used).  block_forms is
 the one reader of the block form: it reads (a, X, rho, r) back from a
 tensor with Scalar or PolyQ entries, for extract_extension_data and for
 the cascade alike.  block_side_conditions is the one statement of the

@@ -13,6 +13,7 @@ from heisenleib.algebra import (
     derived_series,
     element_nilpotent,
     fingerprint,
+    is_solvable,
     left_annihilator,
     lower_central_series,
     subspace_closure_checks,
@@ -21,6 +22,7 @@ from heisenleib.catalog import build_entry
 from heisenleib.constraints import gamma_eliminate, parametric_extension
 from heisenleib.heisenberg import heisenberg
 from heisenleib.linalg import smat, svec
+from heisenleib.poly import PolyQ
 from heisenleib.scalars import IncompatibleFieldError, Scalar
 
 from reference_kernel import is_zero_vector
@@ -115,6 +117,23 @@ class TestLieFlags:
         t = abelian(3)
         assert t.is_leibniz() and t.is_lie()
 
+    @pytest.mark.parametrize("entry_id", ["H1a0C-r1", "H1a1R", "H2a1C", "H2a1R"])
+    def test_polyq_entries_match_their_scalar_original(self, entry_id):
+        # PolyQ constants take the generic branch of leibniz_defects and is_lie
+        names = ("u",)
+        original = build_entry(entry_id)
+        broken = StructTensor(original.dim, {**original.constants_dict(), (0, 0, 0): ONE})
+        for t in (original, broken):
+            poly = StructTensor(
+                t.dim,
+                {key: PolyQ.const(names, v.as_fraction()) for key, v in t.constants_dict().items()},
+                basis_labels=t.basis_labels,
+                zero=PolyQ.zero(names),
+            )
+            assert poly.leibniz_defects() == t.leibniz_defects()
+            assert (poly.is_leibniz(), poly.is_lie()) == (t.is_leibniz(), t.is_lie())
+        assert original.is_leibniz() and not broken.is_leibniz()
+
 
 class TestSeries:
     def test_h1_derived(self, h1):
@@ -134,6 +153,18 @@ class TestSeries:
 
     def test_abelian_lower_central(self):
         assert [s.dim for s in lower_central_series(abelian(2))] == [0]
+
+    def test_is_solvable(self, h1, h1a0c_r1):
+        assert is_solvable(h1) and is_solvable(h1a0c_r1) and is_solvable(abelian(2))
+        # sl(2): [h, e] = 2e, [h, f] = -2f, [e, f] = h is perfect
+        two = Scalar.rational(2)
+        sl2 = StructTensor(3, {
+            (2, 0, 0): two, (0, 2, 0): -two, (2, 1, 1): -two, (1, 2, 1): two,
+            (0, 1, 2): ONE, (1, 0, 2): -ONE,
+        })
+        assert sl2.is_lie()
+        assert [s.dim for s in derived_series(sl2)] == [3, 3]
+        assert not is_solvable(sl2)
 
 
 class TestLeftAnnihilator:

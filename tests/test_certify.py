@@ -205,6 +205,16 @@ class TestCertifyNilradical:
         assert cert.maximality.status == "undecided"
         assert cert.ideal and cert.nilpotent and cert.contains_derived
 
+    def test_nonstandard_subspace_skips_maximality(self):
+        # span(S1, H, P) in H2a1C is not the Heisenberg subspace, so
+        # maximality is not decided
+        t = build_entry("H2a1C")
+        sub = Subspace.span([t.unit_vector(i) for i in (0, 2, 3)], t.dim)
+        cert = certify_nilradical(t, sub, field="C")
+        assert cert.maximality.status == "undecided"
+        assert cert.maximality.note.startswith("base checks failed")
+        assert not cert.proved()
+
     def test_complex_proportional_pair_refuted(self):
         # i X1 + X2 = 0 over Q(i): decided by the linear dependence of X1, X2
         i = Scalar.quadratic(0, 1, -1)

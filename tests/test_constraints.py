@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from heisenleib import constraints
+from heisenleib import constraints, linalg
 
+from heisenleib.catalog import build_entry
 from heisenleib.constraints import (
     CascadeError,
     ConstraintReport,
@@ -23,7 +24,9 @@ from heisenleib.constraints import (
     table_triples,
     verify_arar,
 )
+from heisenleib.heisenberg import block_forms, extension_shear
 from heisenleib.poly import PolyQ
+from heisenleib.scalars import Scalar
 
 from reference_kernel import reference_reduce_binding_map
 
@@ -243,6 +246,57 @@ class TestArar:
         result = run_cascade(1, 2, branch=0)
         free = set(result.pa.free_params())
         assert {"r_1_1", "r_1_2", "r_2_1", "r_2_2"} <= free
+
+
+class TestHShear:
+    """On a_1 = 1 the H-shear S~_b = S_b - (r_1b / 2) H clears r_1b.  The
+    commutation stage already binds r_1b := 0, because it compares L_1 L_b
+    with L_b L_1 on the whole algebra, where the Leibniz identity gives only
+    [L_1, L_b] = L_[S_1, S_b] = r_1b L_H, which is nonzero in the S columns."""
+
+    @pytest.mark.parametrize("n,f", [(1, 2), (2, 3), (3, 4)])
+    def test_commutation_stage_binds_r_1b(self, n, f):
+        """Guard: the cascade has no H-shear step of its own.  A change that
+        moves these bindings out of the commutation stage must restore a
+        checked H-shear (constraints._checked_shear on the shifts
+        -(r_1b / 2) H), or r_1b stays free on branch 1."""
+        result = run_cascade(n, f, branch=1)
+        zero = PolyQ.zero(result.pa.params)
+        names = [f"r_1_{be}" for be in range(2, f + 1)]
+        final = result.final_bindings()
+        commutation = dict(result.stage("commutation").bindings)
+        for name in names:
+            assert final[name] == zero
+            assert commutation[name] == zero
+        assert result.stage("arar").bindings == ()
+
+    def test_shifted_witness_is_a_reparameterization(self):
+        """H2a1C with S2 shifted by H: the same Lie algebra with r_12 = 2,
+        where [L_1, L_2] and [L_1, R_2] are the nonzero operators L_[S1,S2]
+        and R_[S1,S2], so L_1 L_2 = L_2 L_1 is not an identity."""
+        t = build_entry("H2a1C")
+        zero = [Scalar.zero()] * 3
+        shift = [zero, [Scalar.one()] + zero[1:]]
+        moved = extension_shear(t, 1, 2, shift)
+        assert moved.is_lie()
+        a, _, _, r = block_forms(moved, 1, 2)
+        assert a == [Scalar.one(), Scalar.zero()]
+        assert r == [[Scalar.zero(), Scalar.rational(2)], [Scalar.rational(-2), Scalar.zero()]]
+
+        s1, s2 = moved.unit_vector(0), moved.unit_vector(1)
+        l1, l2 = moved.left_mult_matrix(s1), moved.left_mult_matrix(s2)
+        r2 = moved.right_mult_matrix(s2)
+        bracket = moved.bracket(s1, s2)
+        comm = linalg.mat_sub(linalg.mat_mul(l1, l2), linalg.mat_mul(l2, l1))
+        assert linalg.mat_eq(comm, moved.left_mult_matrix(bracket))
+        h = moved.basis_labels.index("H")
+        assert not comm[h][0].is_zero()
+        comm = linalg.mat_sub(linalg.mat_mul(l1, r2), linalg.mat_mul(r2, l1))
+        assert linalg.mat_eq(comm, moved.right_mult_matrix(bracket))
+        assert not linalg.is_zero_matrix(comm)
+
+        back = [zero, [-Scalar.one()] + zero[1:]]
+        assert extension_shear(moved, 1, 2, back) == t
 
 
 class TestCascade:

@@ -35,6 +35,7 @@ def test_nullspace_solves():
 
 
 def test_det():
+    assert linalg.det([]) == Scalar.one()
     assert linalg.det(smat([[1, 2], [3, 4]])) == Scalar.rational(-2)
     assert linalg.det(smat([[1, 2], [2, 4]])) == Scalar.zero()
     assert linalg.det(smat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])) == Scalar.rational(-1)

@@ -185,6 +185,14 @@ class TestRealRootDecision:
         assert count == 12 * 13 * 13
 
 
+def test_quadratic_roots_of_degree_one():
+    assert quadratic_roots(PolyQ(("t",), {(1,): Fraction(2), (0,): Fraction(3)})) == [
+        Scalar.rational(-3, 2)
+    ]
+    with pytest.raises(PolyError):
+        quadratic_roots(PolyQ.const(("t",), 5))
+
+
 def test_quadratic_roots_exact():
     p = PolyQ(("t",), {(2,): Fraction(1), (0,): Fraction(-2)})
     roots = quadratic_roots(p)

@@ -2,9 +2,10 @@
 
 import itertools
 import random
+import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heisenleib import linalg
 from heisenleib.algebra import (
@@ -19,14 +20,23 @@ from heisenleib.algebra import (
 )
 from heisenleib.catalog import build_entry, catalog_entries, entry_parameter_grid
 from heisenleib.certify import (
+    certify_nilradical,
     commuting_sp2_proportionality,
     matrix_nilpotent,
     sp2_nilpotency_locus,
+)
+from heisenleib.heisenberg import (
+    ExtensionSpec,
+    ExtensionValidationError,
+    NilindependenceUndecidedWarning,
+    build_extension,
+    heisenberg_subspace,
 )
 from heisenleib.poly import PolyQ
 from heisenleib.scalars import Scalar
 
 from reference_kernel import nilpotency_power_oracle, vec_add
+from test_boundary_fuzz import SMALL, sp_matrix
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -241,3 +251,89 @@ class TestBuiltExtensionInvariants:
                 full = Subspace.full(t.dim)
                 nr = heisenberg_subspace(entry.n, entry.f)
                 assert bracket_span(t, full, full).is_contained_in(nr)
+
+
+# -- maximality does not depend on the field, for data the builder accepts ----
+
+@st.composite
+def extension_specs(draw):
+    """Extension data whose X's commute: multiples of one sp(2n) element,
+    possibly over Q(i), or at n = 2 diagonal ones; rho from the common
+    kernel of the X's and r free when a_1 = 0.  The builder refuses some
+    draws (a nilpotent combination) and warns on others (undecided)."""
+    n = draw(st.integers(1, 2))
+    f = draw(st.integers(1, n + 1))
+    a1 = draw(st.sampled_from([0, 1]))
+    if n == 2 and draw(st.booleans()):
+        xs = []
+        for _ in range(f):
+            p, q = draw(SMALL), draw(SMALL)
+            xs.append([[p, 0, 0, 0], [0, q, 0, 0], [0, 0, -p, 0], [0, 0, 0, -q]])
+    else:
+        unit = Scalar(1, draw(SMALL), -1) if draw(st.booleans()) else Scalar(1)
+        x1 = [[unit * v for v in row] for row in draw(sp_matrix(n))]
+        xs = [x1] + [[[v * mu for v in row] for row in x1]
+                     for mu in draw(st.lists(SMALL, min_size=f - 1, max_size=f - 1))]
+    rho = [[0] * (2 * n) for _ in range(f)]
+    r = [[0] * f for _ in range(f)]
+    if a1 == 0:
+        stacked = [list(map(linalg.to_scalar, row)) for x in xs for row in x]
+        kernel = linalg.nullspace(stacked)
+        if kernel:
+            rho = [[v * draw(SMALL) for v in kernel[0]] for _ in range(f)]
+        r = [[draw(SMALL) for _ in range(f)] for _ in range(f)]
+    return ExtensionSpec.make(n, f, [a1] + [0] * (f - 1), xs, rho, r)
+
+
+def accepted(spec):
+    """The tensor build_extension makes of spec, or None when it refuses."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NilindependenceUndecidedWarning)
+        try:
+            return build_extension(spec)
+        except ExtensionValidationError:
+            return None
+
+
+def assert_field_independent(spec, t) -> str:
+    """Certify t over R and over C, assert the verdicts agree, return the status."""
+    sub = heisenberg_subspace(spec.n, spec.f)
+    real, complex_ = (certify_nilradical(t, sub, field) for field in ("R", "C"))
+    assert real.maximality.status == complex_.maximality.status
+    assert real.maximality.witness == complex_.maximality.witness
+    # only the field named in the "proved" note differs
+    assert real.maximality.note.replace(" over R", " over C") == complex_.maximality.note
+    assert (real.ideal, real.nilpotent, real.contains_derived) == (
+        complex_.ideal, complex_.nilpotent, complex_.contains_derived)
+    return real.maximality.status
+
+
+class TestMaximalityFieldIndependence:
+    """The plane decision of nilpotent_combination reads the sp(2) locus
+    over R or over C.  Data the builder accepts never reaches it: commuting
+    sp(2) matrices are proportional, so the builder refuses every plane at
+    n = 1, and a line or a larger span is decided without the field."""
+
+    @given(spec=extension_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_specs(self, spec):
+        t = accepted(spec)
+        assume(t is not None)
+        assert_field_independent(spec, t)
+
+    def test_catalog_points_and_the_undecided_spec(self):
+        specs = [
+            entry.spec(point)
+            for field in ("C", "R")
+            for entry in catalog_entries(field)
+            for point in entry_parameter_grid(entry)
+        ]
+        x1 = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]
+        x2 = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]
+        specs.append(ExtensionSpec.make(2, 2, [0, 0], [x1, x2]))
+        statuses = set()
+        for spec in specs:
+            t = accepted(spec)
+            assert t is not None
+            statuses.add(assert_field_independent(spec, t))
+        assert statuses == {"proved", "undecided"}
