@@ -26,14 +26,17 @@ base-2^w digits that small are unique, so the packed residual is 0 iff
 every component is.  The defects are memoized per tensor; is_lie reads
 antisymmetry off the view, which the public bracket does not read.
 
-bracket_span, behind both series, contracts on the same view: [u, v]
+bracket_span, behind both series, brackets on the same view: [u, v]
 with u, v and the constants cleared is a nonzero multiple of [u, v], so
 it spans the same line, and hands the cleared brackets to the
 fraction-free elimination of linalg.cleared_rref, which normalises to
-Scalars once.  fingerprint spans [L, L] once for both series, and finds
+Scalars once.  The bracket, _view_bracket, holds u and v as ints over Q
+and as (rational, sqrt) int pairs over Q(sqrt d), and sums each
+coordinate in one int list per part, with the ring products written
+inline.  fingerprint spans [L, L] once for both series, and finds
 the center inside the left annihilator: one elimination, on the view, of
 the rows ([e_0, b], ..., [e_(n-1), b] | b) over its rows b.
-change_basis contracts there too, with both matrices
+change_basis brackets there too, with both matrices
 cleared, and divides each new constant once by the scale factors.
 Subspaces are kept in reduced row echelon form, so that equality of
 subspaces is structural equality, membership is read off the rows, and
@@ -49,7 +52,15 @@ from operator import mul
 from . import linalg
 from .linalg import ShapeError
 from .poly import PolyQ, _sum_of_products
-from .scalars import Scalar, clear_denominators, common_field, from_integer, quadratic_integers
+from .scalars import (
+    Scalar,
+    clear_denominators,
+    common_field,
+    from_integer,
+    from_pairs,
+    integer_pairs,
+    quadratic_integers,
+)
 
 _NO_PRODUCT: dict = {}
 
@@ -393,21 +404,48 @@ class Fingerprint:
 def bracket_span(t: StructTensor, a: Subspace, b: Subspace) -> Subspace:
     """span([u, v] : u in basis(a), v in basis(b)); complete by bilinearity.
 
-    Each bracket is contracted on the integer view with the denominators of
-    u and v cleared, so it is a nonzero multiple of [u, v] and spans the
+    Each bracket is taken on the integer view with the denominators of u
+    and v cleared, so it is a nonzero multiple of [u, v] and spans the
     same line; the cleared brackets go to the elimination as they are."""
     t._require_scalar("bracket span")
     if a.ambient_dim != t.dim or b.ambient_dim != t.dim:
         raise ShapeError("subspace ambient dimension != tensor dimension")
     d, _, view = t._integer_view(*a.rows, *b.rows)
-    us = [clear_denominators(u, d)[1] for u in a.rows]
-    vs = [clear_denominators(v, d)[1] for v in b.rows]
-    vectors = [
-        view.contract((x * y, i, j) for i, x in enumerate(u) if x for j, y in enumerate(v) if y)
-        for u in us
-        for v in vs
-    ]
-    return Subspace(t.dim, tuple(map(tuple, linalg.cleared_rref(vectors, t.dim)[0])))
+    us = [integer_pairs(u, d)[1] for u in a.rows]
+    vs = [integer_pairs(v, d)[1] for v in b.rows]
+    vectors = [_view_bracket(view, d, u, v) for u in us for v in vs]
+    return Subspace(t.dim, tuple(map(tuple, linalg.cleared_rref(vectors, t.dim, d)[0])))
+
+
+def _view_bracket(view: StructTensor, d, u, v) -> list:
+    """[u, v] on an integer view for u, v cleared into the same ring: ints
+    over Q (d None), and over Q(sqrt d) (rational, sqrt) int pairs, with
+    each coordinate summed in one int list per part.  The one contraction
+    of the integer view behind bracket_span, _center_in and
+    _change_basis_with_inverse."""
+    rows, n = view._c, view.dim
+    if d is None:
+        acc = [0] * n
+        vs = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if x:
+                for j, y in vs:
+                    c = x * y
+                    for k, ck in rows.get((i, j), _NO_PRODUCT).items():
+                        acc[k] += c * ck
+        return acc
+    acc_a, acc_b = [0] * n, [0] * n
+    vs = [(j, ya, yb) for j, (ya, yb) in enumerate(v) if ya or yb]
+    for i, (xa, xb) in enumerate(u):
+        if xa or xb:
+            for j, ya, yb in vs:
+                ca, cb = xa * ya + d * xb * yb, xa * yb + xb * ya
+                dcb = d * cb
+                for k, ck in rows.get((i, j), _NO_PRODUCT).items():
+                    a, b = ck.a, ck.b
+                    acc_a[k] += ca * a + dcb * b
+                    acc_b[k] += ca * b + cb * a
+    return list(zip(acc_a, acc_b))
 
 
 def _series(t: StructTensor, w: Subspace, step=None, first=None) -> list[Subspace]:
@@ -477,11 +515,13 @@ def _center_in(t: StructTensor, ann: Subspace) -> Subspace:
     whose bracket part vanishes end in the RREF rows of the sum_b a_b b."""
     n = t.dim
     d, _, view = t._integer_view(*ann.rows)
+    zero, one = (0, 1) if d is None else ((0, 0), (1, 0))
+    units = [[one if i == j else zero for i in range(n)] for j in range(n)]
     rows = [
-        [x for j in range(n) for x in view.contract((y, j, i) for i, y in enumerate(b) if y)] + b
-        for b in (clear_denominators(b, d)[1] for b in ann.rows)
+        [x for e in units for x in _view_bracket(view, d, e, b)] + b
+        for b in (integer_pairs(b, d)[1] for b in ann.rows)
     ]
-    red, pivots = linalg.cleared_rref(rows, n * n + n)
+    red, pivots = linalg.cleared_rref(rows, n * n + n, d)
     return Subspace(n, tuple(tuple(row[n * n:]) for row, p in zip(red, pivots) if p >= n * n))
 
 
@@ -506,33 +546,62 @@ def change_basis(t: StructTensor, p, basis_labels=None) -> StructTensor:
 
 
 def _change_basis_with_inverse(t: StructTensor, p, q, basis_labels=None) -> StructTensor:
-    """c'(m,l)^k = sum P(k,a) c(i,j)^a Q(i,m) Q(j,l) for Q = P^{-1}: on the
-    integer view with P and Q cleared, each entry divided once by the
-    product of the scale factors, for Scalar tensors; on the tensor itself
-    for PolyQ."""
-    n, view, den = t.dim, t, None
+    """c'(m,l)^k = sum P(k,a) c(i,j)^a Q(i,m) Q(j,l) for Q = P^{-1}: for
+    Scalar tensors on the integer view with P and Q cleared, each [Q e_m,
+    Q e_l] by _view_bracket and each entry divided once by the product of
+    the scale factors; on the tensor itself for PolyQ."""
+    n = t.dim
     if linalg.shape(p) != (n, n) or linalg.shape(q) != (n, n):
         raise ShapeError("change of basis matrix has wrong shape")
+    constants = {}
     if t.is_scalar():
         d, den, view = t._integer_view(*p, *q)
         den_p, p = linalg.cleared_matrix(p, d)
         den_q, q = linalg.cleared_matrix(q, d)
         den *= den_p * den_q * den_q
-    zero = view.zero
-    cols = [[(i, row[m]) for i, row in enumerate(q) if row[m] != zero] for m in range(n)]
-    rows = [[(a, x) for a, x in enumerate(row) if x != zero] for row in p]
-    constants = {}
-    for m, col_m in enumerate(cols):
-        for l, col_l in enumerate(cols):
-            w = view.contract((x * y, i, j) for i, x in col_m for j, y in col_l)
-            for k, row in enumerate(rows):
-                terms = [x * w[a] for a, x in row if w[a] != zero]
-                if terms:
-                    value = sum(terms[1:], terms[0])
-                    constants[(m, l, k)] = value if den is None else from_integer(value, den)
+        zero = 0 if d is None else (0, 0)
+        cols = list(zip(*q))
+        rows = [[(a, x) for a, x in enumerate(row) if x != zero] for row in p]
+        for m, col_m in enumerate(cols):
+            for l, col_l in enumerate(cols):
+                w = _view_bracket(view, d, col_m, col_l)
+                for k, value in enumerate(_images(rows, w, d)):
+                    if value != zero:
+                        constants[(m, l, k)] = value
+        values = list(constants.values())
+        if d is None:
+            constants = dict(zip(constants, [from_integer(x, den) for x in values]))
+        else:
+            constants = dict(zip(constants, from_pairs(values, (den, 0), d)))
+    else:
+        zero = t.zero
+        cols = [[(i, row[m]) for i, row in enumerate(q) if row[m] != zero] for m in range(n)]
+        rows = [[(a, x) for a, x in enumerate(row) if x != zero] for row in p]
+        for m, col_m in enumerate(cols):
+            for l, col_l in enumerate(cols):
+                w = t.contract((x * y, i, j) for i, x in col_m for j, y in col_l)
+                for k, row in enumerate(rows):
+                    terms = [x * w[a] for a, x in row if w[a] != zero]
+                    if terms:
+                        constants[(m, l, k)] = sum(terms[1:], terms[0])
     return StructTensor(
         n, constants, basis_labels=basis_labels or t.basis_labels, zero=t.zero
     )
+
+
+def _images(rows, w, d) -> list:
+    """P w for the nonzero entries (a, x) of each row of P, in ints or int pairs."""
+    if d is None:
+        return [sum(x * w[a] for a, x in row) for row in rows]
+    images = []
+    for row in rows:
+        va = vb = 0
+        for a, (xa, xb) in row:
+            wa, wb = w[a]
+            va += xa * wa + d * xb * wb
+            vb += xa * wb + xb * wa
+        images.append((va, vb))
+    return images
 
 
 def basis_rows_to_coordinate_map(rows) -> list:

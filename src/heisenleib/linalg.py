@@ -11,14 +11,19 @@ All of those clear each row of its denominators into Z, or into
 Z[sqrt d] over Q(sqrt d) (the integer view of scalars.py; two different d
 raise IncompatibleFieldError up front), and run one private kernel on the
 cleared rows, _fraction_free: Bareiss's fraction-free Gauss-Jordan
-elimination.  It is exact, not approximate: each division by the previous
-pivot has a remainder of zero (Sylvester's identity makes every entry a
-minor of the cleared matrix), and exact_div raises if one does not.
+elimination.  Over Z[sqrt d] each entry is a (rational, sqrt) pair of
+plain ints and the ring arithmetic is written inline; the division by an
+element y multiplies by conj(y) and divides by the int N(y).  It is
+exact, not approximate: Sylvester's identity holds in any integral
+domain, so every entry is a minor of the cleared matrix and each division
+by the previous pivot has a remainder of zero; exact_div and the pair
+division raise InexactDivisionError if one does not.
 cleared_rref divides the pivot rows by the last pivot once, giving the
 canonical Scalar RREF; algebra's series brackets, which hold cleared rows
 already, call it directly.  rank counts pivots and det reads the last
 pivot.  Beside det, matrix_nilpotent squares the matrix cleared once by
-its denominators with mat_mul until the power reaches dim.
+its denominators (as ring elements of Z[sqrt d]) with mat_mul until the
+power reaches dim.
 """
 
 from __future__ import annotations
@@ -27,7 +32,17 @@ from fractions import Fraction
 from operator import mul
 
 from .poly import PolyQ, _sum_of_products
-from .scalars import Scalar, clear_denominators, common_field, exact_div, from_integer
+from .scalars import (
+    InexactDivisionError,
+    Scalar,
+    clear_denominators,
+    common_field,
+    exact_div,
+    from_integer,
+    from_pairs,
+    integer_pairs,
+    quadratic_integers,
+)
 
 Matrix = list  # list[list[entry]]
 Vector = list  # list[entry]
@@ -129,37 +144,43 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def _cleared(rows: Matrix) -> list:
-    """Each row times the lcm of its denominators, in one ring."""
+def _cleared(rows: Matrix) -> tuple[int | None, list]:
+    """(d, each row times the lcm of its denominators): ints over Q, and
+    (rational, sqrt) int pairs over Q(sqrt d)."""
     d = common_field(x for row in rows for x in row)
-    return [clear_denominators(row, d)[1] for row in rows]
+    return d, [integer_pairs(row, d)[1] for row in rows]
 
 
-def cleared_matrix(a: Matrix, d: int | None) -> tuple[int, list]:
+def cleared_matrix(a: Matrix, d: int | None, clear=integer_pairs) -> tuple[int, list]:
     """(D, D*a) for a Scalar matrix over Q or Q(sqrt d), with D the lcm of
-    all its denominators: one scale factor for the whole matrix."""
+    all its denominators: one scale factor for the whole matrix.  Entries
+    are those of clear: int pairs by default, ring elements from
+    clear_denominators."""
     ncols = shape(a)[1]
-    den, flat = clear_denominators([x for row in a for x in row], d)
+    den, flat = clear([x for row in a for x in row], d)
     return den, [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
 
 
-def _fraction_free(m: list, ncols: int) -> tuple[list, list[int], object, int]:
+def _fraction_free(m: list, ncols: int, d: int | None = None) -> tuple:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of rows cleared
-    into one ring, Z or Z[sqrt d].  Zero rows are dropped.  For each pivot p in row r, every other row
-    becomes (p*row_i - m_i*row_r) / prev, with m_i its entry in the pivot
-    column and prev the previous pivot.  By Sylvester's identity every
-    entry is then a minor of the cleared matrix, so the division is exact
-    in the ring; exact_div raises if it is not.  Afterwards every pivot
-    entry equals the last pivot.
+    into Z (ints, d None) or Z[sqrt d] ((rational, sqrt) int pairs).  Zero
+    rows are dropped.  For each pivot p in row r, every other row becomes
+    (p*row_i - m_i*row_r) / prev, with m_i its entry in the pivot column
+    and prev the previous pivot.  Sylvester's identity holds in any
+    integral domain, so every entry is then a minor of the cleared matrix
+    and the division is exact in the ring; exact_div raises if it is not,
+    and so does _pair_rows.  Afterwards every pivot entry equals the last
+    pivot.
 
     Returns (eliminated rows, pivot columns, last pivot, sign of the row
     swaps).
     """
-    m = [row for row in m if any(row)]
+    zero = 0 if d is None else (0, 0)
+    m = [row for row in m if row.count(zero) != len(row)]
     pivots: list[int] = []
     prev, sign, r = None, 1, 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col] != zero), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
@@ -167,13 +188,16 @@ def _fraction_free(m: list, ncols: int) -> tuple[list, list[int], object, int]:
             sign = -sign
         top = m[r]
         p = top[col]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[col]
-                if prev is None:
-                    m[i] = [p * x - f * y for x, y in zip(row, top)]
-                else:
-                    m[i] = [exact_div(p * x - f * y, prev) for x, y in zip(row, top)]
+        if d is not None:
+            _pair_rows(m, r, col, prev or (1, 0), d)
+        else:
+            for i, row in enumerate(m):
+                if i != r:
+                    f = row[col]
+                    if prev is None:
+                        m[i] = [p * x - f * y for x, y in zip(row, top)]
+                    else:
+                        m[i] = [exact_div(p * x - f * y, prev) for x, y in zip(row, top)]
         prev = p
         pivots.append(col)
         r += 1
@@ -182,11 +206,42 @@ def _fraction_free(m: list, ncols: int) -> tuple[list, list[int], object, int]:
     return m, pivots, prev, sign
 
 
-def cleared_rref(cleared: list, ncols: int) -> tuple[Matrix, list[int]]:
-    """(nonzero rows of the RREF, pivot columns) of rows cleared into one
-    ring: the pivot rows divided by the last pivot, as Scalars."""
-    m, pivots, last, _ = _fraction_free(cleared, ncols)
-    return [[from_integer(x, last) for x in m[i]] for i in range(len(pivots))], pivots
+def _pair_rows(m: list, r: int, col: int, prev: tuple, d: int) -> None:
+    """One Bareiss step over Z[sqrt d] on int pairs: row i becomes
+    (p*row_i - f*row_r) / prev for p = m[r][col] and f = m[i][col].  The
+    division multiplies by conj(prev) and divides by the int N(prev) =
+    prev*conj(prev); as N(prev) != 0, prev divides z iff N(prev) divides
+    z*conj(prev) in both parts, so a remainder raises InexactDivisionError.
+    p is multiplied by conj(prev) once per step and f once per row."""
+    qa, qb = prev
+    norm = qa * qa - d * qb * qb
+    top = m[r]
+    pa, pb = top[col]
+    pa, pb = pa * qa - d * pb * qb, pb * qa - pa * qb
+    dpb = d * pb
+    for i, row in enumerate(m):
+        if i == r:
+            continue
+        fa, fb = row[col]
+        fa, fb = fa * qa - d * fb * qb, fb * qa - fa * qb
+        dfb = d * fb
+        new = []
+        for (xa, xb), (ya, yb) in zip(row, top):
+            a, ra = divmod(pa * xa + dpb * xb - fa * ya - dfb * yb, norm)
+            b, rb = divmod(pa * xb + pb * xa - fa * yb - fb * ya, norm)
+            if ra or rb:
+                raise InexactDivisionError(f"inexact division in Z[sqrt({d})]")
+            new.append((a, b))
+        m[i] = new
+
+
+def cleared_rref(cleared: list, ncols: int, d: int | None = None) -> tuple[Matrix, list[int]]:
+    """(nonzero rows of the RREF, pivot columns) of rows cleared into Z or
+    Z[sqrt d]: the pivot rows divided by the last pivot, as Scalars."""
+    m, pivots, last, _ = _fraction_free(cleared, ncols, d)
+    if d is None:
+        return [[from_integer(x, last) for x in m[i]] for i in range(len(pivots))], pivots
+    return [from_pairs(m[i], last, d) for i in range(len(pivots))], pivots
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
@@ -196,13 +251,15 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     bases drop them.
     """
     nrows, ncols = shape(rows)
-    red, pivots = cleared_rref(_cleared(rows), ncols)
+    d, cleared = _cleared(rows)
+    red, pivots = cleared_rref(cleared, ncols, d)
     zero = Scalar.zero()
     return red + [[zero] * ncols for _ in range(nrows - len(pivots))], pivots
 
 
 def rank(rows: Matrix) -> int:
-    return len(_fraction_free(_cleared(rows), shape(rows)[1])[1])
+    d, cleared = _cleared(rows)
+    return len(_fraction_free(cleared, shape(rows)[1], d)[1])
 
 
 def nullspace(a: Matrix) -> list[Vector]:
@@ -230,10 +287,13 @@ def det(a: Matrix) -> Scalar:
         raise ShapeError("determinant needs a square matrix")
     if not a:
         return Scalar.one()
-    den, m = cleared_matrix(a, common_field(x for row in a for x in row))
-    _, pivots, last, sign = _fraction_free(m, c)
+    d = common_field(x for row in a for x in row)
+    den, m = cleared_matrix(a, d)
+    _, pivots, last, sign = _fraction_free(m, c, d)
     if len(pivots) < r:
         return Scalar.zero()
+    if d is not None:
+        last = quadratic_integers(d)(*last)
     return from_integer(sign * last, den**r)
 
 
@@ -247,7 +307,7 @@ def matrix_nilpotent(m: Matrix) -> bool:
         raise ShapeError("nilpotency needs a square matrix")
     if r == 0:
         return True
-    power = cleared_matrix(m, common_field(x for row in m for x in row))[1]
+    power = cleared_matrix(m, common_field(x for row in m for x in row), clear_denominators)[1]
     k = 1
     while k < r and any(map(any, power)):
         power = mat_mul(power, power)

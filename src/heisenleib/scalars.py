@@ -27,11 +27,17 @@ check that the file format's field tag shares): d goes to squarefree
 trial division (about sqrt|d| steps), whose verdict is memoized for the
 arithmetic results over sqrt(d).
 
-Hot loops run on an integer view instead: clear_denominators multiplies a
-list of Scalars by the lcm of their denominators, giving ints over Q and
-elements of Z[sqrt d] (quadratic_integers(d), a ring class that holds d
-once) over Q(sqrt d).  exact_div divides there and raises unless the
-quotient is in the ring, and from_integer goes back to a Scalar.
+Hot loops run on an integer view instead: integer_pairs multiplies a list
+of Scalars by the lcm of their denominators, giving ints over Q and, over
+Q(sqrt d), each element of Z[sqrt d] as its (rational, sqrt) pair of
+plain ints.  linalg's elimination and algebra's view brackets do their
+arithmetic on those pairs inline, with d passed beside them, and
+from_pairs goes back to Scalars: x / y = x * conj(y) / N(y), with the
+norm N(y) = y * conj(y) an int.  clear_denominators gives the same values
+as elements of quadratic_integers(d), a ring class that holds d once, for
+the Leibniz view and matrix nilpotency; exact_div divides in Z or in that
+ring and raises unless the quotient is in it, and from_integer goes back
+to a Scalar.
 """
 
 from __future__ import annotations
@@ -415,18 +421,26 @@ def common_field(values) -> int | None:
     return d
 
 
-def clear_denominators(values, d: int | None) -> tuple[int, list]:
+def integer_pairs(values, d: int | None) -> tuple[int, list]:
     """(D, [D*v for v in values]) for Scalars in Q or Q(sqrt d), with D the
-    lcm of their denominators: each D*v is an int when d is None and an
-    element of quadratic_integers(d) otherwise."""
+    lcm of their denominators: each D*v is an int when d is None and its
+    (rational, sqrt) int pair otherwise."""
     den = lcm(*(x.denominator for v in values for x in (v.a, v.b)))
     if d is None:
         return den, [v.a.numerator * (den // v.a.denominator) for v in values]
-    ring = quadratic_integers(d)
     return den, [
-        ring(v.a.numerator * (den // v.a.denominator), v.b.numerator * (den // v.b.denominator))
+        (v.a.numerator * (den // v.a.denominator), v.b.numerator * (den // v.b.denominator))
         for v in values
     ]
+
+
+def clear_denominators(values, d: int | None) -> tuple[int, list]:
+    """integer_pairs with each pair as an element of quadratic_integers(d)."""
+    den, cleared = integer_pairs(values, d)
+    if d is None:
+        return den, cleared
+    ring = quadratic_integers(d)
+    return den, [ring(a, b) for a, b in cleared]
 
 
 def from_integer(x, den=1) -> Scalar:
@@ -436,3 +450,12 @@ def from_integer(x, den=1) -> Scalar:
     if x.__class__ is int:
         return _scalar(Fraction(x, den))
     return _scalar(Fraction(x.a, den), Fraction(x.b, den), x.d)
+
+
+def from_pairs(xs, den: tuple, d: int) -> list:
+    """[x / den for x in xs] as Scalars, for (rational, sqrt) int pairs x and
+    a nonzero den of Z[sqrt d]: x * conj(den) / N(den)."""
+    p, q = den
+    norm = p * p - d * q * q
+    return [_scalar(Fraction(a * p - d * b * q, norm), Fraction(b * p - a * q, norm), d)
+            for a, b in xs]

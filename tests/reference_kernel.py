@@ -79,6 +79,15 @@ sized by degree: the full exponent vector as 8-bit fields of one int under
 a total-degree field, a product as one int add.  The key tests compare
 the order, degrees and products of today's keys against it.
 
+reference_fraction_free is the fraction-free elimination as it ran before
+its Z[sqrt d] rows became (rational, sqrt) int pairs: one ring-object
+expression p*x - f*y and one exact_div per entry, on ints or on elements
+of scalars.quadratic_integers(d).  reference_view_bracket is a bracket on
+the integer view contracted one ring product at a time through
+StructTensor.contract, and reference_bracket_span is bracket_span built
+from both, the way algebra ran before its view brackets moved onto int
+pairs.
+
 reference_sp2_nilpotency_locus is the sp(2) pair decision as it ran
 before it read the real-versus-complex answer off the field of the root:
 a separate discriminant test, quadratic_real_root_exists, on the same
@@ -151,7 +160,7 @@ from heisenleib.poly import (
     quadratic_real_root_exists,
     quadratic_roots,
 )
-from heisenleib.scalars import Scalar
+from heisenleib.scalars import Scalar, clear_denominators, exact_div, from_integer
 
 
 def is_zero_vector(v) -> bool:
@@ -200,6 +209,54 @@ def reference_integer_defects(t) -> list:
         for k in range(n)
         if any(e != zero for e in view.leibniz_residual(i, j, k))
     ]
+
+
+def reference_fraction_free(m, ncols: int):
+    """(eliminated rows, pivot columns, last pivot, sign of the row swaps) of
+    rows cleared into Z or Z[sqrt d] as ring elements (clear_denominators)."""
+    m = [row for row in m if any(row)]
+    pivots = []
+    prev, sign, r = None, 1, 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                if prev is None:
+                    m[i] = [p * x - f * y for x, y in zip(row, top)]
+                else:
+                    m[i] = [exact_div(p * x - f * y, prev) for x, y in zip(row, top)]
+        prev = p
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, prev, sign
+
+
+def reference_view_bracket(view, u, v) -> list:
+    """[u, v] on the integer view for u, v cleared into ring elements."""
+    return view.contract(
+        (x * y, i, j) for i, x in enumerate(u) if x for j, y in enumerate(v) if y
+    )
+
+
+def reference_bracket_span(t, a, b) -> Subspace:
+    d, _, view = t._integer_view(*a.rows, *b.rows)
+    us = [clear_denominators(u, d)[1] for u in a.rows]
+    vs = [clear_denominators(v, d)[1] for v in b.rows]
+    m, pivots, last, _ = reference_fraction_free(
+        [reference_view_bracket(view, u, v) for u in us for v in vs], t.dim
+    )
+    return Subspace(t.dim, tuple(tuple(from_integer(x, last) for x in m[i])
+                                 for i in range(len(pivots))))
 
 
 def reference_contract(constants: dict, dim: int, zero, terms) -> list:

@@ -30,6 +30,7 @@ from heisenleib.heisenberg import (
     ExtensionValidationError,
     NilindependenceUndecidedWarning,
     build_extension,
+    heisenberg,
     heisenberg_subspace,
 )
 from heisenleib.poly import PolyQ
@@ -37,6 +38,7 @@ from heisenleib.scalars import Scalar
 
 from reference_kernel import nilpotency_power_oracle, vec_add
 from test_boundary_fuzz import SMALL, sp_matrix
+from test_pair_kernels import dim7_extension, quadratic_basis
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -179,6 +181,18 @@ class TestChangeBasisProperties:
         for _ in range(25):
             p = random_invertible(rng, t.dim)
             assert fingerprint(change_basis(t, p)) == fp
+
+    @pytest.mark.parametrize("d", [-1, 2, 5, -3])
+    @pytest.mark.parametrize("source", ["H2a1C", "H2a1R", "H3", "H2n2f-diag"])
+    def test_fingerprint_invariance_over_quadratic_fields(self, source, d):
+        # the dense Q(sqrt d) bases that the int-pair elimination and view
+        # brackets serve, up to dim 7
+        rng = random.Random(f"fingerprint {source} {d}")
+        t = {"H3": lambda: heisenberg(3), "H2n2f-diag": dim7_extension}.get(
+            source, lambda: build_entry(source))()
+        fp = fingerprint(t)
+        for _ in range(3):
+            assert fingerprint(change_basis(t, quadratic_basis(rng, t.dim, d))) == fp
 
     def test_functoriality(self):
         rng = random.Random(12)

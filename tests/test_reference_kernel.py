@@ -119,6 +119,7 @@ from reference_kernel import (
     symplectic_check_by_products,
     vec_add,
 )
+from test_pair_kernels import dim7_extension
 
 FIELDS = [None, -1, 2, 5]  # d of Q(sqrt d); None is Q
 
@@ -656,6 +657,9 @@ def test_contains_reads_the_non_pivot_columns(d, data):
         assert not Subspace.span(outsiders, n).is_contained_in(w)
 
 
+DIM7_SOURCES = {"H3": lambda: heisenberg(3), "H2n2f-diag": dim7_extension}
+
+
 def scalar_bracket_span(t, a, b):
     return Subspace.span(
         [t.bracket(u, v) for u in a.basis_vectors() for v in b.basis_vectors()], t.dim
@@ -671,11 +675,13 @@ def scalar_bracket_span(t, a, b):
         ("H2a1R", 2, None),
         ("H2a1R", None, 2),  # rational constants, quadratic subspaces
         ("H1a1C-jordan", None, -1),
+        ("H3", -1, -1),  # dim 7, the tall 49 x 7 eliminations
+        ("H2n2f-diag", -1, None),
     ],
 )
 def test_bracket_span_matches_scalar_brackets(entry_id, basis_d, subspace_d):
     rng = random.Random(f"{entry_id} {basis_d} {subspace_d}")
-    t = build_entry(entry_id)
+    t = DIM7_SOURCES[entry_id]() if entry_id in DIM7_SOURCES else build_entry(entry_id)
     n = t.dim
     t = change_basis(t, random_invertible(rng, n, basis_d))
     spaces = [Subspace.full(n), Subspace.zero(n)] + [
