@@ -37,8 +37,8 @@ from heisenleib.scalars import (
 from reference_kernel import reference_bracket_span, reference_fraction_free, reference_view_bracket
 
 PAIR_FIELDS = [None, -1, 2, 3, 5, -3]  # d of Z[sqrt d]; None is Z
-# units of negative norm: N(1 + sqrt 2) = N(2 + sqrt 5) = -1
-NEGATIVE_NORM_UNITS = {2: (1, 1), 5: (2, 1), 3: (1, 1)}  # N(1 + sqrt 3) = -2
+# elements of negative norm: N(1 + sqrt 2) = N(2 + sqrt 5) = -1, N(1 + sqrt 3) = -2
+NEGATIVE_NORM = {2: (1, 1), 3: (1, 1), 5: (2, 1)}
 
 
 def ring_entry(d, a, b):
@@ -103,14 +103,14 @@ def test_fraction_free_matches_ring_loop_past_2_200(d):
         assert max(abs(v) for v in ((last,) if d is None else last)) > 2**200
 
 
-@pytest.mark.parametrize("d", sorted(NEGATIVE_NORM_UNITS))
+@pytest.mark.parametrize("d", sorted(NEGATIVE_NORM))
 def test_fraction_free_divides_by_pivots_of_negative_norm(d):
     # rows scaled by powers of an element of negative norm, and that element
     # as the first pivot, which the second step divides by
-    ua, ub = NEGATIVE_NORM_UNITS[d]
-    assert ua * ua - d * ub * ub < 0
+    xa, xb = NEGATIVE_NORM[d]
+    assert xa * xa - d * xb * xb < 0
     ring = quadratic_integers(d)
-    unit = ring(ua, ub)
+    x = ring(xa, xb)
     rng = random.Random(f"negative norm {d}")
     steps = 0
     for _ in range(20):
@@ -119,9 +119,9 @@ def test_fraction_free_divides_by_pivots_of_negative_norm(d):
         for i in range(n + rng.randint(0, 3)):
             scale = ring(1, 0)
             for _ in range(i % 3):
-                scale = scale * unit
+                scale = scale * x
             rows.append([scale * ring(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)])
-        rows[0][0] = unit
+        rows[0][0] = x
         steps += len(assert_fraction_free_matches_reference(rows, d)[1]) - 1
     assert steps > 20
 
