@@ -28,24 +28,31 @@ antisymmetry off the view, which the public bracket does not read.
 
 bracket_span, behind both series, brackets on the same view: [u, v]
 with u, v and the constants cleared is a nonzero multiple of [u, v], so
-it spans the same line, and hands the cleared brackets to the
-fraction-free elimination of linalg.cleared_rref, which normalises to
-Scalars once.  The bracket, _view_bracket, holds u and v as ints over Q
-and as (rational, sqrt) int pairs over Q(sqrt d), and sums each
-coordinate in one int list per part, with the ring products written
-inline.  fingerprint spans [L, L] once for both series, and finds
-the center inside the left annihilator: one elimination, on the view, of
-the rows ([e_0, b], ..., [e_(n-1), b] | b) over its rows b.
-change_basis brackets there too, with both matrices
+it spans the same line.  u and v are the cleared rows the subspaces hold,
+and the brackets go to the fraction-free elimination of
+linalg.canonical_rref, whose result is the next subspace's cleared form,
+so no Scalar is built between one bracket_span and the next.  The bracket,
+_view_bracket, holds u and v as ints over Q and as (rational, sqrt) int
+pairs over Q(sqrt d), and sums each coordinate in one int list per part,
+with the ring products written inline.  fingerprint spans [L, L] once for
+both series, and finds the center inside the left annihilator: one
+elimination, on the view, of the rows ([e_0, b], ..., [e_(n-1), b] | b)
+over its rows b.  change_basis brackets there too, with both matrices
 cleared, and divides each new constant once by the scale factors.
-Subspaces are kept in reduced row echelon form, so that equality of
-subspaces is structural equality, membership is read off the rows, and
-the series/annihilator operations return canonical objects.
+
+A Subspace is its reduced row echelon form, held in one canonical
+cleared form (d, den, rows) from bracket to membership: rows / den is the
+RREF, den > 0 and the gcd of den and every component is 1, so equal
+subspaces have equal forms, and the Scalar rows are built only when read.
+Membership is read off the rows, and containment is read off the
+generating brackets: span(S) lies in W iff every s in S does, so the
+closure checks and certify's [L, L] in N (bracket_span_within) test each
+bracket on the view for membership instead of eliminating the span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, product
 from operator import mul
 
@@ -209,11 +216,12 @@ class StructTensor:
 
     def _integer_view(self, *others) -> tuple:
         """(d, D, view): the field Q(sqrt d) of the constants and of the Scalars
-        in the iterables others (d None for Q), and the tensor times D, the lcm
-        of its denominators, in Z or Z[sqrt d].  The view is kept; a rational
-        tensor that meets a quadratic d gets a fresh one in Z[sqrt d], as an int
-        and a ring element do not add.  Read by leibniz_defects (through
-        _packed_defects), is_lie, bracket_span, _center_in and _change_basis_with_inverse."""
+        or subspaces in the iterables others (d None for Q), and the tensor
+        times D, the lcm of its denominators, in Z or Z[sqrt d].  The view is
+        kept; a rational tensor that meets a quadratic d gets a fresh one in
+        Z[sqrt d], as an int and a ring element do not add.  Read by
+        leibniz_defects (through _packed_defects), is_lie, _view_brackets,
+        _center_in and _change_basis_with_inverse."""
         if self._view is None:
             object.__setattr__(self, "_view", self._cleared_view())
         den, view = self._view
@@ -320,12 +328,38 @@ def _dot(terms, packed) -> int:
     return sum(map(mul, factors, map(packed.__getitem__, columns)))
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """Subspace of F^n in reduced echelon form (canonical representative)."""
+    """Subspace of F^n in reduced echelon form (canonical representative),
+    held as the cleared form (d, den, rows) of linalg.canonical_form and its
+    pivot columns: equality and the hash compare the form, and the Scalar
+    rows are built when first read.  d is that of the field Q(sqrt d) the
+    RREF lives in, None for Q, as for a Scalar."""
 
-    ambient_dim: int
-    rows: tuple
+    __slots__ = ("ambient_dim", "d", "_den", "_ints", "_pivots", "_rows")
+
+    def __init__(self, ambient_dim: int, rows):
+        """From Scalar rows already in RREF, which are kept as given."""
+        rows = tuple(map(tuple, rows))
+        d = common_field(chain.from_iterable(rows))
+        den, ints = linalg.cleared_matrix(rows, d) if rows else (1, ())
+        zero = 0 if d is None else (0, 0)
+        pivots = [next(j for j, x in enumerate(row) if x != zero) for row in ints]
+        self._fill(ambient_dim, d, den, ints, pivots, rows)
+
+    @classmethod
+    def _cleared(cls, ambient_dim: int, d, den: int, ints, pivots) -> Subspace:
+        """From a cleared form and its pivot columns; no Scalar is built."""
+        w = object.__new__(cls)
+        w._fill(ambient_dim, d, den, ints, pivots, None)
+        return w
+
+    def _fill(self, ambient_dim, d, den, ints, pivots, rows) -> None:
+        ints, pivots = tuple(map(tuple, ints)), tuple(pivots)
+        for slot, value in zip(self.__slots__, (ambient_dim, d, den, ints, pivots, rows)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @classmethod
     def span(cls, vectors, ambient_dim: int) -> Subspace:
@@ -333,51 +367,89 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ShapeError("vector length != ambient dimension")
-        if not vectors:
-            return cls(ambient_dim, ())
-        red, pivots = linalg.rref(vectors)
-        rows = tuple(tuple(red[i]) for i in range(len(pivots)))
-        return cls(ambient_dim, rows)
+        d, cleared = linalg.cleared_rows(vectors)
+        return cls._cleared(ambient_dim, *linalg.canonical_rref(cleared, ambient_dim, d))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, ())
+        return cls._cleared(ambient_dim, None, 1, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, tuple(map(tuple, linalg.identity(ambient_dim))))  # already RREF
+        n = ambient_dim
+        return cls._cleared(n, None, 1, [[int(i == j) for j in range(n)] for i in range(n)], range(n))
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            rows = linalg.scalar_rows(self._ints, self._den, self.d)
+            object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._ints)
 
     def basis_vectors(self) -> list:
         return [list(row) for row in self.rows]
 
+    def _key(self) -> tuple:
+        return self.ambient_dim, self._den, self.d, self._ints
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(ambient_dim={self.ambient_dim!r}, rows={self.rows!r})"
+
     def contains(self, v) -> bool:
-        """Read off the RREF rows: each is 1 at its pivot column and 0 at the
-        others', so v is in W iff v = sum of v[pivot] * row.  The sum is v at
-        the pivot columns by construction, so only the others are compared,
-        from their nonzero row entries, up to the first that differs."""
+        """Whether v lies in W, for a vector v of Scalars; for a Subspace v,
+        whether all of v does, which holds iff each of its rows does.  Two
+        quadratic fields raise IncompatibleFieldError before any arithmetic."""
+        if isinstance(v, Subspace):
+            if v.ambient_dim != self.ambient_dim:
+                raise ShapeError("vector length != ambient dimension")
+            d = common_field((self, v))
+            return self._holds(d, v._rows_in(d))
         v = list(v)
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length != ambient dimension")
-        pivots = [next(j for j, x in enumerate(row) if not x.is_zero()) for row in self.rows]
-        terms = [(v[p], row) for p, row in zip(pivots, self.rows) if not v[p].is_zero()]
-        return all(
-            sum((c * row[j] for c, row in terms if not row[j].is_zero()), Scalar.zero()) == v[j]
-            for j in set(range(self.ambient_dim)).difference(pivots)
-        )
+        d = common_field([self, *v])
+        return self._holds(d, [integer_pairs(v, d)[1]])
 
     def is_contained_in(self, other: Subspace) -> bool:
-        return all(other.contains(list(row)) for row in self.rows)
+        return other.contains(self)
 
     def sum(self, other: Subspace) -> Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        return Subspace.span(
-            self.basis_vectors() + other.basis_vectors(), self.ambient_dim
-        )
+        d = common_field((self, other))
+        rows = self._rows_in(d) + other._rows_in(d)
+        return Subspace._cleared(self.ambient_dim, *linalg.canonical_rref(rows, self.ambient_dim, d))
+
+    def _rows_in(self, d) -> list:
+        """The cleared rows in the ring of d, W's d or a quadratic one."""
+        if d == self.d:
+            return list(self._ints)
+        return [[(x, 0) for x in row] for row in self._ints]
+
+    def _holds(self, d, vectors) -> bool:
+        """Whether each vector, cleared into the ring of d (W's d, or W is
+        rational), lies in W: iff den * v = sum of v[pivot] * row, compared
+        at the free columns (at the pivots it holds by construction).  A
+        rational W holds v over Q(sqrt d) iff it holds both parts of v."""
+        if d is not None and self.d is None:
+            vectors = (part for v in vectors for part in ([a for a, _ in v], [b for _, b in v]))
+            d = None
+        zero, minus = (0, -self._den) if d is None else ((0, 0), (-self._den, 0))
+        columns = [  # sum of v[pivot] * row[j], minus den * v[j], at each free column j
+            [(p, row[j]) for p, row in zip(self._pivots, self._ints) if row[j] != zero] + [(j, minus)]
+            for j in range(self.ambient_dim) if j not in self._pivots
+        ]
+        return all(_images(columns, v, d) == [zero] * len(columns) for v in vectors)
 
 
 @dataclass(frozen=True)
@@ -404,25 +476,40 @@ class Fingerprint:
 def bracket_span(t: StructTensor, a: Subspace, b: Subspace) -> Subspace:
     """span([u, v] : u in basis(a), v in basis(b)); complete by bilinearity.
 
-    Each bracket is taken on the integer view with the denominators of u
-    and v cleared, so it is a nonzero multiple of [u, v] and spans the
-    same line; the cleared brackets go to the elimination as they are."""
+    Each bracket is taken on the integer view of the cleared rows of a and
+    b, so it is a nonzero multiple of [u, v] and spans the same line; the
+    cleared brackets go to the elimination as they are, and the result
+    stays in cleared form."""
+    d, brackets = _view_brackets(t, a, b)
+    return Subspace._cleared(t.dim, *linalg.canonical_rref(list(brackets), t.dim, d))
+
+
+def bracket_span_within(t: StructTensor, a: Subspace, b: Subspace, w: Subspace) -> bool:
+    """Whether bracket_span(t, a, b) lies in w, with no elimination: a span
+    lies in w iff each of its generators does, so each bracket [u, v] of
+    basis rows is tested for membership in w on the integer view, up to
+    the first that is not in it."""
+    d, brackets = _view_brackets(t, a, b, w)
+    return w._holds(d, brackets)
+
+
+def _view_brackets(t: StructTensor, a: Subspace, b: Subspace, *others) -> tuple:
+    """(d, the lazy brackets [u, v] on the integer view over the cleared rows
+    u of a and v of b), for d the field of t, a, b and the other subspaces."""
     t._require_scalar("bracket span")
-    if a.ambient_dim != t.dim or b.ambient_dim != t.dim:
+    if any(w.ambient_dim != t.dim for w in (a, b, *others)):
         raise ShapeError("subspace ambient dimension != tensor dimension")
-    d, _, view = t._integer_view(*a.rows, *b.rows)
-    us = [integer_pairs(u, d)[1] for u in a.rows]
-    vs = [integer_pairs(v, d)[1] for v in b.rows]
-    vectors = [_view_bracket(view, d, u, v) for u in us for v in vs]
-    return Subspace(t.dim, tuple(map(tuple, linalg.cleared_rref(vectors, t.dim, d)[0])))
+    d, _, view = t._integer_view((a, b, *others))
+    vs = b._rows_in(d)
+    return d, (_view_bracket(view, d, u, v) for u in a._rows_in(d) for v in vs)
 
 
 def _view_bracket(view: StructTensor, d, u, v) -> list:
     """[u, v] on an integer view for u, v cleared into the same ring: ints
     over Q (d None), and over Q(sqrt d) (rational, sqrt) int pairs, with
     each coordinate summed in one int list per part.  The one contraction
-    of the integer view behind bracket_span, _center_in and
-    _change_basis_with_inverse."""
+    of the integer view behind bracket_span, bracket_span_within,
+    _center_in and _change_basis_with_inverse."""
     rows, n = view._c, view.dim
     if d is None:
         acc = [0] * n
@@ -514,15 +601,17 @@ def _center_in(t: StructTensor, ann: Subspace) -> Subspace:
     the integer view, solves sum_b a_b [e_j, b] = 0 for all j; the reduced rows
     whose bracket part vanishes end in the RREF rows of the sum_b a_b b."""
     n = t.dim
-    d, _, view = t._integer_view(*ann.rows)
+    d, _, view = t._integer_view((ann,))
     zero, one = (0, 1) if d is None else ((0, 0), (1, 0))
     units = [[one if i == j else zero for i in range(n)] for j in range(n)]
     rows = [
-        [x for e in units for x in _view_bracket(view, d, e, b)] + b
-        for b in (integer_pairs(b, d)[1] for b in ann.rows)
+        [x for e in units for x in _view_bracket(view, d, e, b)] + list(b)
+        for b in ann._rows_in(d)
     ]
-    red, pivots = linalg.cleared_rref(rows, n * n + n, d)
-    return Subspace(n, tuple(tuple(row[n * n:]) for row, p in zip(red, pivots) if p >= n * n))
+    d, den, red, pivots = linalg.canonical_rref(rows, n * n + n, d)
+    kept = [(row[n * n:], p - n * n) for row, p in zip(red, pivots) if p >= n * n]
+    center = linalg.canonical_form([row for row, _ in kept], den, d)
+    return Subspace._cleared(n, *center, [p for _, p in kept])
 
 
 def element_nilpotent(t: StructTensor, x) -> bool:
@@ -590,7 +679,8 @@ def _change_basis_with_inverse(t: StructTensor, p, q, basis_labels=None) -> Stru
 
 
 def _images(rows, w, d) -> list:
-    """P w for the nonzero entries (a, x) of each row of P, in ints or int pairs."""
+    """P w for the nonzero entries (a, x) of each row of P, in ints or int
+    pairs; Subspace._holds passes W's free columns as the rows."""
     if d is None:
         return [sum(x * w[a] for a, x in row) for row in rows]
     images = []
@@ -617,13 +707,16 @@ def subspace_closure_checks(t: StructTensor, w: Subspace) -> ClosureChecks:
 
 
 def _closure_checks(t: StructTensor, w: Subspace) -> tuple[ClosureChecks, Subspace]:
-    """subspace_closure_checks(t, w) and its [w, w], where w's series starts."""
+    """subspace_closure_checks(t, w) and its [w, w], where w's series starts.
+    [w, w] is eliminated, as the series needs it, and its rows are tested
+    against w; [L, w] and [w, L] are read off their generating brackets
+    [e_i, b] and [b, e_i] by bracket_span_within, with no elimination."""
     full, ww = Subspace.full(t.dim), bracket_span(t, w, w)
-    left = bracket_span(t, full, w).is_contained_in(w)
+    left = bracket_span_within(t, full, w, w)
     return ClosureChecks(
         is_subalgebra=ww.is_contained_in(w),
         is_left_ideal=left,
-        is_two_sided_ideal=left and bracket_span(t, w, full).is_contained_in(w),
+        is_two_sided_ideal=left and bracket_span_within(t, w, full, w),
     ), ww
 
 

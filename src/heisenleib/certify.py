@@ -26,7 +26,7 @@ from .algebra import (
     Subspace,
     _closure_checks,
     _series,
-    bracket_span,
+    bracket_span_within,
     element_nilpotent,
 )
 from .heisenberg import (
@@ -183,7 +183,11 @@ def certify_nilradical(
 
     The sub-checks are: two-sided ideal, nilpotent, and [L, L] contained in
     the subspace (which makes every enlargement an ideal, so maximality
-    reduces to element nilpotency of the appended generators).  Maximality
+    reduces to element nilpotency of the appended generators).  The
+    subspace is held in its cleared canonical form, and containment is
+    read off the generating brackets: the ideal checks and [L, L] test each
+    bracket [e_i, e_j], [e_i, b] or [b, e_i] for membership, with no
+    elimination of the span.  Maximality
     is complete when the zero H-eigenvalue combinations of the generators
     span at most a line, or a plane at n = 1; larger spans report
     "undecided" unless one of their basis combinations is nilpotent.
@@ -207,7 +211,7 @@ def certify_nilradical(
     ideal = checks.is_two_sided_ideal
     nilpotent = checks.is_subalgebra and _series(t, n_subspace, first=ww)[-1].dim == 0
     full = Subspace.full(t.dim)
-    contains_derived = bracket_span(t, full, full).is_contained_in(n_subspace)
+    contains_derived = bracket_span_within(t, full, full, n_subspace)
 
     if n_subspace == heisenberg_subspace(n, f) and ideal and nilpotent and contains_derived:
         maximality = _decide_maximality(t, n_subspace, n, f, field)

@@ -18,9 +18,11 @@ exact, not approximate: Sylvester's identity holds in any integral
 domain, so every entry is a minor of the cleared matrix and each division
 by the previous pivot has a remainder of zero; exact_div and the pair
 division raise InexactDivisionError if one does not.
-cleared_rref divides the pivot rows by the last pivot once, giving the
-canonical Scalar RREF; algebra's series brackets, which hold cleared rows
-already, call it directly.  rank counts pivots and det reads the last
+canonical_rref divides the pivot rows by the last pivot once, in
+canonical_form: (d, den, rows) with rows / den the RREF, den > 0 sharing
+no factor with the rows, and d None when every sqrt part is 0.  algebra's
+subspaces stay in that form; scalar_rows turns it into Scalars for rref
+and for a subspace's rows.  rank counts pivots and det reads the last
 pivot.  Beside det, matrix_nilpotent squares the matrix cleared once by
 its denominators (as ring elements of Z[sqrt d]) with mat_mul until the
 power reaches dim.
@@ -29,6 +31,8 @@ power reaches dim.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from operator import mul
 
 from .poly import PolyQ, _sum_of_products
@@ -144,7 +148,7 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def _cleared(rows: Matrix) -> tuple[int | None, list]:
+def cleared_rows(rows: Matrix) -> tuple[int | None, list]:
     """(d, each row times the lcm of its denominators): ints over Q, and
     (rational, sqrt) int pairs over Q(sqrt d)."""
     d = common_field(x for row in rows for x in row)
@@ -235,13 +239,40 @@ def _pair_rows(m: list, r: int, col: int, prev: tuple, d: int) -> None:
         m[i] = new
 
 
-def cleared_rref(cleared: list, ncols: int, d: int | None = None) -> tuple[Matrix, list[int]]:
-    """(nonzero rows of the RREF, pivot columns) of rows cleared into Z or
-    Z[sqrt d]: the pivot rows divided by the last pivot, as Scalars."""
+def canonical_rref(cleared: list, ncols: int, d: int | None = None) -> tuple:
+    """(d, den, rows, pivot columns) for rows cleared into Z or Z[sqrt d]:
+    rows / den are the nonzero rows of the RREF, in canonical_form.  Over
+    Z[sqrt d] the pivot rows are multiplied by conj(last pivot) and divided
+    by its int norm."""
     m, pivots, last, _ = _fraction_free(cleared, ncols, d)
+    rows = m[: len(pivots)]
+    if d is not None and pivots:
+        p, q = last
+        rows = [[(a * p - d * b * q, b * p - a * q) for a, b in row] for row in rows]
+        last = p * p - d * q * q
+    return (*canonical_form(rows, last or 1, d), pivots)
+
+
+def canonical_form(rows: list, den: int, d: int | None = None) -> tuple:
+    """(d, den, rows) for the matrix rows / den, rows of ints (d None) or
+    int pairs: den and every component divided by their gcd, with the sign
+    that makes den positive, and d None, with rows of ints, when every sqrt
+    part is 0.  So den is the lcm of the reduced denominators of the
+    matrix's parts, and equal matrices give equal forms."""
+    if d is not None and not any(b for row in rows for _, b in row):
+        d, rows = None, [[a for a, _ in row] for row in rows]
+    parts = (x for row in rows for x in (row if d is None else chain.from_iterable(row)))
+    g = gcd(den, *parts) * (1 if den > 0 else -1)
     if d is None:
-        return [[from_integer(x, last) for x in m[i]] for i in range(len(pivots))], pivots
-    return [from_pairs(m[i], last, d) for i in range(len(pivots))], pivots
+        return d, den // g, [[x // g for x in row] for row in rows]
+    return d, den // g, [[(a // g, b // g) for a, b in row] for row in rows]
+
+
+def scalar_rows(rows: list, den: int, d: int | None = None) -> Matrix:
+    """rows / den as Scalars, for rows cleared into Z or Z[sqrt d]."""
+    if d is None:
+        return [[from_integer(x, den) for x in row] for row in rows]
+    return [from_pairs(row, (den, 0), d) for row in rows]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
@@ -251,14 +282,14 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     bases drop them.
     """
     nrows, ncols = shape(rows)
-    d, cleared = _cleared(rows)
-    red, pivots = cleared_rref(cleared, ncols, d)
+    d, cleared = cleared_rows(rows)
+    d, den, red, pivots = canonical_rref(cleared, ncols, d)
     zero = Scalar.zero()
-    return red + [[zero] * ncols for _ in range(nrows - len(pivots))], pivots
+    return scalar_rows(red, den, d) + [[zero] * ncols for _ in range(nrows - len(pivots))], pivots
 
 
 def rank(rows: Matrix) -> int:
-    d, cleared = _cleared(rows)
+    d, cleared = cleared_rows(rows)
     return len(_fraction_free(cleared, shape(rows)[1], d)[1])
 
 

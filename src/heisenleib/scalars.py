@@ -409,8 +409,8 @@ def exact_div(x, y):
 
 def common_field(values) -> int | None:
     """The d of the one quadratic field the values live in (None for Q).
-    Values are Scalars or elements of Z or Z[sqrt d]; two different d
-    raise IncompatibleFieldError."""
+    Values are Scalars, elements of Z or Z[sqrt d], or anything else with
+    a d, such as a Subspace; two different d raise IncompatibleFieldError."""
     d = None
     for v in values:
         vd = getattr(v, "d", None)

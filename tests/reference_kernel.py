@@ -35,6 +35,13 @@ the stored RREF rows, and reference_contains is the sum of v[pivot] * row
 over every column, the way it read them before it compared only the
 non-pivot columns.
 
+reference_span_rows is a subspace's RREF as the nonzero rows of
+reference_rref, the Scalar form Subspace held before it kept one cleared
+form of integers; reference_closure_by_elimination decides the closure
+checks and [L, L] in w by eliminating each span with bracket_span and
+testing its rows with reference_contains, the way algebra and certify did
+before containment was read off the generating brackets.
+
 reference_sheared is the unipotent change of basis of the cascade's
 checked shears with its rows I + E placed by (row, column) positions, the
 way constraints built them before heisenberg.extension_shear.
@@ -414,6 +421,31 @@ def reference_contains_by_rank(w, v) -> bool:
         return True
     stacked = w.basis_vectors() + [list(v)]
     return len(reference_rref(stacked)[1]) == w.dim
+
+
+def reference_span_rows(vectors) -> tuple:
+    """The nonzero rows of reference_rref(vectors), as a tuple of tuples."""
+    if not vectors:
+        return ()
+    red, pivots = reference_rref([list(v) for v in vectors])
+    return tuple(tuple(row) for row in red[: len(pivots)])
+
+
+def reference_closure_by_elimination(t, w) -> tuple:
+    """(closure checks of w, whether [L, L] lies in w), each span eliminated
+    by bracket_span and its rows tested by reference_contains."""
+    full = Subspace.full(t.dim)
+
+    def within(a, b):
+        return all(reference_contains(w, row) for row in bracket_span(t, a, b).rows)
+
+    left = within(full, w)
+    checks = ClosureChecks(
+        is_subalgebra=within(w, w),
+        is_left_ideal=left,
+        is_two_sided_ideal=left and within(w, full),
+    )
+    return checks, within(full, full)
 
 
 def reference_sheared(t, entries: dict):

@@ -213,6 +213,10 @@ def two_field_inputs():
     t_mixed = StructTensor(2, {(0, 1, 1): r2, (1, 0, 0): r3})
     w3 = Subspace(2, ((one, r3),))
     full = Subspace.full(2)
+    # a sqrt(2) line met by sqrt(3) vectors: in a pivot column, beside the
+    # sqrt(2) entry, and as the row of a subspace
+    w2 = Subspace.span([[one, r2, zero]], 3)
+    w3_line = Subspace.span([[r3, zero, one]], 3)
     return {
         "rank": (lambda: linalg.rank(mixed), False),
         "rref": (lambda: linalg.rref(mixed), False),
@@ -222,6 +226,10 @@ def two_field_inputs():
         "bracket_span": (lambda: bracket_span(t2, w3, w3), False),
         "bracket_span, mixed tensor": (lambda: bracket_span(t_mixed, full, full), False),
         "center": (lambda: center(t_mixed), False),
+        "contains, pivot column": (lambda: w2.contains([r3, zero, zero]), False),
+        "contains, non-pivot column": (lambda: w2.contains([zero, r3, zero]), False),
+        "is_contained_in": (lambda: w3_line.is_contained_in(w2), False),
+        "is_contained_in, reversed": (lambda: w2.is_contained_in(w3_line), False),
         "change_basis, mixed matrix": (lambda: change_basis(t2, mixed), False),
         # P = diag(sqrt 3, 1) is inverted over Q(sqrt 3) alone, and the
         # sqrt(2) tensor meets it at the integer view

@@ -39,7 +39,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisenleib import algebra, certify, linalg
+from heisenleib import algebra, linalg
 from heisenleib.algebra import (
     Fingerprint,
     StructTensor,
@@ -1029,7 +1029,6 @@ def count_bracket_spans(monkeypatch):
         return original(t, a, b)
 
     monkeypatch.setattr(algebra, "bracket_span", counting)
-    monkeypatch.setattr(certify, "bracket_span", counting)
     return spans
 
 
