@@ -12,19 +12,19 @@ assumed: leibniz_residual exposes the defect of each basis triple.
 
 For Scalar entries leibniz_defects decides the same residuals over
 integers.  The tensor's private integer view holds every constant times
-the lcm D of all denominators: an int over Q, and over Q(sqrt d) an
-element of the ring Z[sqrt d] from scalars.py, which holds d once
-(constants with two different d raise IncompatibleFieldError).  Each
-residual component is quadratic in the constants, so scaling by D keeps
-its zero set, and a + b*sqrt(d) = 0 iff a = b = 0.  The packed kernel
-holds each product row as ints with one w-bit slot per coordinate
-(Kronecker substitution).  It is exact: for M the largest absolute
-integer part in the view (d = 0 over Q), a residual component sums at
-most 3*dim products of size at most (1 + |d|)*M^2, so
-w = bitlength(3*dim*(1 + |d|)*M^2) + 1 keeps it inside (-2^(w-1), 2^(w-1));
-base-2^w digits that small are unique, so the packed residual is 0 iff
-every component is.  The defects are memoized per tensor; is_lie reads
-antisymmetry off the view, which the public bracket does not read.
+the lcm D of all denominators: an int over Q, and over Q(sqrt d) its
+(rational, sqrt) int pair, with d kept beside the view (constants with
+two different d raise IncompatibleFieldError).  Each residual component
+is quadratic in the constants, so scaling by D keeps its zero set, and
+a + b*sqrt(d) = 0 iff a = b = 0.  The packed kernel holds each product
+row as ints with one w-bit slot per coordinate (Kronecker substitution).
+It is exact: for M the largest absolute integer part in the view (d = 0
+over Q), a residual component sums at most 3*dim products of size at
+most (1 + |d|)*M^2, so w = bitlength(3*dim*(1 + |d|)*M^2) + 1 keeps it
+inside (-2^(w-1), 2^(w-1)); base-2^w digits that small are unique, so
+the packed residual is 0 iff every component is.  The defects are
+memoized per tensor; is_lie reads antisymmetry off the view, part by
+part, which the public bracket does not read.
 
 bracket_span, behind both series, brackets on the same view: [u, v]
 with u, v and the constants cleared is a nonzero multiple of [u, v], so
@@ -54,20 +54,13 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, product
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .linalg import ShapeError
 from .poly import PolyQ, _sum_of_products
-from .scalars import (
-    Scalar,
-    clear_denominators,
-    common_field,
-    from_integer,
-    from_pairs,
-    integer_pairs,
-    quadratic_integers,
-)
+from .scalars import (IncompatibleFieldError, Scalar, common_field, from_integer, from_pairs,
+                      integer_pairs)
 
 _NO_PRODUCT: dict = {}
 
@@ -207,7 +200,7 @@ class StructTensor:
         returns a fresh list."""
         if self._defects is None:
             n = self.dim
-            defects = _packed_defects(n, self._integer_view()[2]) if self.is_scalar() else tuple(
+            defects = _packed_defects(n, *self._integer_view()[::2]) if self.is_scalar() else tuple(
                 ijk for ijk in product(range(n), repeat=3)
                 if any(e != self.zero for e in self.leibniz_residual(*ijk))
             )
@@ -217,44 +210,48 @@ class StructTensor:
     def _integer_view(self, *others) -> tuple:
         """(d, D, view): the field Q(sqrt d) of the constants and of the Scalars
         or subspaces in the iterables others (d None for Q), and the tensor
-        times D, the lcm of its denominators, in Z or Z[sqrt d].  The view is
-        kept; a rational tensor that meets a quadratic d gets a fresh one in
-        Z[sqrt d], as an int and a ring element do not add.  Read by
-        leibniz_defects (through _packed_defects), is_lie, _view_brackets,
-        _center_in and _change_basis_with_inverse."""
+        times D, the lcm of its denominators: ints over Q and (rational,
+        sqrt) int pairs over Q(sqrt d), with zero (0, 0).  The view and its d
+        are kept; a rational tensor that meets a quadratic d gets a fresh
+        view of pairs.  Read by leibniz_defects (through _packed_defects),
+        is_lie, _view_brackets, _center_in and _change_basis_with_inverse."""
         if self._view is None:
             object.__setattr__(self, "_view", self._cleared_view())
-        den, view = self._view
-        d = common_field(chain((view.zero,), *others))
-        if d is None or view.zero.__class__ is not int:
-            return d, den, view
-        return (d, *self._cleared_view(d))
+        own, den, view = self._view
+        d = common_field(chain(*others))
+        if d is None or d == own:
+            return own, den, view
+        if own is not None:
+            raise IncompatibleFieldError(f"cannot combine sqrt({own}) with sqrt({d})")
+        return self._cleared_view(d)
 
     def _cleared_view(self, d=None) -> tuple:
         values = [v for row in self._c.values() for v in row.values()]
         d = d or common_field(values)
-        den, cleared = clear_denominators(values, d)
+        den, cleared = integer_pairs(values, d)
         cleared = iter(cleared)
         view = object.__new__(StructTensor)
         view._fill(
-            self.dim, self.basis_labels, 0 if d is None else quadratic_integers(d)(0, 0),
+            self.dim, self.basis_labels, 0 if d is None else (0, 0),
             {ij: {k: next(cleared) for k in row} for ij, row in self._c.items()},
         )
-        return den, view
+        return d, den, view
 
     def is_leibniz(self) -> bool:
         return not self.leibniz_defects()
 
     def is_lie(self) -> bool:
-        """Leibniz plus antisymmetry of the constants (Scalars on the integer view)."""
+        """Leibniz plus antisymmetric constants (on a Scalar tensor's view, part by part)."""
         if not self.is_leibniz():
             return False
         view = self._integer_view()[2] if self.is_scalar() else self
         zero, rows = view.zero, view._c
+        pairs = zero.__class__ is tuple
         return all(
-            value + rows.get((j, i), _NO_PRODUCT).get(k, zero) == zero
+            not any(map(add, value, other)) if pairs else value + other == zero
             for (i, j), row in rows.items()
             for k, value in row.items()
+            for other in (rows.get((j, i), _NO_PRODUCT).get(k, zero),)
         )
 
     # -- multiplication operators ---------------------------------------------
@@ -297,14 +294,14 @@ class StructTensor:
         return f"StructTensor(dim={self.dim}, entries={kind})"
 
 
-def _packed_defects(n: int, view: StructTensor) -> tuple:
-    """Leibniz defects of an integer view.  Row (a, b), c_ab^l = x_l + y_l*sqrt(d),
-    is held as P = X + Y*2^(w*n) and P' = d*Y + X*2^(w*n) for X = sum_l x_l 2^(w*l)
-    and Y likewise (Y = 0 over Q), so (x + y*sqrt(d)) times the row is x*P + y*P',
-    rational parts in the low half and sqrt parts in the high one."""
-    d = getattr(view.zero, "d", 0)
-    rows = {ab: [(l, c, 0) if d == 0 else (l, c.a, c.b) for l, c in row.items()]
+def _packed_defects(n: int, d, view: StructTensor) -> tuple:
+    """Leibniz defects of the integer view over Q(sqrt d), d None for Q.  Row (a, b),
+    c_ab^l = x_l + y_l*sqrt(d), is held as P = X + Y*2^(w*n) and P' = d*Y + X*2^(w*n) for
+    X = sum_l x_l 2^(w*l) and Y likewise (Y = 0 and d = 0 over Q), so (x + y*sqrt(d)) times
+    the row is x*P + y*P', rational parts in the low half and sqrt parts in the high one."""
+    rows = {ab: [(l, c, 0) if d is None else (l, *c) for l, c in row.items()]
             for ab, row in view._c.items()}
+    d = d or 0
     top = max((abs(v) for row in rows.values() for _, x, y in row for v in (x, y)), default=0)
     w = (3 * n * (1 + abs(d)) * top * top).bit_length() + 1
     left = [[0] * (2 * n) for _ in range(n)]  # left[a][b] = P(a, b), left[a][n + b] = P'(a, b)
@@ -338,12 +335,19 @@ class Subspace:
     __slots__ = ("ambient_dim", "d", "_den", "_ints", "_pivots", "_rows")
 
     def __init__(self, ambient_dim: int, rows):
-        """From Scalar rows already in RREF, which are kept as given."""
+        """From Scalar rows of length ambient_dim in RREF, kept as given; ValueError
+        unless the pivot columns increase and the columns at them are den * I."""
         rows = tuple(map(tuple, rows))
+        if any(len(row) != ambient_dim for row in rows):
+            raise ShapeError("row length != ambient dimension")
         d = common_field(chain.from_iterable(rows))
         den, ints = linalg.cleared_matrix(rows, d) if rows else (1, ())
-        zero = 0 if d is None else (0, 0)
-        pivots = [next(j for j, x in enumerate(row) if x != zero) for row in ints]
+        zero, one = (0, den) if d is None else ((0, 0), (den, 0))
+        pivots = [next((j for j, x in enumerate(row) if x != zero), -1) for row in ints]
+        unit = [[one if p == q else zero for q in pivots] for p in pivots]
+        if any(p >= q for p, q in zip([-1] + pivots, pivots)) or unit != [
+                [row[p] for p in pivots] for row in ints]:
+            raise ValueError("Subspace rows are not a reduced row echelon form")
         self._fill(ambient_dim, d, den, ints, pivots, rows)
 
     @classmethod
@@ -529,7 +533,7 @@ def _view_bracket(view: StructTensor, d, u, v) -> list:
                 ca, cb = xa * ya + d * xb * yb, xa * yb + xb * ya
                 dcb = d * cb
                 for k, ck in rows.get((i, j), _NO_PRODUCT).items():
-                    a, b = ck.a, ck.b
+                    a, b = ck
                     acc_a[k] += ca * a + dcb * b
                     acc_b[k] += ca * b + cb * a
     return list(zip(acc_a, acc_b))

@@ -24,8 +24,9 @@ no factor with the rows, and d None when every sqrt part is 0.  algebra's
 subspaces stay in that form; scalar_rows turns it into Scalars for rref
 and for a subspace's rows.  rank counts pivots and det reads the last
 pivot.  Beside det, matrix_nilpotent squares the matrix cleared once by
-its denominators (as ring elements of Z[sqrt d]) with mat_mul until the
-power reaches dim.
+its denominators with mat_mul until the power reaches dim; over
+Z[sqrt d] it squares the int matrix in which each entry a + b*sqrt(d) is
+the 2x2 block ((a, d*b), (b, a)).
 """
 
 from __future__ import annotations
@@ -39,13 +40,11 @@ from .poly import PolyQ, _sum_of_products
 from .scalars import (
     InexactDivisionError,
     Scalar,
-    clear_denominators,
     common_field,
     exact_div,
     from_integer,
     from_pairs,
     integer_pairs,
-    quadratic_integers,
 )
 
 Matrix = list  # list[list[entry]]
@@ -155,13 +154,12 @@ def cleared_rows(rows: Matrix) -> tuple[int | None, list]:
     return d, [integer_pairs(row, d)[1] for row in rows]
 
 
-def cleared_matrix(a: Matrix, d: int | None, clear=integer_pairs) -> tuple[int, list]:
+def cleared_matrix(a: Matrix, d: int | None) -> tuple[int, list]:
     """(D, D*a) for a Scalar matrix over Q or Q(sqrt d), with D the lcm of
-    all its denominators: one scale factor for the whole matrix.  Entries
-    are those of clear: int pairs by default, ring elements from
-    clear_denominators."""
+    all its denominators: one scale factor for the whole matrix, and ints
+    or (rational, sqrt) int pairs as entries."""
     ncols = shape(a)[1]
-    den, flat = clear([x for row in a for x in row], d)
+    den, flat = integer_pairs([x for row in a for x in row], d)
     return den, [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
 
 
@@ -323,22 +321,29 @@ def det(a: Matrix) -> Scalar:
     _, pivots, last, sign = _fraction_free(m, c, d)
     if len(pivots) < r:
         return Scalar.zero()
-    if d is not None:
-        last = quadratic_integers(d)(*last)
-    return from_integer(sign * last, den**r)
+    if d is None:
+        return from_integer(last, sign * den**r)
+    return from_pairs([last], (sign * den**r, 0), d)[0]
 
 
 def matrix_nilpotent(m: Matrix) -> bool:
     """True iff M^dim = 0 exactly (equivalently, char poly = lambda^dim).
 
     Scaling does not change nilpotency, so M is cleared once into Z or
-    Z[sqrt d] and squared there until the power reaches dim or vanishes."""
+    Z[sqrt d].  Over Z[sqrt d] each entry a + b*sqrt(d) becomes the int
+    block ((a, d*b), (b, a)), an injective ring map into the 2x2 int
+    matrices, so M^k = 0 iff the k-th power of the 2dim x 2dim image is.
+    The int matrix is squared until the power reaches dim or vanishes."""
     r, c = shape(m)
     if r != c:
         raise ShapeError("nilpotency needs a square matrix")
     if r == 0:
         return True
-    power = cleared_matrix(m, common_field(x for row in m for x in row), clear_denominators)[1]
+    d = common_field(x for row in m for x in row)
+    power = cleared_matrix(m, d)[1]
+    if d is not None:  # row h of the block of a + b*sqrt(d): (a, d*b), then (b, a)
+        power = [[x for a, b in row for x in ((b, a) if h else (a, d * b))]
+                 for row in power for h in (0, 1)]
     k = 1
     while k < r and any(map(any, power)):
         power = mat_mul(power, power)

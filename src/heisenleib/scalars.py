@@ -30,14 +30,13 @@ arithmetic results over sqrt(d).
 Hot loops run on an integer view instead: integer_pairs multiplies a list
 of Scalars by the lcm of their denominators, giving ints over Q and, over
 Q(sqrt d), each element of Z[sqrt d] as its (rational, sqrt) pair of
-plain ints.  linalg's elimination and algebra's view brackets do their
-arithmetic on those pairs inline, with d passed beside them, and
-from_pairs goes back to Scalars: x / y = x * conj(y) / N(y), with the
-norm N(y) = y * conj(y) an int.  clear_denominators gives the same values
-as elements of quadratic_integers(d), a ring class that holds d once, for
-the Leibniz view and matrix nilpotency; exact_div divides in Z or in that
-ring and raises unless the quotient is in it, and from_integer goes back
-to a Scalar.
+plain ints, the one form of Z[sqrt d] in the package.  linalg's
+elimination and matrix nilpotency and algebra's Leibniz view and view
+brackets do their arithmetic on those pairs inline, with d passed beside
+them.  from_pairs goes back to Scalars: x / y = x * conj(y) / N(y), with
+the norm N(y) = y * conj(y) an int; over Q, exact_div divides in Z and
+raises unless the quotient is in it, and from_integer goes back to a
+rational Scalar.
 """
 
 from __future__ import annotations
@@ -344,63 +343,8 @@ def sqrt_as_scalar(q: Fraction) -> Scalar:
 # -- integer views --------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def quadratic_integers(d: int) -> type:
-    """The ring Z[sqrt d]: elements are integer pairs (a, b) for a + b*sqrt(d),
-    and d is held by the class, once.  Division is exact or raises."""
-
-    class QuadraticInteger:
-        __slots__ = ("a", "b")
-
-        def __init__(self, a: int, b: int):
-            self.a, self.b = a, b
-
-        def __add__(self, o):
-            return QuadraticInteger(self.a + o.a, self.b + o.b)
-
-        def __neg__(self):
-            return QuadraticInteger(-self.a, -self.b)
-
-        def __sub__(self, o):
-            return QuadraticInteger(self.a - o.a, self.b - o.b)
-
-        def __mul__(self, o):
-            if o.__class__ is int:
-                return QuadraticInteger(self.a * o, self.b * o)
-            return QuadraticInteger(self.a * o.a + d * self.b * o.b, self.a * o.b + self.b * o.a)
-
-        __rmul__ = __mul__
-
-        def __truediv__(self, o):
-            # x / y = x * conj(y) / N(y), with N(y) = y * conj(y) in Z
-            norm = o.norm()
-            a, ra = divmod(self.a * o.a - d * self.b * o.b, norm)
-            b, rb = divmod(self.b * o.a - self.a * o.b, norm)
-            if ra or rb:
-                raise InexactDivisionError(f"inexact division in Z[sqrt({d})]")
-            return QuadraticInteger(a, b)
-
-        def conjugate(self):
-            return QuadraticInteger(self.a, -self.b)
-
-        def norm(self) -> int:
-            return self.a * self.a - d * self.b * self.b
-
-        def __bool__(self):
-            return bool(self.a or self.b)
-
-        def __eq__(self, o):
-            return self.a == o.a and self.b == o.b
-
-    QuadraticInteger.d = d
-    return QuadraticInteger
-
-
-def exact_div(x, y):
-    """The quotient x / y in Z or in Z[sqrt d]; raises InexactDivisionError
-    unless y divides x."""
-    if x.__class__ is not int:
-        return x / y
+def exact_div(x: int, y: int) -> int:
+    """The quotient x / y in Z; raises InexactDivisionError unless y divides x."""
     q, r = divmod(x, y)
     if r:
         raise InexactDivisionError(f"{y} does not divide {x}")
@@ -409,8 +353,8 @@ def exact_div(x, y):
 
 def common_field(values) -> int | None:
     """The d of the one quadratic field the values live in (None for Q).
-    Values are Scalars, elements of Z or Z[sqrt d], or anything else with
-    a d, such as a Subspace; two different d raise IncompatibleFieldError."""
+    Values are Scalars or anything else with a d, such as a Subspace; two
+    different d raise IncompatibleFieldError."""
     d = None
     for v in values:
         vd = getattr(v, "d", None)
@@ -434,22 +378,9 @@ def integer_pairs(values, d: int | None) -> tuple[int, list]:
     ]
 
 
-def clear_denominators(values, d: int | None) -> tuple[int, list]:
-    """integer_pairs with each pair as an element of quadratic_integers(d)."""
-    den, cleared = integer_pairs(values, d)
-    if d is None:
-        return den, cleared
-    ring = quadratic_integers(d)
-    return den, [ring(a, b) for a, b in cleared]
-
-
-def from_integer(x, den=1) -> Scalar:
-    """The Scalar x / den, for x and a nonzero den in Z or in Z[sqrt d]."""
-    if den.__class__ is not int:
-        x, den = x * den.conjugate(), den.norm()
-    if x.__class__ is int:
-        return _scalar(Fraction(x, den))
-    return _scalar(Fraction(x.a, den), Fraction(x.b, den), x.d)
+def from_integer(x: int, den: int = 1) -> Scalar:
+    """The rational Scalar x / den, for ints x and den != 0."""
+    return _scalar(Fraction(x, den))
 
 
 def from_pairs(xs, den: tuple, d: int) -> list:

@@ -73,6 +73,16 @@ ran before the packed kernel: the three-term leibniz_residual of every
 triple contracted on the view, one ring product at a time, and a triple
 is a defect when some coordinate is not the view's zero.
 
+quadratic_integers(d) is the ring Z[sqrt d] as a class that holds d once,
+its elements the objects (a, b) for a + b*sqrt(d), the way scalars.py held
+Z[sqrt d] for the Leibniz view and matrix nilpotency before every kernel
+ran on (rational, sqrt) int pairs; clear_denominators, reference_exact_div
+and ring_scalar are the clearing, the exact division in Z or that ring
+and the way back to a Scalar (by the public constructor) that went with
+it.  reference_ring_view builds the tensor's ring-object view from the
+pair view, so the ring-object references below stay independent of the
+pair arithmetic they check.
+
 reference_substituter is PolyQ substitution as one closure over a fixed
 binding map, its coerced values built once from the whole map, and
 reference_reduce_binding_map reduces the cascade's bindings with a fresh
@@ -88,8 +98,8 @@ the order, degrees and products of today's keys against it.
 
 reference_fraction_free is the fraction-free elimination as it ran before
 its Z[sqrt d] rows became (rational, sqrt) int pairs: one ring-object
-expression p*x - f*y and one exact_div per entry, on ints or on elements
-of scalars.quadratic_integers(d).  reference_view_bracket is a bracket on
+expression p*x - f*y and one reference_exact_div per entry, on ints or
+on elements of quadratic_integers(d).  reference_view_bracket is a bracket on
 the integer view contracted one ring product at a time through
 StructTensor.contract, and reference_bracket_span is bracket_span built
 from both, the way algebra ran before its view brackets moved onto int
@@ -115,6 +125,7 @@ commutators compared as the matrix products X_a X_b and X_b X_a, and each
 
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 from heisenleib import linalg
 from heisenleib.algebra import (
@@ -167,7 +178,7 @@ from heisenleib.poly import (
     quadratic_real_root_exists,
     quadratic_roots,
 )
-from heisenleib.scalars import Scalar, clear_denominators, exact_div, from_integer
+from heisenleib.scalars import InexactDivisionError, Scalar, exact_div, integer_pairs
 
 
 def is_zero_vector(v) -> bool:
@@ -204,10 +215,99 @@ def mat_pow(a, n: int):
     return result
 
 
+@lru_cache(maxsize=64)
+def quadratic_integers(d: int) -> type:
+    """The ring Z[sqrt d]: elements are integer pairs (a, b) for a + b*sqrt(d),
+    and d is held by the class, once.  Division is exact or raises."""
+
+    class QuadraticInteger:
+        __slots__ = ("a", "b")
+
+        def __init__(self, a: int, b: int):
+            self.a, self.b = a, b
+
+        def __add__(self, o):
+            return QuadraticInteger(self.a + o.a, self.b + o.b)
+
+        def __neg__(self):
+            return QuadraticInteger(-self.a, -self.b)
+
+        def __sub__(self, o):
+            return QuadraticInteger(self.a - o.a, self.b - o.b)
+
+        def __mul__(self, o):
+            if o.__class__ is int:
+                return QuadraticInteger(self.a * o, self.b * o)
+            return QuadraticInteger(self.a * o.a + d * self.b * o.b, self.a * o.b + self.b * o.a)
+
+        __rmul__ = __mul__
+
+        def __truediv__(self, o):
+            # x / y = x * conj(y) / N(y), with N(y) = y * conj(y) in Z
+            norm = o.norm()
+            a, ra = divmod(self.a * o.a - d * self.b * o.b, norm)
+            b, rb = divmod(self.b * o.a - self.a * o.b, norm)
+            if ra or rb:
+                raise InexactDivisionError(f"inexact division in Z[sqrt({d})]")
+            return QuadraticInteger(a, b)
+
+        def conjugate(self):
+            return QuadraticInteger(self.a, -self.b)
+
+        def norm(self) -> int:
+            return self.a * self.a - d * self.b * self.b
+
+        def __bool__(self):
+            return bool(self.a or self.b)
+
+        def __eq__(self, o):
+            return self.a == o.a and self.b == o.b
+
+    QuadraticInteger.d = d
+    return QuadraticInteger
+
+
+def clear_denominators(values, d) -> tuple:
+    """integer_pairs with each pair as an element of quadratic_integers(d)."""
+    den, cleared = integer_pairs(values, d)
+    if d is None:
+        return den, cleared
+    ring = quadratic_integers(d)
+    return den, [ring(a, b) for a, b in cleared]
+
+
+def reference_exact_div(x, y):
+    """The quotient x / y in Z or in Z[sqrt d]; raises InexactDivisionError
+    unless y divides x."""
+    return exact_div(x, y) if x.__class__ is int else x / y
+
+
+def ring_scalar(x, den=1) -> Scalar:
+    """The Scalar x / den, for x and a nonzero den in Z or in Z[sqrt d]."""
+    if den.__class__ is not int:
+        x, den = x * den.conjugate(), den.norm()
+    if x.__class__ is int:
+        return Scalar(Fraction(x, den))
+    return Scalar(Fraction(x.a, den), Fraction(x.b, den), x.d)
+
+
+def reference_ring_view(t, *others) -> tuple:
+    """t._integer_view(*others) with each (rational, sqrt) pair of the view as
+    an element of quadratic_integers(d); the int view over Q as it is."""
+    d, den, view = t._integer_view(*others)
+    if d is None:
+        return d, den, view
+    ring = quadratic_integers(d)
+    ring_view = object.__new__(StructTensor)
+    ring_view._fill(view.dim, view.basis_labels, ring(0, 0),
+                    {ij: {k: ring(*c) for k, c in row.items()} for ij, row in view._c.items()})
+    return d, den, ring_view
+
+
 def reference_integer_defects(t) -> list:
     """Triples (i, j, k), in order, whose residual on the integer view of the
     Scalar tensor t has a nonzero coordinate."""
-    view = t._integer_view()[2]
+    view = reference_ring_view(t)[2]
     n, zero = t.dim, view.zero
     return [
         (i, j, k)
@@ -239,7 +339,7 @@ def reference_fraction_free(m, ncols: int):
                 if prev is None:
                     m[i] = [p * x - f * y for x, y in zip(row, top)]
                 else:
-                    m[i] = [exact_div(p * x - f * y, prev) for x, y in zip(row, top)]
+                    m[i] = [reference_exact_div(p * x - f * y, prev) for x, y in zip(row, top)]
         prev = p
         pivots.append(col)
         r += 1
@@ -256,13 +356,13 @@ def reference_view_bracket(view, u, v) -> list:
 
 
 def reference_bracket_span(t, a, b) -> Subspace:
-    d, _, view = t._integer_view(*a.rows, *b.rows)
+    d, _, view = reference_ring_view(t, *a.rows, *b.rows)
     us = [clear_denominators(u, d)[1] for u in a.rows]
     vs = [clear_denominators(v, d)[1] for v in b.rows]
     m, pivots, last, _ = reference_fraction_free(
         [reference_view_bracket(view, u, v) for u in us for v in vs], t.dim
     )
-    return Subspace(t.dim, tuple(tuple(from_integer(x, last) for x in m[i])
+    return Subspace(t.dim, tuple(tuple(ring_scalar(x, last) for x in m[i])
                                  for i in range(len(pivots))))
 
 

@@ -203,6 +203,38 @@ def test_subspace_keeps_its_public_shape():
         w.sum(Subspace.full(4))
 
 
+def test_constructor_refuses_rows_that_are_no_rref():
+    one, zero, root = Scalar.one(), Scalar.zero(), Scalar.sqrt_d(2)
+    refused = [
+        # a basis of F^2 that is no RREF: it was read as dim 2 without (0, 1)
+        (linalg.svec((1, 1)), linalg.svec((1, 0))),
+        # a zero row, which raised a bare StopIteration
+        (linalg.svec((0, 0)),),
+        (linalg.svec((1, 0)), linalg.svec((0, 0))),
+        # a pivot that is not 1: it was not equal to the span of (1, 0)
+        (linalg.svec((2, 0)),),
+        (linalg.svec((0, 1)), linalg.svec((1, 0))),
+        (linalg.svec((1, 1)), linalg.svec((0, 1))),
+        ((root, one),),
+        ((one, root), (zero, one)),
+        ((one, zero), (one + root, zero)),
+    ]
+    for rows in refused:
+        with pytest.raises(ValueError):
+            Subspace(2, rows)
+    # rows of another length, which were kept and raised IndexError when read
+    for n, rows in ((3, (linalg.svec((1, 0)),)), (1, (linalg.svec((1, 0)),))):
+        with pytest.raises(ShapeError):
+            Subspace(n, rows)
+    kept = [(), ((one, root),), ((zero, one),), ((one, zero), (zero, one)),
+            ((one, Scalar.rational(1, 2) * root),)]
+    for rows in kept:
+        w = Subspace(2, rows)
+        assert w.rows == rows and w == Subspace.span(rows, 2)
+    assert Subspace(2, kept[3]) == Subspace.full(2) and Subspace(2, kept[3]).contains([zero, one])
+    assert heisenberg_subspace(2, 1) == Subspace.span(heisenberg_subspace(2, 1).rows, 6)
+
+
 # -- containment read off the generating brackets ------------------------------
 
 

@@ -1,10 +1,10 @@
 """Differential tests of the int-pair kernels against the ring-object loops
 they replaced (reference_kernel.py): linalg._fraction_free on rows of
 (rational, sqrt) int pairs against reference_fraction_free on elements of
-scalars.quadratic_integers(d), compared exactly in rows, pivot columns,
-last pivot and sign of the row swaps (det reads the last two); and
-algebra._view_bracket and bracket_span against the ring contraction of
-the integer view.  Over Z[sqrt d] for d in -1, 2, 3, 5, -3 (and Z), with
+the reference ring quadratic_integers(d), compared exactly in rows, pivot
+columns, last pivot and sign of the row swaps (det reads the last two);
+and algebra._view_bracket and bracket_span against the ring contraction
+of the integer view (reference_ring_view).  Over Z[sqrt d] for d in -1, 2, 3, 5, -3 (and Z), with
 tall matrices up to the 49 x 7 that bracket_span hands over at dim 7,
 pivots of negative norm, entries past 2^200, zero and duplicate rows.
 Then the exactness of the pair division, and the refusal of input that
@@ -25,16 +25,16 @@ from heisenleib.algebra import (
     change_basis,
 )
 from heisenleib.heisenberg import ExtensionSpec, build_extension, heisenberg
-from heisenleib.scalars import (
-    IncompatibleFieldError,
-    InexactDivisionError,
-    Scalar,
-    clear_denominators,
-    integer_pairs,
-    quadratic_integers,
-)
+from heisenleib.scalars import IncompatibleFieldError, InexactDivisionError, Scalar, integer_pairs
 
-from reference_kernel import reference_bracket_span, reference_fraction_free, reference_view_bracket
+from reference_kernel import (
+    clear_denominators,
+    quadratic_integers,
+    reference_bracket_span,
+    reference_fraction_free,
+    reference_ring_view,
+    reference_view_bracket,
+)
 
 PAIR_FIELDS = [None, -1, 2, 3, 5, -3]  # d of Z[sqrt d]; None is Z
 # elements of negative norm: N(1 + sqrt 2) = N(2 + sqrt 5) = -1, N(1 + sqrt 3) = -2
@@ -161,11 +161,12 @@ def test_view_bracket_matches_ring_contraction(d):
                     else Scalar.zero() for _ in range(n)] for _ in range(3)]
         field, _, view = t._integer_view(*vectors)
         assert field in (d, None)
+        ring_view = reference_ring_view(t, *vectors)[2]
         for u in vectors:
             for v in vectors:
                 got = _view_bracket(view, field, integer_pairs(u, field)[1],
                                     integer_pairs(v, field)[1])
-                want = reference_view_bracket(view, clear_denominators(u, field)[1],
+                want = reference_view_bracket(ring_view, clear_denominators(u, field)[1],
                                               clear_denominators(v, field)[1])
                 assert got == as_pairs([want], field)[0]
 

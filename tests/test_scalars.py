@@ -10,16 +10,18 @@ from heisenleib.scalars import (
     Scalar,
     ScalarError,
     ScalarParseError,
-    clear_denominators,
     common_field,
     exact_div,
     from_integer,
+    from_pairs,
+    integer_pairs,
     is_squarefree,
-    quadratic_integers,
     rational_is_square,
     sqrt_as_scalar,
     squarefree_split,
 )
+
+from reference_kernel import quadratic_integers, reference_exact_div
 
 
 def test_rational_add():
@@ -165,26 +167,39 @@ def test_exact_div_in_z():
 
 @pytest.mark.parametrize("d", [-1, 2, 5, -3])
 def test_exact_div_in_quadratic_integers(d):
+    # the ring-object reference of tests/reference_kernel.py
     ring = quadratic_integers(d)
     x, y = ring(3, -2), ring(1, 4)
     product = x * y
-    assert exact_div(product, y) == x and exact_div(product, x) == y
-    assert exact_div(product * 5, 5 * ring(1, 0)) == product
+    assert reference_exact_div(product, y) == x and reference_exact_div(product, x) == y
+    assert reference_exact_div(product * 5, 5 * ring(1, 0)) == product
     with pytest.raises(InexactDivisionError):
-        exact_div(product + ring(1, 0), y)
+        reference_exact_div(product + ring(1, 0), y)
     # the rational 2 divides 2 + 2*sqrt(d) in Z[sqrt d], but not 2 + sqrt(d)
-    assert exact_div(ring(2, 2), ring(2, 0)) == ring(1, 1)
+    assert reference_exact_div(ring(2, 2), ring(2, 0)) == ring(1, 1)
     with pytest.raises(InexactDivisionError):
-        exact_div(ring(2, 1), ring(2, 0))
+        reference_exact_div(ring(2, 1), ring(2, 0))
 
 
-def test_clear_denominators_and_back():
+def test_integer_pairs_and_back():
     values = [Scalar.rational(1, 6), Scalar(Fraction(-3, 4), Fraction(2, 9), 2), Scalar.zero()]
     d = common_field(values)
-    den, cleared = clear_denominators(values, d)
+    den, cleared = integer_pairs(values, d)
     assert d == 2 and den == 36
-    assert [from_integer(x, den) for x in cleared] == values
-    assert [from_integer(x * 7, 7 * quadratic_integers(2)(den, 0)) for x in cleared] == values
+    assert cleared == [(6, 0), (-27, 8), (0, 0)]
+    assert from_pairs(cleared, (den, 0), d) == values
+    # den = 36 (1 + sqrt 2), of norm -36^2: each pair times 1 + sqrt 2, divided back
+    assert from_pairs([(a + 2 * b, a + b) for a, b in cleared], (den, den), d) == values
+    assert from_pairs([(1, 0)], (1, 1), 2) == [Scalar(-1, 1, 2)]
+    # (2 + 2 sqrt 2) / (1 + sqrt 2) = 2, and 4 / 2 over Q(i): the sqrt parts cancel
+    for cancelled in from_pairs([(2, 2)], (1, 1), 2) + from_pairs([(4, 0)], (2, 0), -1):
+        assert cancelled == 2 and cancelled.d is None
+        assert_built_once(cancelled)
+    rationals = [Scalar.rational(-5, 6), Scalar.rational(3, 4), Scalar.zero()]
+    den, cleared = integer_pairs(rationals, None)
+    assert den == 12 and cleared == [-10, 9, 0]
+    assert [from_integer(x, den) for x in cleared] == rationals
+    assert [from_integer(-7 * x, -7 * den) for x in cleared] == rationals
     with pytest.raises(IncompatibleFieldError):
         common_field(values + [Scalar.sqrt_d(3)])
 
@@ -212,8 +227,13 @@ def test_results_are_built_in_canonical_form(d, a, b, c, e, k):
     for z in (x, y):
         if not z.is_zero():
             results += [z.inv(), x / z, k / z]
-    den, cleared = clear_denominators([x, y], d)
-    results += [from_integer(v, den) for v in cleared] + [from_integer(v) for v in cleared]
+    den, cleared = integer_pairs([x, y], d)
+    if d is None:
+        back, ints = [from_integer(v, den) for v in cleared], [from_integer(v) for v in cleared]
+    else:
+        back, ints = from_pairs(cleared, (den, 0), d), from_pairs(cleared, (1, 0), d)
+    assert back == [x, y] and ints == [x * den, y * den]
+    results += back + ints
     for result in results:
         assert_built_once(result)
 
@@ -221,7 +241,7 @@ def test_results_are_built_in_canonical_form(d, a, b, c, e, k):
 def test_construction_keeps_its_refusals_and_cancellations():
     root = Scalar.sqrt_d(2)
     for cancelled in (Scalar(1, 1, 2) - root, root * root, (root + 1) * (1 - root),
-                      Scalar.parse("3+0*sqrt(5)"), from_integer(quadratic_integers(-1)(4, 0), 2)):
+                      Scalar.parse("3+0*sqrt(5)"), from_pairs([(4, 0)], (2, 0), -1)[0]):
         assert cancelled.d is None and cancelled.b == 0
         assert_built_once(cancelled)
     assert Scalar(1, 1, 2) - root == 1 and root * root == 2
