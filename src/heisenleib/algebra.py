@@ -11,16 +11,18 @@ Whether the product satisfies the Leibniz identity is checked, never
 assumed: leibniz_residual exposes the defect of each basis triple.
 
 For Scalar entries leibniz_defects decides the same residuals over
-integers.  The tensor's private integer view holds every constant times
-the lcm D of all denominators: an int over Q, and over Q(sqrt d) its
-(rational, sqrt) int pair, with d kept beside the view (constants with
-two different d raise IncompatibleFieldError).  Each residual component
-is quadratic in the constants, so scaling by D keeps its zero set, and
-a + b*sqrt(d) = 0 iff a = b = 0.  The packed kernel holds each product
-row as ints with one w-bit slot per coordinate (Kronecker substitution).
-It is exact: for M the largest absolute integer part in the view (d = 0
-over Q), a residual component sums at most 3*dim products of size at
-most (1 + |d|)*M^2, so w = bitlength(3*dim*(1 + |d|)*M^2) + 1 keeps it
+integers.  The tensor's private integer view is the map
+{(i, j): {k: D*c_ij^k}} of its constants times the lcm D of all
+denominators, ints over Q and (rational, sqrt) int pairs over
+Q(sqrt d), kept with d and D (constants with two different d raise
+IncompatibleFieldError); a rational tensor that meets Q(sqrt d) lifts
+it to the pairs (x, 0).  Each residual component is quadratic in the
+constants, so scaling by D keeps its zero set, and a + b*sqrt(d) = 0
+iff a = b = 0.  The packed kernel holds each product row as ints with
+one w-bit slot per coordinate (Kronecker substitution).  It is exact:
+for M the largest absolute integer part in the view (d = 0 over Q), a
+residual component sums at most 3*dim products of size at most
+(1 + |d|)*M^2, so w = bitlength(3*dim*(1 + |d|)*M^2) + 1 keeps it
 inside (-2^(w-1), 2^(w-1)); base-2^w digits that small are unique, so
 the packed residual is 0 iff every component is.  The defects are
 memoized per tensor; is_lie reads antisymmetry off the view, part by
@@ -59,8 +61,7 @@ from operator import add, mul
 from . import linalg
 from .linalg import ShapeError
 from .poly import PolyQ, _sum_of_products
-from .scalars import (IncompatibleFieldError, Scalar, common_field, from_integer, from_pairs,
-                      integer_pairs)
+from .scalars import IncompatibleFieldError, Scalar, common_field, from_cleared, integer_pairs
 
 _NO_PRODUCT: dict = {}
 
@@ -209,33 +210,27 @@ class StructTensor:
 
     def _integer_view(self, *others) -> tuple:
         """(d, D, view): the field Q(sqrt d) of the constants and of the Scalars
-        or subspaces in the iterables others (d None for Q), and the tensor
-        times D, the lcm of its denominators: ints over Q and (rational,
-        sqrt) int pairs over Q(sqrt d), with zero (0, 0).  The view and its d
-        are kept; a rational tensor that meets a quadratic d gets a fresh
-        view of pairs.  Read by leibniz_defects (through _packed_defects),
-        is_lie, _view_brackets, _center_in and _change_basis_with_inverse."""
+        or subspaces in the iterables others (d None for Q), D the lcm of the
+        constants' denominators, and the view {(i, j): {k: D * c_ij^k}} of ints
+        over Q and (rational, sqrt) int pairs over Q(sqrt d).  The tensor's own
+        view is built once and kept; a rational tensor that meets a quadratic d
+        lifts it to the pairs (x, 0) under the same D.  Read by leibniz_defects
+        (through _packed_defects), is_lie, _view_brackets, _center_in and
+        _change_basis_with_inverse."""
         if self._view is None:
-            object.__setattr__(self, "_view", self._cleared_view())
+            values = [v for row in self._c.values() for v in row.values()]
+            own = common_field(values)
+            den, cleared = integer_pairs(values, own)
+            cleared = iter(cleared)
+            view = {ij: {k: next(cleared) for k in row} for ij, row in self._c.items()}
+            object.__setattr__(self, "_view", (own, den, view))
         own, den, view = self._view
         d = common_field(chain(*others))
         if d is None or d == own:
-            return own, den, view
+            return self._view
         if own is not None:
             raise IncompatibleFieldError(f"cannot combine sqrt({own}) with sqrt({d})")
-        return self._cleared_view(d)
-
-    def _cleared_view(self, d=None) -> tuple:
-        values = [v for row in self._c.values() for v in row.values()]
-        d = d or common_field(values)
-        den, cleared = integer_pairs(values, d)
-        cleared = iter(cleared)
-        view = object.__new__(StructTensor)
-        view._fill(
-            self.dim, self.basis_labels, 0 if d is None else (0, 0),
-            {ij: {k: next(cleared) for k in row} for ij, row in self._c.items()},
-        )
-        return d, den, view
+        return d, den, {ij: {k: (x, 0) for k, x in row.items()} for ij, row in view.items()}
 
     def is_leibniz(self) -> bool:
         return not self.leibniz_defects()
@@ -244,11 +239,12 @@ class StructTensor:
         """Leibniz plus antisymmetric constants (on a Scalar tensor's view, part by part)."""
         if not self.is_leibniz():
             return False
-        view = self._integer_view()[2] if self.is_scalar() else self
-        zero, rows = view.zero, view._c
-        pairs = zero.__class__ is tuple
+        d, rows, zero = None, self._c, self.zero
+        if self.is_scalar():
+            d, _, rows = self._integer_view()
+            zero = 0 if d is None else (0, 0)
         return all(
-            not any(map(add, value, other)) if pairs else value + other == zero
+            not any(map(add, value, other)) if d is not None else value + other == zero
             for (i, j), row in rows.items()
             for k, value in row.items()
             for other in (rows.get((j, i), _NO_PRODUCT).get(k, zero),)
@@ -294,13 +290,13 @@ class StructTensor:
         return f"StructTensor(dim={self.dim}, entries={kind})"
 
 
-def _packed_defects(n: int, d, view: StructTensor) -> tuple:
+def _packed_defects(n: int, d, view: dict) -> tuple:
     """Leibniz defects of the integer view over Q(sqrt d), d None for Q.  Row (a, b),
     c_ab^l = x_l + y_l*sqrt(d), is held as P = X + Y*2^(w*n) and P' = d*Y + X*2^(w*n) for
     X = sum_l x_l 2^(w*l) and Y likewise (Y = 0 and d = 0 over Q), so (x + y*sqrt(d)) times
     the row is x*P + y*P', rational parts in the low half and sqrt parts in the high one."""
     rows = {ab: [(l, c, 0) if d is None else (l, *c) for l, c in row.items()]
-            for ab, row in view._c.items()}
+            for ab, row in view.items()}
     d = d or 0
     top = max((abs(v) for row in rows.values() for _, x, y in row for v in (x, y)), default=0)
     w = (3 * n * (1 + abs(d)) * top * top).bit_length() + 1
@@ -386,8 +382,8 @@ class Subspace:
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            rows = linalg.scalar_rows(self._ints, self._den, self.d)
-            object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+            rows = (tuple(from_cleared(row, self._den, self.d)) for row in self._ints)
+            object.__setattr__(self, "_rows", tuple(rows))
         return self._rows
 
     @property
@@ -508,13 +504,13 @@ def _view_brackets(t: StructTensor, a: Subspace, b: Subspace, *others) -> tuple:
     return d, (_view_bracket(view, d, u, v) for u in a._rows_in(d) for v in vs)
 
 
-def _view_bracket(view: StructTensor, d, u, v) -> list:
+def _view_bracket(rows: dict, d, u, v) -> list:
     """[u, v] on an integer view for u, v cleared into the same ring: ints
     over Q (d None), and over Q(sqrt d) (rational, sqrt) int pairs, with
     each coordinate summed in one int list per part.  The one contraction
     of the integer view behind bracket_span, bracket_span_within,
     _center_in and _change_basis_with_inverse."""
-    rows, n = view._c, view.dim
+    n = len(u)
     if d is None:
         acc = [0] * n
         vs = [(j, y) for j, y in enumerate(v) if y]
@@ -606,12 +602,9 @@ def _center_in(t: StructTensor, ann: Subspace) -> Subspace:
     whose bracket part vanishes end in the RREF rows of the sum_b a_b b."""
     n = t.dim
     d, _, view = t._integer_view((ann,))
-    zero, one = (0, 1) if d is None else ((0, 0), (1, 0))
-    units = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    rows = [
-        [x for e in units for x in _view_bracket(view, d, e, b)] + list(b)
-        for b in ann._rows_in(d)
-    ]
+    units = Subspace.full(n)._rows_in(d)
+    rows = [[x for e in units for x in _view_bracket(view, d, e, b)] + list(b)
+            for b in ann._rows_in(d)]
     d, den, red, pivots = linalg.canonical_rref(rows, n * n + n, d)
     kept = [(row[n * n:], p - n * n) for row, p in zip(red, pivots) if p >= n * n]
     center = linalg.canonical_form([row for row, _ in kept], den, d)
@@ -661,11 +654,7 @@ def _change_basis_with_inverse(t: StructTensor, p, q, basis_labels=None) -> Stru
                 for k, value in enumerate(_images(rows, w, d)):
                     if value != zero:
                         constants[(m, l, k)] = value
-        values = list(constants.values())
-        if d is None:
-            constants = dict(zip(constants, [from_integer(x, den) for x in values]))
-        else:
-            constants = dict(zip(constants, from_pairs(values, (den, 0), d)))
+        constants = dict(zip(constants, from_cleared(constants.values(), den, d)))
     else:
         zero = t.zero
         cols = [[(i, row[m]) for i, row in enumerate(q) if row[m] != zero] for m in range(n)]

@@ -21,12 +21,12 @@ division raise InexactDivisionError if one does not.
 canonical_rref divides the pivot rows by the last pivot once, in
 canonical_form: (d, den, rows) with rows / den the RREF, den > 0 sharing
 no factor with the rows, and d None when every sqrt part is 0.  algebra's
-subspaces stay in that form; scalar_rows turns it into Scalars for rref
-and for a subspace's rows.  rank counts pivots and det reads the last
-pivot.  Beside det, matrix_nilpotent squares the matrix cleared once by
-its denominators with mat_mul until the power reaches dim; over
-Z[sqrt d] it squares the int matrix in which each entry a + b*sqrt(d) is
-the 2x2 block ((a, d*b), (b, a)).
+subspaces stay in that form.  rank counts pivots and det reads the last
+pivot; scalars.from_cleared reads cleared results back as Scalars, for
+det, rref and a subspace's rows.  Beside det, matrix_nilpotent squares
+the matrix cleared once by its denominators with mat_mul until the power
+reaches dim; over Z[sqrt d] it squares the int matrix in which each
+entry a + b*sqrt(d) is the 2x2 block ((a, d*b), (b, a)).
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .scalars import (
     Scalar,
     common_field,
     exact_div,
-    from_integer,
-    from_pairs,
+    from_cleared,
     integer_pairs,
 )
 
@@ -266,13 +265,6 @@ def canonical_form(rows: list, den: int, d: int | None = None) -> tuple:
     return d, den // g, [[(a // g, b // g) for a, b in row] for row in rows]
 
 
-def scalar_rows(rows: list, den: int, d: int | None = None) -> Matrix:
-    """rows / den as Scalars, for rows cleared into Z or Z[sqrt d]."""
-    if d is None:
-        return [[from_integer(x, den) for x in row] for row in rows]
-    return [from_pairs(row, (den, 0), d) for row in rows]
-
-
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over Scalar; returns (rref, pivot columns).
 
@@ -282,8 +274,8 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     nrows, ncols = shape(rows)
     d, cleared = cleared_rows(rows)
     d, den, red, pivots = canonical_rref(cleared, ncols, d)
-    zero = Scalar.zero()
-    return scalar_rows(red, den, d) + [[zero] * ncols for _ in range(nrows - len(pivots))], pivots
+    padding = [[Scalar.zero()] * ncols for _ in range(nrows - len(pivots))]
+    return [from_cleared(row, den, d) for row in red] + padding, pivots
 
 
 def rank(rows: Matrix) -> int:
@@ -321,9 +313,7 @@ def det(a: Matrix) -> Scalar:
     _, pivots, last, sign = _fraction_free(m, c, d)
     if len(pivots) < r:
         return Scalar.zero()
-    if d is None:
-        return from_integer(last, sign * den**r)
-    return from_pairs([last], (sign * den**r, 0), d)[0]
+    return from_cleared([last], sign * den**r, d)[0]
 
 
 def matrix_nilpotent(m: Matrix) -> bool:

@@ -33,10 +33,9 @@ Q(sqrt d), each element of Z[sqrt d] as its (rational, sqrt) pair of
 plain ints, the one form of Z[sqrt d] in the package.  linalg's
 elimination and matrix nilpotency and algebra's Leibniz view and view
 brackets do their arithmetic on those pairs inline, with d passed beside
-them.  from_pairs goes back to Scalars: x / y = x * conj(y) / N(y), with
-the norm N(y) = y * conj(y) an int; over Q, exact_div divides in Z and
-raises unless the quotient is in it, and from_integer goes back to a
-rational Scalar.
+them.  exact_div divides in Z and raises unless the quotient is in it.
+from_cleared is the one way back: it divides the ints or pairs by an int
+den, so each part becomes a Fraction and a sqrt part of 0 drops d.
 """
 
 from __future__ import annotations
@@ -378,15 +377,10 @@ def integer_pairs(values, d: int | None) -> tuple[int, list]:
     ]
 
 
-def from_integer(x: int, den: int = 1) -> Scalar:
-    """The rational Scalar x / den, for ints x and den != 0."""
-    return _scalar(Fraction(x, den))
-
-
-def from_pairs(xs, den: tuple, d: int) -> list:
-    """[x / den for x in xs] as Scalars, for (rational, sqrt) int pairs x and
-    a nonzero den of Z[sqrt d]: x * conj(den) / N(den)."""
-    p, q = den
-    norm = p * p - d * q * q
-    return [_scalar(Fraction(a * p - d * b * q, norm), Fraction(b * p - a * q, norm), d)
-            for a, b in xs]
+def from_cleared(xs, den: int, d: int | None) -> list:
+    """[x / den for x in xs] as Scalars, for an int den != 0 and xs cleared
+    by integer_pairs: ints when d is None and (rational, sqrt) int pairs
+    over Q(sqrt d)."""
+    if d is None:
+        return [_scalar(Fraction(x, den)) for x in xs]
+    return [_scalar(Fraction(a, den), Fraction(b, den), d) for a, b in xs]

@@ -79,9 +79,10 @@ Z[sqrt d] for the Leibniz view and matrix nilpotency before every kernel
 ran on (rational, sqrt) int pairs; clear_denominators, reference_exact_div
 and ring_scalar are the clearing, the exact division in Z or that ring
 and the way back to a Scalar (by the public constructor) that went with
-it.  reference_ring_view builds the tensor's ring-object view from the
-pair view, so the ring-object references below stay independent of the
-pair arithmetic they check.
+it.  reference_ring_view puts the tensor's integer view, a constants map,
+into a StructTensor of its own, with ring objects over Z[sqrt d], so the
+references below contract it and stay independent of the pair
+arithmetic they check.
 
 reference_substituter is PolyQ substitution as one closure over a fixed
 binding map, its coerced values built once from the whole map, and
@@ -292,15 +293,18 @@ def ring_scalar(x, den=1) -> Scalar:
 
 
 def reference_ring_view(t, *others) -> tuple:
-    """t._integer_view(*others) with each (rational, sqrt) pair of the view as
-    an element of quadratic_integers(d); the int view over Q as it is."""
+    """t._integer_view(*others) with its constants map held by a StructTensor
+    of its own: the ints over Q as they are, and each (rational, sqrt) pair
+    as an element of quadratic_integers(d)."""
     d, den, view = t._integer_view(*others)
     if d is None:
-        return d, den, view
-    ring = quadratic_integers(d)
+        zero, element = 0, int
+    else:
+        ring = quadratic_integers(d)
+        zero, element = ring(0, 0), lambda pair: ring(*pair)
     ring_view = object.__new__(StructTensor)
-    ring_view._fill(view.dim, view.basis_labels, ring(0, 0),
-                    {ij: {k: ring(*c) for k, c in row.items()} for ij, row in view._c.items()})
+    ring_view._fill(t.dim, t.basis_labels, zero,
+                    {ij: {k: element(c) for k, c in row.items()} for ij, row in view.items()})
     return d, den, ring_view
 
 

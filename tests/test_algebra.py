@@ -196,6 +196,17 @@ class TestElementNilpotent:
     def test_p_in_h1(self, h1):
         assert element_nilpotent(h1, svec([0, 1, 0]))
 
+    def test_needs_both_operators_nilpotent(self):
+        # [e1, e2] = e2, left Leibniz and not Lie: at e1, L = diag(0, 1) is
+        # not nilpotent while R = 0 is; at e2 both are
+        t = StructTensor(2, {(0, 1, 1): ONE})
+        assert t.is_leibniz() and not t.is_lie()
+        e1, e2 = t.unit_vector(0), t.unit_vector(1)
+        assert t.left_mult_matrix(e1) == smat([[0, 0], [0, 1]])
+        assert t.right_mult_matrix(e1) == smat([[0, 0], [0, 0]])
+        assert not element_nilpotent(t, e1)
+        assert element_nilpotent(t, e2)
+
 
 class TestMultiplicationOperators:
     """L_x and R_x against matrices built entry by entry from entry()."""

@@ -12,7 +12,8 @@ is compared with the antisymmetry of the Scalar constants on a tensor that
 fails it only in the sqrt part, on catalog entries moved into Q(i),
 Q(sqrt 2) and Q(sqrt -3) bases, and on rational tensors whose integer
 view first met a quadratic vector.  The integer view itself holds only
-ints or pairs of ints.
+ints or pairs of ints, and a rational view lifted to Q(sqrt d) is exactly
+what integer_pairs clears the constants to over Q(sqrt d), with the same D.
 """
 
 import random
@@ -24,10 +25,11 @@ from heisenleib.algebra import StructTensor, Subspace, bracket_span, change_basi
 from heisenleib.catalog import build_entry
 from heisenleib.certify import matrix_nilpotent
 from heisenleib.heisenberg import heisenberg
-from heisenleib.scalars import Scalar
+from heisenleib.scalars import IncompatibleFieldError, Scalar, common_field, integer_pairs
 
 from reference_kernel import mat_pow, reference_bracket_span, reference_matrix_nilpotent
 from test_packed_leibniz import antisymmetric
+from test_pair_kernels import random_tensor
 from test_reference_kernel import CATALOG_IDS, random_invertible, random_scalar
 
 NILPOTENCY_FIELDS = [-1, 2, 3, 5, -3]
@@ -159,14 +161,14 @@ def test_is_lie_after_the_view_met_a_quadratic_vector(entry_id, d):
 
 
 def assert_ints_or_int_pairs(d, view):
-    for row in view._c.values():
+    assert type(view) is dict
+    for row in view.values():
         for value in row.values():
             if d is None:
                 assert type(value) is int
             else:
                 assert type(value) is tuple and len(value) == 2
                 assert all(type(x) is int for x in value)
-    assert view.zero == (0 if d is None else (0, 0))
 
 
 @pytest.mark.parametrize("d", [None, -1, 2])
@@ -182,3 +184,32 @@ def test_integer_view_holds_ints_or_int_pairs(d):
             field, _, view = t._integer_view([Scalar.sqrt_d(d)])
             assert field == d
             assert_ints_or_int_pairs(field, view)
+
+
+def cleared_constants(t, d) -> tuple:
+    """(D, {(i, j): {k: D*c_ij^k}}) with the constants cleared by integer_pairs."""
+    constants = t.constants_dict()
+    den, cleared = integer_pairs(list(constants.values()), d)
+    view = {}
+    for (i, j, k), x in zip(constants, cleared):
+        view.setdefault((i, j), {})[k] = x
+    return den, view
+
+
+@pytest.mark.parametrize("d", [-1, 2, -3, 5])
+def test_rational_view_lifts_to_the_pairs_of_integer_pairs(d):
+    rng = random.Random(f"lift {d}")
+    tensors = [build_entry(entry_id) for entry_id in CATALOG_IDS]
+    tensors = [t for t in tensors if common_field(t.constants_dict().values()) is None]
+    tensors += [random_tensor(rng, rng.randint(1, 6), None, rng.random()) for _ in range(20)]
+    other = 3 if d == 2 else 2
+    for t in tensors:
+        ints = (None, *cleared_constants(t, None))
+        assert t._integer_view() == ints
+        assert t._integer_view([Scalar.sqrt_d(d)]) == (d, *cleared_constants(t, d))
+        assert t._integer_view() == ints
+        with pytest.raises(IncompatibleFieldError):
+            t._integer_view([Scalar.sqrt_d(d)], [Scalar.sqrt_d(other)])
+        if t.constants_dict():
+            with pytest.raises(IncompatibleFieldError):
+                t.map_entries(Scalar.sqrt_d(d).__mul__)._integer_view([Scalar.sqrt_d(other)])

@@ -12,8 +12,7 @@ from heisenleib.scalars import (
     ScalarParseError,
     common_field,
     exact_div,
-    from_integer,
-    from_pairs,
+    from_cleared,
     integer_pairs,
     is_squarefree,
     rational_is_square,
@@ -187,19 +186,17 @@ def test_integer_pairs_and_back():
     den, cleared = integer_pairs(values, d)
     assert d == 2 and den == 36
     assert cleared == [(6, 0), (-27, 8), (0, 0)]
-    assert from_pairs(cleared, (den, 0), d) == values
-    # den = 36 (1 + sqrt 2), of norm -36^2: each pair times 1 + sqrt 2, divided back
-    assert from_pairs([(a + 2 * b, a + b) for a, b in cleared], (den, den), d) == values
-    assert from_pairs([(1, 0)], (1, 1), 2) == [Scalar(-1, 1, 2)]
-    # (2 + 2 sqrt 2) / (1 + sqrt 2) = 2, and 4 / 2 over Q(i): the sqrt parts cancel
-    for cancelled in from_pairs([(2, 2)], (1, 1), 2) + from_pairs([(4, 0)], (2, 0), -1):
+    assert from_cleared(cleared, den, d) == values
+    assert from_cleared(cleared, -den, d) == [-v for v in values]
+    # 4 / 2 over Q(i) and -8 / -4 over Q(sqrt 2): the sqrt parts cancel
+    for cancelled in from_cleared([(4, 0)], 2, -1) + from_cleared([(-8, 0)], -4, 2):
         assert cancelled == 2 and cancelled.d is None
         assert_built_once(cancelled)
     rationals = [Scalar.rational(-5, 6), Scalar.rational(3, 4), Scalar.zero()]
     den, cleared = integer_pairs(rationals, None)
     assert den == 12 and cleared == [-10, 9, 0]
-    assert [from_integer(x, den) for x in cleared] == rationals
-    assert [from_integer(-7 * x, -7 * den) for x in cleared] == rationals
+    assert from_cleared(cleared, den, None) == rationals
+    assert from_cleared([-7 * x for x in cleared], -7 * den, None) == rationals
     with pytest.raises(IncompatibleFieldError):
         common_field(values + [Scalar.sqrt_d(3)])
 
@@ -228,10 +225,7 @@ def test_results_are_built_in_canonical_form(d, a, b, c, e, k):
         if not z.is_zero():
             results += [z.inv(), x / z, k / z]
     den, cleared = integer_pairs([x, y], d)
-    if d is None:
-        back, ints = [from_integer(v, den) for v in cleared], [from_integer(v) for v in cleared]
-    else:
-        back, ints = from_pairs(cleared, (den, 0), d), from_pairs(cleared, (1, 0), d)
+    back, ints = from_cleared(cleared, den, d), from_cleared(cleared, 1, d)
     assert back == [x, y] and ints == [x * den, y * den]
     results += back + ints
     for result in results:
@@ -241,7 +235,7 @@ def test_results_are_built_in_canonical_form(d, a, b, c, e, k):
 def test_construction_keeps_its_refusals_and_cancellations():
     root = Scalar.sqrt_d(2)
     for cancelled in (Scalar(1, 1, 2) - root, root * root, (root + 1) * (1 - root),
-                      Scalar.parse("3+0*sqrt(5)"), from_pairs([(4, 0)], (2, 0), -1)[0]):
+                      Scalar.parse("3+0*sqrt(5)"), from_cleared([(4, 0)], 2, -1)[0]):
         assert cancelled.d is None and cancelled.b == 0
         assert_built_once(cancelled)
     assert Scalar(1, 1, 2) - root == 1 and root * root == 2
