@@ -580,12 +580,11 @@ def is_nilpotent_algebra(t: StructTensor) -> bool:
 
 
 def left_annihilator(t: StructTensor) -> Subspace:
-    """{x : [x, y] = 0 for all y}, as the nullspace of x -> (sum_i x_i c_{ij}^k)."""
+    """{x : [x, y] = 0 for all y}: the nullspace of the rows (j, k) -> (c_ij^k)_i."""
     t._require_scalar("left annihilator")
-    rows = []
-    for j in range(t.dim):
-        for k in range(t.dim):
-            rows.append([t.entry(i, j, k) for i in range(t.dim)])
+    rows = [[t.zero] * t.dim for _ in range(t.dim**2)]
+    for (i, j, k), c in t.constants_dict().items():
+        rows[j * t.dim + k][i] = c
     return Subspace.span(linalg.nullspace(rows), t.dim)
 
 

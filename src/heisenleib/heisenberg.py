@@ -25,8 +25,8 @@ elimination, checked where it is used).  block_forms is
 the one reader of the block form: it reads (a, X, rho, r) back from a
 tensor with Scalar or PolyQ entries, for extract_extension_data and for
 the cascade alike.  block_side_conditions is the one statement of the
-bilinear side conditions [X_a, X_b] = 0 and (X_a - a_a I) rho_b = 0, which
-ExtensionSpec.validate and the cascade's side conditions both read.
+bilinear side conditions [X_a, X_b] = 0 and (X_a - a_a I) rho_b = 0: the
+cascade's on PolyQ, ExtensionSpec.validate's on int images of X and rho.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from . import linalg
 from .algebra import StructTensor, Subspace, _change_basis_with_inverse
 from .linalg import ShapeError
-from .scalars import Scalar
+from .scalars import Scalar, common_field
 
 
 class ExtensionValidationError(ValueError):
@@ -174,9 +173,9 @@ def eigenvector_check(x, rho, a) -> bool:
 
 
 def block_side_conditions(a, x, rho):
-    """Residuals of the bilinear side conditions on Scalar or PolyQ block
-    data, as two generators (a reader computes only what it draws): (al, be,
-    X_al X_be - X_be X_al) for al < be, (al, be, (X_al - a_al I) rho_be) for every pair."""
+    """Residuals of the bilinear side conditions on PolyQ or int block data,
+    as two generators (a reader computes only what it draws): (al, be, X_al
+    X_be - X_be X_al) for al < be, (al, be, (X_al - a_al I) rho_be) for all."""
     f = len(x)
     commutators = (
         (al, be, linalg.mat_sub(linalg.mat_mul(x[al], x[be]), linalg.mat_mul(x[be], x[al])))
@@ -263,9 +262,14 @@ class ExtensionSpec:
         for al in range(f):
             if not symplectic_check(self.x_matrix(al), n):
                 raise SymplecticViolation(f"X_{al + 1} is not in sp({2 * n})")
-        commutators, eigenvectors = block_side_conditions(self.a, self.X, self.rho)
+        x, rho = self.X, self.rho
+        if f > 1 or self.a[0].is_zero():  # else no side condition is drawn
+            d = common_field(v for m in (*x, rho) for row in m for v in row)
+            x = [linalg.integer_image(m, d) for m in x]
+            rho = [[row[0] for row in linalg.integer_image([[v] for v in u], d)] for u in rho]
+        commutators, eigenvectors = block_side_conditions([0] * f, x, rho)  # a = 0 where drawn
         for al, be, comm in commutators:
-            if not linalg.is_zero_matrix(comm):
+            if any(map(any, comm)):
                 raise CommutationViolation(f"X_{al + 1} and X_{be + 1} do not commute")
         zero, one = Scalar.zero(), Scalar.one()
         if self.a[0] not in (zero, one):
@@ -282,7 +286,7 @@ class ExtensionSpec:
             # a = 0: left-right action commutation forces X_al rho_be = 0 for
             # every pair, not only the own-nullspace condition.
             for al, be, residual in eigenvectors:
-                if any(not v.is_zero() for v in residual):
+                if any(residual):
                     raise NullspaceViolation(f"rho_{be + 1} is not in the nullspace of X_{al + 1}")
         self._validate_nilindependence()
 
@@ -292,19 +296,15 @@ class ExtensionSpec:
 
         sum c_al S_al acts on H by 2 sum c_al a_al, so only the hyperplane
         c . a = 0 can hold a nilpotent element; there it acts on (P, B) by
-        sum c_al X_al.  Each basis combination is checked, then a plane at
-        n = 1 is decided by the sp(2) nilpotency locus over field (R or C)
-        when its entries are rational, and otherwise by a linear dependence
-        of its two combinations (commuting sp(2) matrices are proportional,
-        so validated data always has one; the zero matrix is nilpotent).
+        sum c_al X_al.  Each combination of a basis read off a is checked,
+        then a plane at n = 1 is decided by the sp(2) nilpotency locus over
+        field (R or C) when its entries are rational, and otherwise by a linear
+        dependence of its two combinations (commuting sp(2) matrices are
+        proportional, so validated data has one; the zero matrix is nilpotent).
         """
         from .certify import sp2_nilpotency_locus
 
-        # single generators first: the plainest witness
-        basis = sorted(
-            linalg.nullspace([list(self.a)]), key=lambda c: sum(not v.is_zero() for v in c)
-        )
-        combos = [reduce(linalg.mat_add, map(linalg.mat_scale, self.X, c)) for c in basis]
+        basis, combos = self._hyperplane_combinations()
         for c, y in zip(basis, combos):
             if linalg.matrix_nilpotent(y):
                 return tuple(c)
@@ -325,6 +325,19 @@ class ExtensionSpec:
                 return UNDECIDED
             w1, w2 = dependence[0]
         return tuple(w1 * u + w2 * v for u, v in zip(*basis))
+
+    def _hyperplane_combinations(self) -> tuple:
+        """The basis of c . a = 0 that linalg.nullspace([a]) gives, read off a
+        (e_j - (a_j / a_p) e_p for j != p, a_p the first nonzero a_al), single
+        generators first (the plainest witness), and each sum c_al X_al."""
+        p = next((al for al, v in enumerate(self.a) if not v.is_zero()), None)
+        basis, combos = linalg.identity(self.f), list(self.X)
+        for j in range(self.f):
+            if j != p and not self.a[j].is_zero():  # so p < j
+                basis[j][p] = -(self.a[j] / self.a[p])
+                combos[j] = linalg.mat_add(linalg.mat_scale(self.X[p], basis[j][p]), self.X[j])
+        order = sorted((j for j in range(self.f) if j != p), key=lambda j: not self.a[j].is_zero())
+        return [basis[j] for j in order], [combos[j] for j in order]
 
     def _validate_nilindependence(self) -> None:
         c = self.nilpotent_combination()
@@ -365,7 +378,7 @@ def assemble_extension(spec: ExtensionSpec) -> StructTensor:
     pad = [Scalar.zero()] * (2 * spec.n)
     left = [action_display(2 * a, pad, pad, x, a) for a, x in zip(spec.a, spec.X)]
     right = [
-        action_display(-2 * a, pad, rho, linalg.mat_scale(x, -1), -a)
+        action_display(-2 * a, pad, rho, [[-v for v in row] for row in x], -a)
         for a, x, rho in zip(spec.a, spec.X, spec.rho)
     ]
     ss = [[[r] + pad for r in row] for row in spec.r]

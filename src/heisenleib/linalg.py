@@ -23,10 +23,10 @@ canonical_form: (d, den, rows) with rows / den the RREF, den > 0 sharing
 no factor with the rows, and d None when every sqrt part is 0.  algebra's
 subspaces stay in that form.  rank counts pivots and det reads the last
 pivot; scalars.from_cleared reads cleared results back as Scalars, for
-det, rref and a subspace's rows.  Beside det, matrix_nilpotent squares
-the matrix cleared once by its denominators with mat_mul until the power
-reaches dim; over Z[sqrt d] it squares the int matrix in which each
-entry a + b*sqrt(d) is the 2x2 block ((a, d*b), (b, a)).
+det, rref and a subspace's rows.  integer_image clears a matrix into
+ints, each entry a + b*sqrt(d) the block ((a, d*b), (b, a)) over Z[sqrt d]:
+matrix_nilpotent squares it with mat_mul until the power reaches dim, and
+heisenberg's validation evaluates its bilinear side conditions on it.
 """
 
 from __future__ import annotations
@@ -160,6 +160,16 @@ def cleared_matrix(a: Matrix, d: int | None) -> tuple[int, list]:
     ncols = shape(a)[1]
     den, flat = integer_pairs([x for row in a for x in row], d)
     return den, [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
+
+
+def integer_image(m: Matrix, d: int | None) -> list:
+    """D*m as ints, D the lcm of the denominators of a Scalar matrix m over
+    Q or Q(sqrt d), where each entry a + b*sqrt(d) becomes the block ((a,
+    d*b), (b, a)): an injective ring map into the 2x2 int matrices, so up to
+    the factors D images multiply and subtract as the matrices do."""
+    cleared = cleared_matrix(m, d)[1]
+    return cleared if d is None else [[x for a, b in row for x in ((b, a) if h else (a, d * b))]
+                                      for row in cleared for h in (0, 1)]
 
 
 def _fraction_free(m: list, ncols: int, d: int | None = None) -> tuple:
@@ -317,23 +327,15 @@ def det(a: Matrix) -> Scalar:
 
 
 def matrix_nilpotent(m: Matrix) -> bool:
-    """True iff M^dim = 0 exactly (equivalently, char poly = lambda^dim).
-
-    Scaling does not change nilpotency, so M is cleared once into Z or
-    Z[sqrt d].  Over Z[sqrt d] each entry a + b*sqrt(d) becomes the int
-    block ((a, d*b), (b, a)), an injective ring map into the 2x2 int
-    matrices, so M^k = 0 iff the k-th power of the 2dim x 2dim image is.
-    The int matrix is squared until the power reaches dim or vanishes."""
+    """True iff M^dim = 0 exactly (char poly lambda^dim).  Scaling keeps
+    nilpotency and integer_image is an injective ring map, so M's int image
+    is squared until the power reaches dim or vanishes."""
     r, c = shape(m)
     if r != c:
         raise ShapeError("nilpotency needs a square matrix")
     if r == 0:
         return True
-    d = common_field(x for row in m for x in row)
-    power = cleared_matrix(m, d)[1]
-    if d is not None:  # row h of the block of a + b*sqrt(d): (a, d*b), then (b, a)
-        power = [[x for a, b in row for x in ((b, a) if h else (a, d * b))]
-                 for row in power for h in (0, 1)]
+    power = integer_image(m, common_field(x for row in m for x in row))
     k = 1
     while k < r and any(map(any, power)):
         power = mat_mul(power, power)

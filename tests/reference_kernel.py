@@ -122,11 +122,19 @@ commutators and the eigenvector residuals from
 heisenberg.block_side_conditions: two pair loops of its own, the
 commutators compared as the matrix products X_a X_b and X_b X_a, and each
 (X_a, rho_b) pair checked by eigenvector_check.
+
+reference_hyperplane_combinations and reference_nilpotent_combination are
+ExtensionSpec.nilpotent_combination as it ran before the basis of
+c . a = 0 was read off a: the basis by linalg.nullspace([a]), and each
+combination as the sum of every c_al X_al by mat_scale and mat_add.
+reference_left_annihilator_rows are the rows of algebra.left_annihilator
+as it built them before it read them off the sparse store: dim^3 entry()
+calls.
 """
 
 import warnings
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from heisenleib import linalg
 from heisenleib.algebra import (
@@ -155,6 +163,7 @@ from heisenleib.constraints import (
     _param_names,
 )
 from heisenleib.heisenberg import (
+    UNDECIDED,
     ANormalizationViolation,
     CommutationViolation,
     FBoundViolation,
@@ -760,6 +769,44 @@ def reference_validate_nilindependence(spec) -> None:
         NilindependenceUndecidedWarning,
         stacklevel=2,
     )
+
+
+def reference_hyperplane_combinations(spec) -> tuple:
+    """(basis of c . a = 0, sum c_al X_al of each), single generators first."""
+    basis = sorted(
+        linalg.nullspace([list(spec.a)]), key=lambda c: sum(not v.is_zero() for v in c)
+    )
+    return basis, [reduce(linalg.mat_add, map(linalg.mat_scale, spec.X, c)) for c in basis]
+
+
+def reference_nilpotent_combination(spec, field: str = "R"):
+    basis, combos = reference_hyperplane_combinations(spec)
+    for c, y in zip(basis, combos):
+        if matrix_nilpotent(y):
+            return tuple(c)
+    if len(basis) <= 1:
+        return None
+    if len(basis) > 2 or spec.n > 1:
+        return UNDECIDED
+    if all(v.is_rational() for y in combos for row in y for v in row):
+        locus = sp2_nilpotency_locus(*combos)
+        if locus.nilindependent_over_C if field == "C" else locus.nilindependent_over_R:
+            return None
+        w1, w2 = locus.witness
+    else:
+        dependence = linalg.nullspace(
+            linalg.transpose([[v for row in y for v in row] for y in combos])
+        )
+        if not dependence:
+            return UNDECIDED
+        w1, w2 = dependence[0]
+    return tuple(w1 * u + w2 * v for u, v in zip(*basis))
+
+
+def reference_left_annihilator_rows(t) -> list:
+    return [
+        [t.entry(i, j, k) for i in range(t.dim)] for j in range(t.dim) for k in range(t.dim)
+    ]
 
 
 def reference_sp2_nilpotency_locus(x1, x2) -> LocusResult:
