@@ -160,7 +160,7 @@ def symplectic_check(x, n: int) -> bool:
 
 
 def eigenvector_residual(x, rho, a) -> list:
-    """X rho - a rho, for Scalar or PolyQ entries."""
+    """X rho - a rho, for Scalar, PolyQ or int entries."""
     return [u - a * v for u, v in zip(linalg.mat_vec(x, rho), rho)]
 
 
@@ -254,7 +254,8 @@ class ExtensionSpec:
             raise ShapeError("r must be f x f")
 
     def validate(self) -> None:
-        """Enforce every side condition; raises a named violation."""
+        """Enforce every side condition; raises a named violation, or, for X
+        and rho in two quadratic fields, IncompatibleFieldError after sp(2n)."""
         self._check_shapes()
         n, f = self.n, self.f
         if not 1 <= f <= max_extension_bound(n):
@@ -262,12 +263,11 @@ class ExtensionSpec:
         for al in range(f):
             if not symplectic_check(self.x_matrix(al), n):
                 raise SymplecticViolation(f"X_{al + 1} is not in sp({2 * n})")
-        x, rho = self.X, self.rho
-        if f > 1 or self.a[0].is_zero():  # else no side condition is drawn
-            d = common_field(v for m in (*x, rho) for row in m for v in row)
-            x = [linalg.integer_image(m, d) for m in x]
-            rho = [[row[0] for row in linalg.integer_image([[v] for v in u], d)] for u in rho]
-        commutators, eigenvectors = block_side_conditions([0] * f, x, rho)  # a = 0 where drawn
+        d = common_field(v for m in (*self.X, self.rho) for row in m for v in row)
+        x = [linalg.integer_image(m, d) for m in self.X]
+        rho = [[row[0] for row in linalg.integer_image([[v] for v in u], d)] for u in self.rho]
+        # the residuals are read only when every a_al = 0, so a = 0 here
+        commutators, eigenvectors = block_side_conditions([0] * f, x, rho)
         for al, be, comm in commutators:
             if any(map(any, comm)):
                 raise CommutationViolation(f"X_{al + 1} and X_{be + 1} do not commute")

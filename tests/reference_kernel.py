@@ -123,8 +123,8 @@ heisenberg.block_side_conditions: two pair loops of its own, the
 commutators compared as the matrix products X_a X_b and X_b X_a, and each
 (X_a, rho_b) pair checked by eigenvector_check.
 
-reference_hyperplane_combinations and reference_nilpotent_combination are
-ExtensionSpec.nilpotent_combination as it ran before the basis of
+reference_hyperplane_combinations is the basis and the combinations of
+ExtensionSpec.nilpotent_combination as it formed them before the basis of
 c . a = 0 was read off a: the basis by linalg.nullspace([a]), and each
 combination as the sum of every c_al X_al by mat_scale and mat_add.
 reference_left_annihilator_rows are the rows of algebra.left_annihilator
@@ -163,7 +163,6 @@ from heisenleib.constraints import (
     _param_names,
 )
 from heisenleib.heisenberg import (
-    UNDECIDED,
     ANormalizationViolation,
     CommutationViolation,
     FBoundViolation,
@@ -777,30 +776,6 @@ def reference_hyperplane_combinations(spec) -> tuple:
         linalg.nullspace([list(spec.a)]), key=lambda c: sum(not v.is_zero() for v in c)
     )
     return basis, [reduce(linalg.mat_add, map(linalg.mat_scale, spec.X, c)) for c in basis]
-
-
-def reference_nilpotent_combination(spec, field: str = "R"):
-    basis, combos = reference_hyperplane_combinations(spec)
-    for c, y in zip(basis, combos):
-        if matrix_nilpotent(y):
-            return tuple(c)
-    if len(basis) <= 1:
-        return None
-    if len(basis) > 2 or spec.n > 1:
-        return UNDECIDED
-    if all(v.is_rational() for y in combos for row in y for v in row):
-        locus = sp2_nilpotency_locus(*combos)
-        if locus.nilindependent_over_C if field == "C" else locus.nilindependent_over_R:
-            return None
-        w1, w2 = locus.witness
-    else:
-        dependence = linalg.nullspace(
-            linalg.transpose([[v for row in y for v in row] for y in combos])
-        )
-        if not dependence:
-            return UNDECIDED
-        w1, w2 = dependence[0]
-    return tuple(w1 * u + w2 * v for u, v in zip(*basis))
 
 
 def reference_left_annihilator_rows(t) -> list:
