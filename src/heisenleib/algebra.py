@@ -4,8 +4,9 @@ A StructTensor holds the nonzero constants of a bilinear product
 [e_i, e_j] = sum_k c_{ij}^k e_k in a sparse store that no other module
 sees: they read constants through entry() and constants_dict(), and every
 product goes through contract(), the one loop that multiplies stored
-constants; for PolyQ entries it hands each coordinate's products to poly's
-one sum of products.  Entries are either Scalar (exact field elements) or
+constants: it gathers each coordinate's (coeff, constant) pairs, which
+poly's one sum of products adds for PolyQ entries, and Scalars multiply
+and add in order.  Entries are either Scalar (exact field elements) or
 PolyQ (symbolic parameters); one entry kind per tensor.
 Whether the product satisfies the Leibniz identity is checked, never
 assumed: leibniz_residual exposes the defect of each basis triple.
@@ -40,7 +41,8 @@ with the ring products written inline.  fingerprint spans [L, L] once for
 both series, and finds the center inside the left annihilator: one
 elimination, on the view, of the rows ([e_0, b], ..., [e_(n-1), b] | b)
 over its rows b.  change_basis brackets there too, with both matrices
-cleared, and divides each new constant once by the scale factors.
+cleared, and divides each new constant once by the scale factors; a PolyQ
+tensor brackets on itself, in the same loop.
 
 A Subspace is its reduced row echelon form, held in one canonical
 cleared form (d, den, rows) from bracket to membership: rows / den is the
@@ -49,13 +51,15 @@ subspaces have equal forms, and the Scalar rows are built only when read.
 Membership is read off the rows, and containment is read off the
 generating brackets: span(S) lies in W iff every s in S does, so the
 closure checks and certify's [L, L] in N (bracket_span_within) test each
-bracket on the view for membership instead of eliminating the span.
+bracket on the view for membership instead of eliminating the span; a
+rational W meets vectors over Q(sqrt d) with its rows lifted to (x, 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import chain, product
+from functools import partial, reduce
+from itertools import chain, product, starmap
 from operator import add, mul
 
 from . import linalg
@@ -151,21 +155,16 @@ class StructTensor:
 
     def contract(self, terms) -> list:
         """Sum of coeff * [e_i, e_j] over (coeff, i, j) terms, as a coordinate
-        vector.  This is the one loop that multiplies stored constants; PolyQ
-        factors are gathered per coordinate and summed by poly's kernel."""
-        if type(self.zero) is PolyQ:
-            pairs: dict = {}
-            for coeff, i, j in terms:
-                for k, ck in self._c.get((i, j), _NO_PRODUCT).items():
-                    pairs.setdefault(k, []).append((coeff, ck))
-            return [_sum_of_products(self.zero, pairs[k]) if k in pairs else self.zero
-                    for k in range(self.dim)]
-        acc: dict = {}
+        vector.  This is the one loop that multiplies stored constants: it
+        gathers each coordinate's (coeff, constant) pairs, which poly's kernel
+        sums for PolyQ entries; other entries sum the products in order."""
+        pairs: dict = {}
         for coeff, i, j in terms:
             for k, ck in self._c.get((i, j), _NO_PRODUCT).items():
-                p = coeff * ck
-                acc[k] = acc[k] + p if k in acc else p
-        return [acc.get(k, self.zero) for k in range(self.dim)]
+                pairs.setdefault(k, []).append((coeff, ck))
+        total = (partial(_sum_of_products, self.zero) if type(self.zero) is PolyQ
+                 else lambda factors: reduce(add, starmap(mul, factors)))
+        return [total(pairs[k]) if k in pairs else self.zero for k in range(self.dim)]
 
     def bracket(self, x, y) -> list:
         """[x, y] for coordinate vectors x, y; bilinear in both arguments."""
@@ -438,15 +437,13 @@ class Subspace:
 
     def _holds(self, d, vectors) -> bool:
         """Whether each vector, cleared into the ring of d (W's d, or W is
-        rational), lies in W: iff den * v = sum of v[pivot] * row, compared
-        at the free columns (at the pivots it holds by construction).  A
-        rational W holds v over Q(sqrt d) iff it holds both parts of v."""
-        if d is not None and self.d is None:
-            vectors = (part for v in vectors for part in ([a for a, _ in v], [b for _, b in v]))
-            d = None
+        rational and its rows are lifted into that ring), lies in W: iff
+        den * v = sum of v[pivot] * row, compared at the free columns (at
+        the pivots it holds by construction)."""
         zero, minus = (0, -self._den) if d is None else ((0, 0), (-self._den, 0))
+        ints = self._rows_in(d)
         columns = [  # sum of v[pivot] * row[j], minus den * v[j], at each free column j
-            [(p, row[j]) for p, row in zip(self._pivots, self._ints) if row[j] != zero] + [(j, minus)]
+            [(p, row[j]) for p, row in zip(self._pivots, ints) if row[j] != zero] + [(j, minus)]
             for j in range(self.ambient_dim) if j not in self._pivots
         ]
         return all(_images(columns, v, d) == [zero] * len(columns) for v in vectors)
@@ -538,6 +535,8 @@ def _view_bracket(rows: dict, d, u, v) -> list:
 def _series(t: StructTensor, w: Subspace, step=None, first=None) -> list[Subspace]:
     """Shared shape of both series of the subalgebra w: iterate step, by
     default the lower central step [w, -], until zero or stabilization.
+    Each term contains the next, so the list, cut at dim + 1 terms, ends
+    even when two equal subspaces compare unequal.
 
     The returned list starts at [w, w] (first, if given); a stabilized nonzero
     term appears twice at the end, a vanishing series ends with the zero subspace.
@@ -546,7 +545,7 @@ def _series(t: StructTensor, w: Subspace, step=None, first=None) -> list[Subspac
     step = step or (lambda current: bracket_span(t, w, current))
     current = bracket_span(t, w, w) if first is None else first
     terms = [current]
-    while current.dim > 0:
+    while current.dim > 0 and len(terms) <= t.dim:
         nxt = step(current)
         terms.append(nxt)
         if nxt == current:
@@ -631,50 +630,41 @@ def change_basis(t: StructTensor, p, basis_labels=None) -> StructTensor:
 
 
 def _change_basis_with_inverse(t: StructTensor, p, q, basis_labels=None) -> StructTensor:
-    """c'(m,l)^k = sum P(k,a) c(i,j)^a Q(i,m) Q(j,l) for Q = P^{-1}: for
-    Scalar tensors on the integer view with P and Q cleared, each [Q e_m,
-    Q e_l] by _view_bracket and each entry divided once by the product of
-    the scale factors; on the tensor itself for PolyQ."""
+    """c'(m,l)^k = sum P(k,a) c(i,j)^a Q(i,m) Q(j,l) for Q = P^{-1}: P times
+    each [Q e_m, Q e_l], bracketed for Scalar tensors by _view_bracket with
+    P and Q cleared, each entry divided once by the product of the scale
+    factors, and for PolyQ tensors on the tensor itself."""
     n = t.dim
     if linalg.shape(p) != (n, n) or linalg.shape(q) != (n, n):
         raise ShapeError("change of basis matrix has wrong shape")
-    constants = {}
+    d, zero, bracket = None, t.zero, t.bracket
     if t.is_scalar():
         d, den, view = t._integer_view(*p, *q)
         den_p, p = linalg.cleared_matrix(p, d)
         den_q, q = linalg.cleared_matrix(q, d)
         den *= den_p * den_q * den_q
-        zero = 0 if d is None else (0, 0)
-        cols = list(zip(*q))
-        rows = [[(a, x) for a, x in enumerate(row) if x != zero] for row in p]
-        for m, col_m in enumerate(cols):
-            for l, col_l in enumerate(cols):
-                w = _view_bracket(view, d, col_m, col_l)
-                for k, value in enumerate(_images(rows, w, d)):
-                    if value != zero:
-                        constants[(m, l, k)] = value
+        zero, bracket = 0 if d is None else (0, 0), partial(_view_bracket, view, d)
+    cols = list(zip(*q))
+    rows = [[(a, x) for a, x in enumerate(row) if x != zero] for row in p]
+    constants = {}
+    for m, col_m in enumerate(cols):
+        for l, col_l in enumerate(cols):
+            for k, value in enumerate(_images(rows, bracket(col_m, col_l), d, zero)):
+                if value != zero:
+                    constants[(m, l, k)] = value
+    if t.is_scalar():
         constants = dict(zip(constants, from_cleared(constants.values(), den, d)))
-    else:
-        zero = t.zero
-        cols = [[(i, row[m]) for i, row in enumerate(q) if row[m] != zero] for m in range(n)]
-        rows = [[(a, x) for a, x in enumerate(row) if x != zero] for row in p]
-        for m, col_m in enumerate(cols):
-            for l, col_l in enumerate(cols):
-                w = t.contract((x * y, i, j) for i, x in col_m for j, y in col_l)
-                for k, row in enumerate(rows):
-                    terms = [x * w[a] for a, x in row if w[a] != zero]
-                    if terms:
-                        constants[(m, l, k)] = sum(terms[1:], terms[0])
     return StructTensor(
         n, constants, basis_labels=basis_labels or t.basis_labels, zero=t.zero
     )
 
 
-def _images(rows, w, d) -> list:
+def _images(rows, w, d, zero=0) -> list:
     """P w for the nonzero entries (a, x) of each row of P, in ints or int
-    pairs; Subspace._holds passes W's free columns as the rows."""
+    pairs, or in PolyQs summed from their zero; over Q the zero entries of
+    w are skipped.  Subspace._holds passes W's free columns as the rows."""
     if d is None:
-        return [sum(x * w[a] for a, x in row) for row in rows]
+        return [sum((x * w[a] for a, x in row if w[a] != zero), zero) for row in rows]
     images = []
     for row in rows:
         va = vb = 0

@@ -347,7 +347,7 @@ def inverse(a: Matrix) -> Matrix:
     r, c = shape(a)
     if r != c:
         raise ShapeError("inverse needs a square matrix")
-    aug = [row[:] + identity(r)[i] for i, row in enumerate(a)]
+    aug = [row[:] + unit for row, unit in zip(a, identity(r))]
     red, pivots = rref(aug)
     if pivots != list(range(r)):
         raise SingularMatrixError("matrix is singular")

@@ -79,10 +79,10 @@ Z[sqrt d] for the Leibniz view and matrix nilpotency before every kernel
 ran on (rational, sqrt) int pairs; clear_denominators, reference_exact_div
 and ring_scalar are the clearing, the exact division in Z or that ring
 and the way back to a Scalar (by the public constructor) that went with
-it.  reference_ring_view puts the tensor's integer view, a constants map,
-into a StructTensor of its own, with ring objects over Z[sqrt d], so the
-references below contract it and stay independent of the pair
-arithmetic they check.
+it.  reference_ring_view clears the tensor's constants afresh, not through
+the integer view it checks, into a StructTensor of its own, with ring
+objects over Z[sqrt d], so the references below contract it and stay
+independent of the view and the pair arithmetic they check.
 
 reference_substituter is PolyQ substitution as one closure over a fixed
 binding map, its coerced values built once from the whole map, and
@@ -135,6 +135,7 @@ calls.
 import warnings
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 
 from heisenleib import linalg
 from heisenleib.algebra import (
@@ -187,7 +188,13 @@ from heisenleib.poly import (
     quadratic_real_root_exists,
     quadratic_roots,
 )
-from heisenleib.scalars import InexactDivisionError, Scalar, exact_div, integer_pairs
+from heisenleib.scalars import (
+    InexactDivisionError,
+    Scalar,
+    common_field,
+    exact_div,
+    integer_pairs,
+)
 
 
 def is_zero_vector(v) -> bool:
@@ -301,18 +308,24 @@ def ring_scalar(x, den=1) -> Scalar:
 
 
 def reference_ring_view(t, *others) -> tuple:
-    """t._integer_view(*others) with its constants map held by a StructTensor
-    of its own: the ints over Q as they are, and each (rational, sqrt) pair
-    as an element of quadratic_integers(d)."""
-    d, den, view = t._integer_view(*others)
+    """(d, D, view) as t._integer_view(*others) gives it, but cleared afresh
+    from t.constants_dict() in the field of the constants and of the Scalars
+    or subspaces in others, with the constants map held by a StructTensor
+    of its own: the ints over Q as they are, and each (rational, sqrt)
+    pair as an element of quadratic_integers(d)."""
+    constants = t.constants_dict()
+    d = common_field(chain(constants.values(), *others))
+    den, cleared = integer_pairs(list(constants.values()), d)
     if d is None:
         zero, element = 0, int
     else:
         ring = quadratic_integers(d)
         zero, element = ring(0, 0), lambda pair: ring(*pair)
+    view: dict = {}
+    for (i, j, k), c in zip(constants, cleared):
+        view.setdefault((i, j), {})[k] = element(c)
     ring_view = object.__new__(StructTensor)
-    ring_view._fill(t.dim, t.basis_labels, zero,
-                    {ij: {k: element(c) for k, c in row.items()} for ij, row in view.items()})
+    ring_view._fill(t.dim, t.basis_labels, zero, view)
     return d, den, ring_view
 
 
@@ -591,14 +604,18 @@ def reference_subspace_closure_checks(t, w) -> ClosureChecks:
 
 
 def reference_lower_central_vanishes(t, w) -> bool:
-    """The lower central series of w, a subalgebra of t, reaches zero."""
+    """The lower central series of w, a subalgebra of t, reaches zero.  Each
+    term contains the next, so the series ends by its term dim; past that,
+    two equal subspaces compared unequal, and AssertionError is raised."""
     current = bracket_span(t, w, w)
-    while current.dim > 0:
+    for _ in range(t.dim + 1):
+        if current.dim == 0:
+            return True
         nxt = bracket_span(t, w, current)
         if nxt == current:
             return False
         current = nxt
-    return True
+    raise AssertionError("the lower central series did not end by its term dim")
 
 
 def reference_center(t):

@@ -1,6 +1,7 @@
 import pytest
 
 from heisenleib import linalg
+from heisenleib.algebra import Subspace
 from heisenleib.linalg import ShapeError, SingularMatrixError, smat, svec
 from heisenleib.scalars import IncompatibleFieldError, Scalar
 
@@ -50,6 +51,24 @@ def test_inverse_roundtrip():
 def test_inverse_singular():
     with pytest.raises(SingularMatrixError):
         linalg.inverse(smat([[1, 2], [2, 4]]))
+
+
+@pytest.mark.parametrize(
+    "rows, den, d, form",
+    [
+        ([[2, -4]], -2, None, (None, 1, [[-1, 2]])),
+        ([[(2, 0), (0, -4)]], -2, 2, (2, 1, [[(-1, 0), (0, 2)]])),
+        # no sqrt part: d is dropped and the pairs become ints
+        ([[(6, 0), (3, 0)]], 9, 2, (None, 3, [[2, 1]])),
+    ],
+)
+def test_canonical_form(rows, den, d, form):
+    assert linalg.canonical_form(rows, den, d) == form
+
+
+def test_opposite_spanning_vectors_give_equal_subspaces():
+    v = [Scalar.one(), Scalar.sqrt_d(2), Scalar.zero()]
+    assert Subspace.span([v], 3) == Subspace.span([[-x for x in v]], 3)
 
 
 def test_mat_pow():
