@@ -2,12 +2,13 @@
 
 A StructTensor holds the nonzero constants of a bilinear product
 [e_i, e_j] = sum_k c_{ij}^k e_k in a sparse store that no other module
-sees: they read constants through entry() and constants_dict(), and every
-product goes through contract(), the one loop that multiplies stored
-constants: it gathers each coordinate's (coeff, constant) pairs, which
-poly's one sum of products adds for PolyQ entries, and Scalars multiply
-and add in order.  Entries are either Scalar (exact field elements) or
-PolyQ (symbolic parameters); one entry kind per tensor.
+sees: they read constants through entry() and constants_dict(), and two
+loops multiply stored constants.  contract() gathers each coordinate's
+(coeff, constant) pairs, which poly's one sum of products adds for PolyQ
+entries, and Scalars multiply and add in order; _residuals(), the
+Leibniz-residual pass for PolyQ entries, reads the store's rows straight
+into poly's product sums.  Entries are either Scalar (exact field
+elements) or PolyQ (symbolic parameters); one entry kind per tensor.
 Whether the product satisfies the Leibniz identity is checked, never
 assumed: leibniz_residual exposes the defect of each basis triple.
 
@@ -64,7 +65,7 @@ from operator import add, mul
 
 from . import linalg
 from .linalg import ShapeError
-from .poly import PolyQ, _sum_of_products
+from .poly import PolyQ, _ProductSums, _sum_of_products
 from .scalars import IncompatibleFieldError, Scalar, common_field, from_cleared, integer_pairs
 
 _NO_PRODUCT: dict = {}
@@ -155,9 +156,10 @@ class StructTensor:
 
     def contract(self, terms) -> list:
         """Sum of coeff * [e_i, e_j] over (coeff, i, j) terms, as a coordinate
-        vector.  This is the one loop that multiplies stored constants: it
-        gathers each coordinate's (coeff, constant) pairs, which poly's kernel
-        sums for PolyQ entries; other entries sum the products in order."""
+        vector; with _residuals, one of the two loops that multiply stored
+        constants: it gathers each coordinate's (coeff, constant) pairs, which
+        poly's kernel sums for PolyQ entries; other entries sum the products
+        in order."""
         pairs: dict = {}
         for coeff, i, j in terms:
             for k, ck in self._c.get((i, j), _NO_PRODUCT).items():
@@ -179,31 +181,57 @@ class StructTensor:
     def leibniz_residual(self, i: int, j: int, k: int) -> list:
         """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]; zero iff the
         triple satisfies the Leibniz identity."""
-        return self._residual(i, j, k, negated=False)
-
-    def _residual(self, i: int, j: int, k: int, negated: bool) -> list:
-        """leibniz_residual, or its negation with the sign in the chains' coefficients."""
         self._check_indices(i, j, k)
         row = self._c.get
         return self.contract(
             chain(
-                ((-c if negated else c, i, m) for m, c in row((j, k), _NO_PRODUCT).items()),
-                ((c if negated else -c, m, k) for m, c in row((i, j), _NO_PRODUCT).items()),
-                ((c if negated else -c, j, m) for m, c in row((i, k), _NO_PRODUCT).items()),
+                ((c, i, m) for m, c in row((j, k), _NO_PRODUCT).items()),
+                ((-c, m, k) for m, c in row((i, j), _NO_PRODUCT).items()),
+                ((-c, j, m) for m, c in row((i, k), _NO_PRODUCT).items()),
             )
         )
+
+    def _residuals(self, triples=None):
+        """Yield (triple, ((p, component p), ...)) for each of a list of
+        triples, all dim^3 in (i, j, k) order by default, with the nonzero
+        components of its Leibniz residual; PolyQ entries only.  With
+        N(i,j,k) = [e_i,[e_j,e_k]] the residual is N(i,j,k) - N(j,i,k) -
+        [[e_i,e_j],e_k], so each product of N(i,j,k) is formed once for
+        (i, j, k) and (j, i, k) when both are asked for, and none at i = j,
+        where the N terms cancel.  Every index is checked first; only the
+        residuals of partners still to come are held."""
+        row, sums, later = self._c.get, _ProductSums(self.zero), {}
+        if triples is None:
+            triples, wanted = product(range(self.dim), repeat=3), None
+        else:
+            wanted = set(triples)
+            for ijk in wanted:
+                self._check_indices(*ijk)
+        for i, j, k in triples:
+            parts = later.pop((i, j, k), None)
+            if parts is None:
+                both = i != j and (wanted is None or (j, i, k) in wanted)
+                r, s = {}, ({} if both else None)
+                for x, y, mine, other in ((i, j, r, s), (j, i, s, r)):
+                    if mine is not None:  # -[[e_x,e_y],e_k] into R(x,y,k)
+                        for m, a in row((x, y), _NO_PRODUCT).items():
+                            sums.add(a, row((m, k), _NO_PRODUCT), None, mine)
+                    if i != j:  # N(x,y,k) into R(x,y,k) and out of R(y,x,k)
+                        for m, a in row((y, k), _NO_PRODUCT).items():
+                            sums.add(a, row((x, m), _NO_PRODUCT), mine, other)
+                parts = sums.read(r)
+                if both:
+                    later[j, i, k] = sums.read(s)
+            yield (i, j, k), parts
 
     def leibniz_defects(self) -> list[tuple[int, int, int]]:
         """Triples whose residual is nonzero (empty iff Leibniz), in (i, j, k)
         order.  Scalar tensors are checked by the packed kernel on their
-        integer view; the answer is computed once per tensor and each call
-        returns a fresh list."""
+        integer view, PolyQ tensors by _residuals; the answer is computed once
+        per tensor and each call returns a fresh list."""
         if self._defects is None:
-            n = self.dim
-            defects = _packed_defects(n, *self._integer_view()[::2]) if self.is_scalar() else tuple(
-                ijk for ijk in product(range(n), repeat=3)
-                if any(e != self.zero for e in self.leibniz_residual(*ijk))
-            )
+            defects = (_packed_defects(self.dim, *self._integer_view()[::2]) if self.is_scalar()
+                       else tuple(ijk for ijk, parts in self._residuals() if parts))
             object.__setattr__(self, "_defects", defects)
         return list(self._defects)
 

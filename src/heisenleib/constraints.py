@@ -37,7 +37,10 @@ elements are found by the first letter of their labels.
 
 The Jacobi residual here is oriented as [[x,y],z] + [y,[x,z]] - [x,[y,z]]
 so that reported polynomials carry the signs of the worked derivation
-(the (S, P, H) residual is literally the monomial sigma2).
+(the (S, P, H) residual is literally the monomial sigma2).  Every Jacobi
+residual (the jacobi stage, the closure triples, arar and the final audit)
+comes from one call of the tensor's Leibniz-residual pass per list of
+triples; the annihilator's other products go through contract.
 """
 
 from __future__ import annotations
@@ -256,8 +259,9 @@ def triple_label(pa: ParamAlgebra, i: int, j: int, k: int) -> str:
 
 def jacobi_vector(t: StructTensor, i: int, j: int, k: int) -> list:
     """[[e_i,e_j],e_k] + [e_j,[e_i,e_k]] - [e_i,[e_j,e_k]] componentwise: the
-    Leibniz residual with the derivation's sign, folded into its contraction."""
-    return t._residual(i, j, k, negated=True)
+    Leibniz residual with the derivation's sign, from a one-triple pass."""
+    parts = dict(next(t._residuals([(i, j, k)]))[1])
+    return [-parts.get(comp, t.zero) for comp in range(t.dim)]
 
 
 def _nonzero_report(source: str, labelled) -> list:
@@ -266,22 +270,18 @@ def _nonzero_report(source: str, labelled) -> list:
     return [ConstraintReport(source=source, residual_polys=polys)] if polys else []
 
 
-def _vector_report(pa: ParamAlgebra, source: str, vec) -> list:
-    return _nonzero_report(source, ((_label(pa, comp), p) for comp, p in enumerate(vec)))
-
-
 def jacobi_residual_system(pa: ParamAlgebra, triples=None) -> list:
     """Jacobi residual reports; all dim^3 basis triples by default."""
     return list(_jacobi_reports(pa, triples))
 
 
-def _jacobi_reports(pa: ParamAlgebra, triples=None):
-    # one report at a time, so that a full pass need not hold every residual
-    t = pa.tensor
-    for (i, j, k) in product(range(t.dim), repeat=3) if triples is None else triples:
-        yield from _vector_report(
-            pa, "jacobi " + triple_label(pa, i, j, k), jacobi_vector(t, i, j, k)
-        )
+def _jacobi_reports(pa: ParamAlgebra, triples=None, source: str = "jacobi "):
+    # a report per nonzero residual, in the order asked for, as the pass
+    # yields them; it holds only the residuals of partners still to come
+    for ijk, parts in pa.tensor._residuals(triples):
+        if parts:
+            polys = tuple((_label(pa, comp), -p) for comp, p in parts)
+            yield ConstraintReport(source=source + triple_label(pa, *ijk), residual_polys=polys)
 
 
 # The kind triples of the derivation's nine-row Jacobi table; what each forces
@@ -462,17 +462,10 @@ def annihilator_residual_system(pa: ParamAlgebra) -> list:
                     f"[[{_label(pa, s)},{_label(pa, y)}]+"
                     f"[{_label(pa, y)},{_label(pa, s)}],{_label(pa, z)}]"
                 )
-                reports += _vector_report(pa, source, vec)
-    for s in _of_kind(pa, "S"):
-        for p in _of_kind(pa, "P"):
-            for b in _of_kind(pa, "B"):
-                for (x, y) in ((p, b), (b, p)):
-                    reports += _vector_report(
-                        pa,
-                        "closure jacobi " + triple_label(pa, x, y, s),
-                        jacobi_vector(t, x, y, s),
-                    )
-    return reports
+                reports += _nonzero_report(source, zip(t.basis_labels, vec))
+    closure = [(x, y, s) for s in _of_kind(pa, "S") for p in _of_kind(pa, "P")
+               for b in _of_kind(pa, "B") for (x, y) in ((p, b), (b, p))]
+    return reports + list(_jacobi_reports(pa, closure, "closure jacobi "))
 
 
 # -- commutation --------------------------------------------------------------
@@ -541,18 +534,18 @@ def verify_arar(pa: ParamAlgebra) -> list:
     t = pa.tensor
     a, _, _, r = block_forms(t, pa.n, pa.f)
     s, h = _of_kind(pa, "S"), _of_kind(pa, "H")[0]
+    residuals = t._residuals([(s[0], s[al], s[be]) for al in range(pa.f) for be in range(pa.f)])
     reports = []
     for al in range(pa.f):
         for be in range(pa.f):
-            vec = jacobi_vector(t, s[0], s[al], s[be])
-            raw = vec[h]
-            for comp, p in enumerate(vec):
-                if comp != h and not p.is_zero():
-                    raise CascadeError(
-                        "unexpected non-H component in the (S1,S,S) residual"
-                    )
+            parts = dict(next(residuals)[1])
+            raw = parts.pop(h, t.zero)  # the Leibniz residual, the Jacobi one negated
+            if parts:
+                raise CascadeError(
+                    "unexpected non-H component in the (S1,S,S) residual"
+                )
             expected = a[0] * r[al][be] - a[al] * r[0][be] + a[be] * r[0][al]
-            if raw != expected * (-2):
+            if raw != expected * 2:
                 raise CascadeError(
                     f"(S1,S{al + 1},S{be + 1}) residual does not match the "
                     "a-r combination identity"

@@ -34,6 +34,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import groupby
+from operator import index
 
 from .scalars import Scalar, sqrt_as_scalar
 
@@ -194,24 +195,26 @@ def _add_into(out: dict, items) -> None:
                 del out[key]
 
 
+def _factor(like: PolyQ, a) -> PolyQ:
+    a = like._coerce(a)  # ints and Fractions are constants
+    if a is None:
+        raise TypeError("a polynomial factor must be a PolyQ, an int or a Fraction")
+    return a
+
+
 def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
     """Sum of a * b over (a, b) pairs in one term map, in the universe of
     `like`; every pair is checked for its universe (ints and Fractions are
-    constants), and a zero factor adds nothing.  The degree bound is checked
-    once, on the largest key before cancelled entries go: a pair past it
-    leaves its leading product's key there.  Only cancelled and Fraction
-    entries are then fixed in place (a rehash each)."""
+    constants), and a zero factor adds nothing."""
     layout = like._layout
     base, product = layout.base, layout.product
     out: dict = {}
     get = out.get
     for a, b in pairs:
         if type(a) is not PolyQ or a._layout is not layout:
-            a = like._coerce(a)
+            a = _factor(like, a)
         if type(b) is not PolyQ or b._layout is not layout:
-            b = like._coerce(b)
-        if a is None or b is None:
-            raise TypeError("a polynomial factor must be a PolyQ, an int or a Fraction")
+            b = _factor(like, b)
         ta, tb = a.terms, b.terms
         if not ta or not tb:
             continue
@@ -226,6 +229,14 @@ def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
                     k = product(k1, k2)
                 s = get(k)
                 out[k] = c1 * c2 if s is None else s + c1 * c2
+    return _read(layout, out)
+
+
+def _read(layout: _Layout, out: dict) -> PolyQ:
+    """The PolyQ of a summed term map.  The degree bound is checked once, on
+    the largest key before cancelled entries go: a product past it leaves
+    its key there.  Only cancelled and Fraction entries are then fixed in
+    place (a rehash each)."""
     # powers[MAX_DEGREE] is the least key of degree MAX_DEGREE + 1
     if out and max(out) >= layout.powers[MAX_DEGREE]:
         raise PolyError(f"product degree exceeds the bound {MAX_DEGREE}")
@@ -235,6 +246,49 @@ def _sum_of_products(like: PolyQ, pairs) -> PolyQ:
         else:
             del out[k]
     return _poly(layout, out)
+
+
+class _ProductSums:
+    """Sums of products in the universe of `like`, held as {p: term map}:
+    add(a, row, plus, minus) forms a * b once for each p: b of a row, adds
+    it to sum p of plus and takes it from sum p of minus (either may be
+    None), and read gives the nonzero sums as (p, PolyQ), p ascending.
+    Factors and degrees are checked as in _sum_of_products."""
+
+    def __init__(self, like: PolyQ):
+        self.like, self.layout = like, like._layout
+
+    def add(self, a, row: dict, plus: dict | None, minus: dict | None) -> None:
+        if not row:
+            return
+        like, layout = self.like, self.layout
+        base, product = layout.base, layout.product
+        if type(a) is not PolyQ or a._layout is not layout:
+            a = _factor(like, a)
+        ta = a.terms.items()
+        for p, b in row.items():
+            if type(b) is not PolyQ or b._layout is not layout:
+                b = _factor(like, b)
+            up = None if plus is None else plus.setdefault(p, {})
+            down = None if minus is None else minus.setdefault(p, {})
+            for k1, c1 in ta:
+                for k2, c2 in b.terms.items():
+                    # layout.product, inline as in _sum_of_products
+                    if not k1 or not k2:
+                        k = k1 + k2
+                    elif k1 < base > k2:
+                        k = k1 * base + k2 if k1 >= k2 else k2 * base + k1
+                    else:
+                        k = product(k1, k2)
+                    c = c1 * c2
+                    if up is not None:
+                        up[k] = up.get(k, 0) + c
+                    if down is not None:
+                        down[k] = down.get(k, 0) - c
+
+    def read(self, sums: dict) -> tuple:
+        polys = ((p, _read(self.layout, sums[p])) for p in sorted(sums))
+        return tuple((p, q) for p, q in polys if q.terms)
 
 
 class PolyQ:
@@ -343,11 +397,17 @@ class PolyQ:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> PolyQ:
-        if n < 0:
+        # square and multiply; a constant is raised as its value (0 and +-1
+        # at once), and a nonconstant power past the bound is refused first
+        if index(n) < 0:
             raise PolyError("negative polynomial power")
-        out = _const(self._layout, 1)
-        for _ in range(n):
-            out = out * self
+        if self.is_constant():
+            return _const(self._layout, Fraction(self.terms.get(0, 0)) ** n)
+        if n * self.degree() > MAX_DEGREE:
+            raise PolyError(f"product degree exceeds the bound {MAX_DEGREE}")
+        out = self if n else _const(self._layout, 1)
+        for bit in bin(n)[3:]:  # the bits after the leading one
+            out = out * out * self if bit == "1" else out * out
         return out
 
     # -- substitution and evaluation ----------------------------------------

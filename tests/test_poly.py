@@ -204,3 +204,68 @@ def test_quadratic_roots_exact():
     for root in quadratic_roots(p):
         assert p.evaluate({"t": root}).is_zero()
         assert root.d == -1
+
+
+class TestPower:
+    """PolyQ.__pow__ squares and multiplies; a constant is raised as its
+    value, and a power past the degree bound is refused before any multiply."""
+
+    @pytest.fixture
+    def multiplies(self, monkeypatch):
+        calls = []
+        original = PolyQ.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(PolyQ, "__mul__", counting)
+        return calls
+
+    def test_values_are_kept(self):
+        x = var("a")
+        assert (x + 1) ** 2 == x * x + 2 * x + 1
+        assert str((x + 1) ** 2) == "a^2+2*a+1"
+        assert x**0 == 1 and PolyQ.zero(NAMES) ** 0 == 1
+        assert x**1 == x
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_matches_repeated_multiplication(self, n):
+        p = var("a") * Fraction(1, 2) - 2 * var("b") + 1
+        want = PolyQ.const(NAMES, 1)
+        for _ in range(n):
+            want = want * p
+        assert p**n == want and str(p**n) == str(want)
+
+    def test_multiplies_about_log_n_times(self, multiplies):
+        x = var("a") + var("b")
+        assert (x**200).degree() == 200
+        # 200 = 0b11001000: seven squarings and two multiplies by x
+        assert len(multiplies) == 9
+        multiplies.clear()
+        square = x**2
+        assert len(multiplies) == 1 and square == x * x
+
+    @pytest.mark.parametrize("value", [0, 1, -1])
+    def test_zero_and_units_come_back_at_once(self, multiplies, value):
+        base = PolyQ.const(NAMES, value)
+        assert base ** 10**9 == abs(value)
+        assert base ** (10**9 + 1) == value
+        assert multiplies == []
+
+    def test_constants_are_raised_as_their_value(self):
+        assert PolyQ.const(NAMES, Fraction(-2, 3)) ** 5 == Fraction(-32, 243)
+
+    def test_a_power_past_the_bound_is_refused_before_any_multiply(self, multiplies):
+        x, xy = var("a"), PolyQ(NAMES, {(1, 1, 0): 1})
+        for base, n in ((x, 256), (x + 1, 10**9), (xy, 128)):
+            with pytest.raises(PolyError, match="product degree exceeds the bound 255"):
+                base**n
+        assert multiplies == []
+        assert xy**127 == PolyQ(NAMES, {(127, 127, 0): 1})
+
+    def test_negative_and_non_integer_powers_are_refused(self):
+        with pytest.raises(PolyError):
+            var("a") ** -1
+        with pytest.raises(TypeError):
+            var("a") ** 2.0
